@@ -14,7 +14,7 @@ hashable value works.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections.abc import Hashable, Iterable
 
 __all__ = ["NodeDescriptor", "freshest_by_id", "dedupe_by_id"]
@@ -44,7 +44,7 @@ class NodeDescriptor:
 
     def refreshed(self, timestamp: float) -> NodeDescriptor:
         """Return a copy of this descriptor stamped with *timestamp*."""
-        return replace(self, timestamp=timestamp)
+        return NodeDescriptor(self.node_id, self.address, timestamp)
 
     def is_fresher_than(self, other: NodeDescriptor) -> bool:
         """Return whether this descriptor supersedes *other*.

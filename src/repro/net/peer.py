@@ -34,6 +34,7 @@ import asyncio
 import random
 from dataclasses import dataclass
 from collections.abc import Coroutine, Hashable, Iterable
+from itertools import chain
 
 from ..core.config import BootstrapConfig, PAPER_CONFIG
 from ..core.descriptor import NodeDescriptor
@@ -301,11 +302,11 @@ class AsyncPeer:
         self._contacts.note_heard(wire.sender.address, now)
         if wire.layer == codec.LAYER_NEWSCAST:
             self.newscast.set_time(now)
-            if wire.is_reply:
-                self.newscast.merge(wire.descriptors + (wire.sender,))
-            else:
-                reply = self.newscast.gossip_payload()
-                self.newscast.merge(wire.descriptors + (wire.sender,))
+            # The answer is built from the pre-merge view, like the
+            # in-process exchange.
+            reply = None if wire.is_reply else self.newscast.gossip_payload()
+            self.newscast.merge(chain(wire.descriptors, (wire.sender,)))
+            if reply is not None:
                 self._send(
                     codec.encode_message(
                         codec.LAYER_NEWSCAST,

@@ -37,6 +37,17 @@ class TestNodeDescriptor:
         assert fresh.timestamp == 9.0
         assert desc.timestamp == 1.0  # original untouched
 
+    @pytest.mark.parametrize("address", ["a", 7, ("host", 80)])
+    def test_refreshed_is_a_plain_reconstruction(self, address):
+        desc = NodeDescriptor(node_id=5, address=address, timestamp=1.0)
+        fresh = desc.refreshed(9.0)
+        built = NodeDescriptor(node_id=5, address=address, timestamp=9.0)
+        assert type(fresh) is NodeDescriptor
+        assert fresh == built
+        assert hash(fresh) == hash(built)
+        assert fresh.address is desc.address
+        assert desc.refreshed(desc.timestamp) == desc
+
     def test_is_fresher_than(self):
         old = NodeDescriptor(node_id=5, address="a", timestamp=1.0)
         new = NodeDescriptor(node_id=5, address="a", timestamp=2.0)
