@@ -33,8 +33,8 @@ Package map
     the experiment harness.
 ``repro.runtime``
     Parallel experiment runtime: multi-axis sweep grids sharded across
-    a process pool with deterministic seeding, columnar result
-    transport, and analysis-layer merging.
+    a process pool with deterministic seeding, one columnar wire form,
+    and a streaming analysis-layer merge.
 ``repro.scenarios``
     Declarative scenario layer: a JSON-round-trippable registry of the
     paper's experiments (``figure3`` .. ``paper_scale``) plus the
@@ -76,7 +76,6 @@ from .runtime import (
     SweepAggregate,
     SweepGrid,
     SweepRunner,
-    merge_results,
 )
 from .simulator import (
     BootstrapSimulation,
@@ -136,5 +135,4 @@ __all__ = [
     "SweepAggregate",
     "SweepGrid",
     "SweepRunner",
-    "merge_results",
 ]

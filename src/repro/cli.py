@@ -23,7 +23,7 @@ not require pytest.  Sweep-style commands (``figure3``, ``figure4``,
 ``sweep``, ``scenarios run``) accept ``--workers N`` to shard their
 independent runs across a process pool; results are identical for any
 worker count.  ``sweep`` and ``scenarios run`` execute through the
-declarative scenario layer on the columnar result transport.
+declarative scenario layer.
 """
 
 from __future__ import annotations
@@ -110,17 +110,25 @@ def _network(args: argparse.Namespace) -> NetworkModel:
     return NetworkModel(drop_probability=args.drop)
 
 
-def _print_run(size: int, result, label: str) -> None:
+def _print_run(
+    size: int,
+    label: str,
+    *,
+    converged: bool,
+    cycles: float | None,
+    messages: float,
+    loss: float,
+) -> None:
     """Per-run summary block shared by the bootstrap and figure
     commands."""
     print(
         render_kv(
             {
                 "size": size,
-                "converged": result.converged,
-                "cycles": result.cycles_to_converge,
-                "messages/node/cycle": result.messages_per_node_per_cycle(),
-                "overall loss": result.transport["overall_loss_fraction"],
+                "converged": converged,
+                "cycles": cycles,
+                "messages/node/cycle": messages,
+                "overall loss": loss,
             },
             title=f"bootstrap {label}",
         )
@@ -139,7 +147,14 @@ def _run_one(size: int, args: argparse.Namespace) -> tuple[Series, Series]:
     )
     result = sim.run(args.max_cycles)
     label = f"N={size}"
-    _print_run(size, result, label)
+    _print_run(
+        size,
+        label,
+        converged=result.converged,
+        cycles=result.cycles_to_converge,
+        messages=result.messages_per_node_per_cycle(),
+        loss=result.transport["overall_loss_fraction"],
+    )
     return (
         Series.from_pairs(label, result.leaf_series()),
         Series.from_pairs(label, result.prefix_series()),
@@ -180,19 +195,26 @@ def cmd_figure(args: argparse.Namespace, lossy: bool) -> int:
         # One replica per size, seeded exactly as the sequential CLI
         # always was (the spec's own seed, no replica derivation).
         specs.append(RunSpec(experiment=spec, shard=index))
-    outcomes = SweepRunner(workers=args.workers).run(specs)
-
     leaf_curves: list[Series] = []
     prefix_curves: list[Series] = []
-    for outcome in outcomes:
-        result = outcome.result
-        label = outcome.spec.experiment.label
-        _print_run(outcome.spec.size, result, label)
+    for run in SweepRunner(workers=args.workers).run_columns(specs):
+        label = f"N={run.size}"
+        counters = run.transport_counters()
+        node_cycles = run.cycles_run * run.population
+        intended = counters["intended"]
+        _print_run(
+            run.size,
+            label,
+            converged=run.converged,
+            cycles=run.cycles_to_converge,
+            messages=counters["sent"] / node_cycles if node_cycles else 0.0,
+            loss=1.0 - counters["delivered"] / intended if intended else 0.0,
+        )
         leaf_curves.append(
-            Series.from_pairs(label, result.leaf_series()).nonzero()
+            Series.from_pairs(label, run.leaf_series()).nonzero()
         )
         prefix_curves.append(
-            Series.from_pairs(label, result.prefix_series()).nonzero()
+            Series.from_pairs(label, run.prefix_series()).nonzero()
         )
     name = "Figure 4" if lossy else "Figure 3"
     print(
@@ -229,9 +251,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a full experiment grid and print merged statistics.
 
     The grid travels through the scenario layer: an ad-hoc
-    :class:`ScenarioSpec` executed by :func:`run_scenario` on the
-    columnar transport -- the same path the registry scenarios and the
-    benchmarks use.
+    :class:`ScenarioSpec` executed by :func:`run_scenario` -- the same
+    path the registry scenarios and the benchmarks use.
     """
     grid = SweepGrid(
         sizes=tuple(args.sizes),

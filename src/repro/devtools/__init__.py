@@ -24,8 +24,8 @@ with four AST passes over ``src/`` and ``benchmarks/``:
 ``lifecycle``
     ``SharedMemory(create=True)`` and ``ProcessPoolExecutor``
     construction is enclosed by a context manager or ``try/finally``
-    cleanup in the same function (the shm ring's unlink-on-all-exits
-    guarantee, checked at the AST level).
+    cleanup in the same function (release-on-all-exits, checked at the
+    AST level).
 
 Every rule honours inline waivers with a mandatory reason::
 

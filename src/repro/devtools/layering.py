@@ -4,7 +4,7 @@ The architecture is a DAG of top-level units inside ``repro``::
 
     core / sampling / simulator          (domain: protocol + reference)
         -> engine_fast -> engine_vector  (accelerated engines)
-        -> runtime                       (pooled sweeps, transports)
+        -> runtime                       (pooled sweeps, streaming merge)
         -> scenarios                     (declarative experiment layer)
         -> cli                           (composition root)
 

@@ -1,8 +1,7 @@
-"""Resource-lifecycle lint: no leaked rings, no leaked pools.
+"""Resource-lifecycle lint: no leaked segments, no leaked pools.
 
-The shm transport's contract is *unlink on every exit path*: a
-``SharedMemory(create=True)`` segment that outlives its sweep is a
-``/dev/shm`` leak the CI leak check only catches after the fact, and a
+A ``SharedMemory(create=True)`` segment that outlives its creator is a
+``/dev/shm`` leak that is only noticed after the fact, and a
 ``ProcessPoolExecutor`` without shutdown strands worker processes.
 This pass checks the guarantee at the AST level: every tracked
 constructor call must be *guarded in the function that makes it* --
@@ -11,10 +10,8 @@ constructor call must be *guarded in the function that makes it* --
 * inside (or as the statement immediately before) a ``try`` that has
   a ``finally``, or
 * by **ownership transfer**: the resource (or an object wrapping it)
-  is returned to the caller, as in ``ShmRing.create`` or an executor
-  factory lambda -- the obligation moves with the value, and what
-  gets checked instead is the call *site* of the factory
-  (``ShmRing.create`` is itself a tracked constructor).
+  is returned to the caller, as in an executor factory lambda -- the
+  obligation moves with the value.
 
 Anything else is a leak on the first exception between construction
 and cleanup.
@@ -65,16 +62,6 @@ def _is_tracked(node: ast.Call) -> str | None:
                 and keyword.value.value is True
             ):
                 return "SharedMemory(create=True)"
-        return None
-    # ShmRing.create(...) hands a live segment to the caller, so its
-    # call sites carry the same cleanup obligation as raw creation.
-    if (
-        name == "create"
-        and isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "ShmRing"
-    ):
-        return "ShmRing.create"
     return None
 
 
@@ -143,8 +130,8 @@ class _ScopeAuditor:
         if stmt is None:  # pragma: no cover - calls always sit in stmts
             return False
         # (d) assignment immediately followed by try/finally
-        # (`ring = ShmRing.create(...)` then `try: ... finally:
-        # ring.destroy()`).
+        # (`segment = SharedMemory(create=True, ...)` then `try: ...
+        # finally: segment.unlink()`).
         following = self._next_sibling(stmt)
         if isinstance(following, ast.Try) and following.finalbody:
             return True

@@ -8,31 +8,27 @@ parallel (``workers=N``) execution share one code path and produce
 byte-identical merged statistics for the same base seed, on every
 axis.
 
-Results cross process boundaries in one of two forms: rich
-:class:`RunResult` objects (the legacy transport) or compact
-:class:`RunColumns` float64 buffers (the columnar transport --
-several times fewer pickled bytes per run, the default for scenario
-sweeps).  Both merge byte-identically.
+Every shard comes back as one :class:`RunColumns` -- three float64
+curves plus counters, about half a kilobyte per run whatever the
+population size -- and :class:`StreamingMerge` folds each outcome as
+it arrives, so collector memory is constant in the replica count.
 
 Typical use::
 
-    from repro.runtime import SweepGrid, SweepRunner, merge_columns
+    from repro.runtime import StreamingMerge, SweepGrid, SweepRunner
 
     grid = SweepGrid(sizes=(1024, 4096), drop_rates=(0.0, 0.2),
                      replicas=4, base_seed=7,
                      engines=("reference", "vector"))
-    columns = SweepRunner(workers=4).run_grid_columns(grid)
-    aggregate = merge_columns(columns)
-
-For replica-heavy grids, the streaming path folds each shard outcome
-as it arrives (constant collector memory) and can journal completed
-cells to a checkpoint directory for kill-safe resume::
-
-    from repro.runtime import CheckpointStore, StreamingMerge
-
     merge = StreamingMerge()
     SweepRunner(workers=4).stream_columns(grid.expand(), merge.add)
-    aggregate = merge.finalize()   # byte-identical to merge_columns
+    aggregate = merge.finalize()
+
+``SweepRunner.run_grid_columns(grid)`` collects the same outcomes as
+an ordered list for consumers that want per-run values, and
+:class:`CheckpointStore` journals completed cells for kill-safe resume
+(see :func:`repro.scenarios.run_scenario`).  :func:`merge_columns` is
+the batch reference fold the streaming merge is tested against.
 """
 
 from .checkpoint import CheckpointError, CheckpointStore, grid_digest
@@ -49,17 +45,9 @@ from .merge import (
     SweepAggregate,
     cell_label,
     merge_columns,
-    merge_results,
     throughput_summary,
 )
 from .runner import ShardError, SweepGrid, SweepRunner, expand_repeats
-from .shm import (
-    TRANSPORT_KINDS,
-    ShmRing,
-    execute_run_columns_shm,
-    shm_available,
-    transport,
-)
 from .spec import (
     SCHEDULE_KINDS,
     RunResult,
@@ -73,7 +61,6 @@ from .spec import (
 __all__ = [
     "SCHEDULE_KINDS",
     "TRANSPORT_COUNTERS",
-    "TRANSPORT_KINDS",
     "CellAggregate",
     "CellFold",
     "CheckpointError",
@@ -84,7 +71,6 @@ __all__ = [
     "RunTiming",
     "ScheduleSpec",
     "ShardError",
-    "ShmRing",
     "StreamingMerge",
     "SweepAggregate",
     "SweepGrid",
@@ -92,14 +78,10 @@ __all__ = [
     "cell_label",
     "execute_run",
     "execute_run_columns",
-    "execute_run_columns_shm",
     "expand_repeats",
     "grid_digest",
     "merge_columns",
-    "merge_results",
     "replica_seed",
     "schedule_key",
-    "shm_available",
     "throughput_summary",
-    "transport",
 ]

@@ -1,29 +1,17 @@
-"""Columnar result transport: what worker processes send back.
+"""The columnar wire form: what one shard sends back.
 
-A :class:`~repro.runtime.spec.RunResult` is the *rich* outcome of one
-shard: a tuple of per-cycle :class:`ConvergenceSample` objects, the
-full transport-counter snapshot, the config, and the complete
-:class:`RunSpec` -- thousands of pickled bytes per run, nearly all of
-it object overhead.  At paper scale (hundreds of replicas per sweep)
-the process pool spends more wall-clock pickling and unpickling those
-objects than the vectorised engines spend simulating; the same
-transport-bound regime the online-bootstrapping literature reports
-once the inner loop is fast (Qin et al., *Efficient Online
-Bootstrapping for Large Scale Learning*).
-
-:class:`RunColumns` is the compact wire form: the three plotted curves
-as flat float64 buffers (numpy arrays when numpy is installed, stdlib
-``array('d')`` on the fallback leg -- both pickle as raw machine
-bytes), the summable transport counters as one integer tuple, and the
-scalar summary fields.  Everything the merge step
-(:func:`repro.runtime.merge.merge_columns`) folds comes straight from
-these columns; no per-cycle objects are ever rebuilt.
-
-``REPRO_COLUMNS_BACKEND=numpy|python`` forces the buffer backend (the
-same convention as ``REPRO_FAST_BACKEND`` / ``REPRO_VECTOR_BACKEND``).
-Both backends hold identical float64 values, so merged statistics are
-byte-identical across them -- and byte-identical to the legacy
-object-transport path, which is pinned by the test suite.
+Inside a worker a shard's outcome is a
+:class:`~repro.runtime.spec.RunResult` -- per-cycle
+:class:`ConvergenceSample` objects, the full transport-counter
+snapshot, the config, the complete :class:`RunSpec`.  None of that
+crosses the process boundary.  :class:`RunColumns` is the one wire
+form: the three plotted curves as flat float64 buffers (stdlib
+``array('d')``, pickled as raw machine bytes), the summable transport
+counters as one integer tuple, and the scalar summary fields -- 3 x
+cycles float64 plus counters, about half a kilobyte per run and
+independent of the population size.  Everything the merge step
+(:class:`repro.runtime.merge.StreamingMerge`) folds comes straight
+from these columns; no per-cycle objects are ever rebuilt.
 """
 
 from __future__ import annotations
@@ -32,19 +20,12 @@ from array import array
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .. import seams
 from .spec import RunResult, RunSpec, ScheduleSpec, execute_run
-
-try:  # numpy is an optional extra throughout this package
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-numpy leg
-    _np = None
 
 __all__ = [
     "TRANSPORT_COUNTERS",
     "RunColumns",
     "RunTiming",
-    "backend",
     "execute_run_columns",
 ]
 
@@ -63,51 +44,6 @@ TRANSPORT_COUNTERS = (
     "sent",
     "delivered",
 )
-
-
-def backend() -> str:
-    """The active column-buffer backend (``"numpy"`` or ``"python"``).
-
-    Resolution mirrors the engine kernels: ``REPRO_COLUMNS_BACKEND``
-    forces a backend (raising if numpy is requested but missing),
-    otherwise numpy is used when importable.
-    """
-    forced = seams.enum("REPRO_COLUMNS_BACKEND")
-    if forced:
-        if forced == "numpy" and _np is None:
-            raise RuntimeError(
-                "REPRO_COLUMNS_BACKEND=numpy but numpy is not installed"
-            )
-        return forced
-    return "numpy" if _np is not None else "python"
-
-
-def _pack(values: Sequence[float]):
-    """Pack floats into the active backend's flat float64 buffer."""
-    if backend() == "numpy":
-        return _np.asarray(values, dtype=_np.float64)
-    return array("d", values)
-
-
-def _buffer_bytes(buffer) -> bytes:
-    """A buffer's raw float64 machine bytes (both backends)."""
-    return buffer.tobytes()
-
-
-def _buffer_from_bytes(raw: bytes):
-    """Rebuild a buffer from :func:`_buffer_bytes` output.
-
-    The numpy leg must copy: ``frombuffer`` over a ``bytes`` object is
-    a *read-only* view, and restored columns feed in-place folds (the
-    streaming merge, analysis consumers) exactly like freshly-built
-    ones -- a frozen buffer would raise only on the numpy backend,
-    after transport, which is the worst kind of latent asymmetry.
-    """
-    if backend() == "numpy":
-        return _np.frombuffer(raw, dtype=_np.float64).copy()
-    rebuilt = array("d")
-    rebuilt.frombytes(raw)
-    return rebuilt
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,9 +96,7 @@ class RunColumns:
         """Flatten one rich :class:`RunResult` into columns.
 
         This is the worker-side conversion: the rich object never
-        crosses the process boundary.  It is also the *only* path from
-        results to columns, so the legacy and columnar merge paths are
-        equivalent by construction.
+        crosses the process boundary.
         """
         spec = run.spec
         result = run.result
@@ -180,9 +114,9 @@ class RunColumns:
             population=result.population,
             cycles_run=result.cycles_run,
             started_at_cycle=result.started_at_cycle,
-            cycles=_pack([s.cycle for s in samples]),
-            leaf=_pack([s.leaf_fraction for s in samples]),
-            prefix=_pack([s.prefix_fraction for s in samples]),
+            cycles=array("d", [s.cycle for s in samples]),
+            leaf=array("d", [s.leaf_fraction for s in samples]),
+            prefix=array("d", [s.prefix_fraction for s in samples]),
             transport=tuple(
                 int(result.transport[name]) for name in TRANSPORT_COUNTERS
             ),
@@ -214,9 +148,9 @@ class RunColumns:
                 self.population,
                 self.cycles_run,
                 self.started_at_cycle,
-                _buffer_bytes(self.cycles),
-                _buffer_bytes(self.leaf),
-                _buffer_bytes(self.prefix),
+                self.cycles.tobytes(),
+                self.leaf.tobytes(),
+                self.prefix.tobytes(),
                 self.transport,
                 self.wall_seconds,
             ),
@@ -313,16 +247,17 @@ def _rebuild_columns(*values) -> RunColumns:
     """Unpickle hook for :meth:`RunColumns.__reduce__`."""
     fields = list(values)
     for index in (12, 13, 14):  # cycles, leaf, prefix
-        fields[index] = _buffer_from_bytes(fields[index])
+        buffer = array("d")
+        buffer.frombytes(fields[index])
+        fields[index] = buffer
     return RunColumns(*fields)
 
 
 def execute_run_columns(spec: RunSpec) -> RunColumns:
     """Execute one shard and return its columnar outcome.
 
-    This is the function worker processes run on the columnar
-    transport path: the simulation executes exactly as under
-    :func:`~repro.runtime.spec.execute_run`, and only the flattened
-    columns are pickled back.
+    This is the function worker processes run: the simulation
+    executes exactly as under :func:`~repro.runtime.spec.execute_run`,
+    and only the flattened columns are pickled back.
     """
     return RunColumns.from_run_result(execute_run(spec))

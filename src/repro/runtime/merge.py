@@ -1,9 +1,8 @@
 """Merging shard results into analysis-layer aggregates.
 
 The merge step is the deterministic tail of a sweep: it takes the
-shard outcomes (already in shard order -- the runner guarantees that
-regardless of worker count) and folds them into the existing analysis
-primitives:
+shard outcomes, in whatever order they complete, and folds them into
+the existing analysis primitives:
 
 * per-cell convergence-time :class:`~repro.analysis.stats.Summary`
   (via :func:`repro.analysis.stats.summarize`);
@@ -11,14 +10,10 @@ primitives:
   :func:`repro.analysis.series.mean_series`);
 * per-cell transport-counter totals and the derived loss fractions.
 
-The canonical input is the columnar wire form,
+The input is the columnar wire form,
 :class:`~repro.runtime.columns.RunColumns` -- the fold consumes flat
 curve buffers and counter tuples directly and never rebuilds per-cycle
-sample objects.  :func:`merge_results` accepts the legacy rich
-:class:`~repro.runtime.spec.RunResult` list by flattening each result
-through :meth:`RunColumns.from_run_result` first, so both transports
-share one fold and produce byte-identical aggregates (a pinned test
-property).
+sample objects.
 
 A cell is the full multi-axis coordinate ``(size, drop, sampler,
 schedules, engine)``.  Two fields stay out of
@@ -31,20 +26,21 @@ schedules, engine)``.  Two fields stay out of
   merged trajectories" stays a byte-comparable property (engine
   provenance lives on the :class:`CellAggregate` dataclass itself).
 
-Two fold entry points share these semantics:
+The production fold is :class:`StreamingMerge`: each arriving
+:class:`RunColumns` is folded into per-cell accumulators
+(:class:`CellFold`) and dropped, so collector memory is constant in
+the replica count (the online-bootstrap trick of Qin et al.,
+*Efficient Online Bootstrapping for Large Scale Learning*).  Within a
+cell, runs are folded strictly in replica order (out-of-order arrivals
+wait in a small pending window), so the result does not depend on
+arrival order.
 
-* :func:`merge_columns` -- the batch fold: all shard outcomes in
-  memory at once;
-* :class:`StreamingMerge` -- the incremental fold: each arriving
-  :class:`RunColumns` is folded into per-cell accumulators
-  (:class:`CellFold`) and dropped, so collector memory is constant in
-  the replica count (the online-bootstrap trick of Qin et al.,
-  *Efficient Online Bootstrapping for Large Scale Learning*).  The
-  streaming fold is **byte-identical** to the batch fold for any
-  arrival order: within a cell, runs are folded strictly in replica
-  order (out-of-order arrivals wait in a small pending window), so
-  every floating-point operation happens in exactly the sequence the
-  batch fold performs.
+:func:`merge_columns` is the reference fold the streaming one is
+tested against: all shard outcomes in memory at once, folded with
+:func:`~repro.analysis.series.mean_series` and
+:func:`~repro.analysis.stats.summarize` as written.  The streaming
+fold performs every floating-point operation in exactly that sequence
+and is **byte-identical** to it (``tests/test_streaming_merge.py``).
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ from collections.abc import Callable, Sequence
 from ..analysis.series import Series, mean_series
 from ..analysis.stats import Summary, summarize
 from .columns import RunColumns, TRANSPORT_COUNTERS
-from .spec import RunResult, ScheduleSpec, schedule_key
+from .spec import ScheduleSpec, schedule_key
 
 __all__ = [
     "CellAggregate",
@@ -64,7 +60,6 @@ __all__ = [
     "SweepAggregate",
     "cell_label",
     "merge_columns",
-    "merge_results",
     "throughput_summary",
 ]
 
@@ -301,8 +296,10 @@ class SweepAggregate:
 
 
 def merge_columns(columns: Sequence[RunColumns]) -> SweepAggregate:
-    """Fold columnar shard outcomes into per-cell aggregates.
+    """Fold columnar shard outcomes into per-cell aggregates, in batch.
 
+    The reference fold (tests and the perf ledger compare
+    :class:`StreamingMerge` against it); sweeps themselves stream.
     Shards are grouped by their full grid cell; cells appear in
     first-shard order and replicas within a cell in shard order, so the
     output is a pure function of the (deterministically seeded) inputs.
@@ -356,29 +353,13 @@ def merge_columns(columns: Sequence[RunColumns]) -> SweepAggregate:
     return SweepAggregate(cells=tuple(cells))
 
 
-def merge_results(results: Sequence[RunResult]) -> SweepAggregate:
-    """Fold rich shard results into per-cell aggregates.
-
-    The legacy object-transport entry point: each
-    :class:`RunResult` is flattened through
-    :meth:`RunColumns.from_run_result` and folded by
-    :func:`merge_columns`, so both transports share one merge and
-    produce byte-identical aggregates.
-    """
-    if not results:
-        raise ValueError("cannot merge an empty result list")
-    return merge_columns(
-        [RunColumns.from_run_result(run) for run in results]
-    )
-
-
 def throughput_summary(
     results: Sequence[object],
 ) -> Summary | None:
     """Per-shard cycles/sec summary (``None`` for empty input).
 
-    Accepts both :class:`RunResult` and :class:`RunColumns` sequences
-    (each exposes ``wall_seconds`` and ``cycles_per_second``).
+    Accepts :class:`RunColumns` and :class:`RunTiming` sequences (each
+    exposes ``wall_seconds`` and ``cycles_per_second``).
     Reported separately from the merge because wall-clock timing must
     not contaminate the deterministic aggregates.
     """

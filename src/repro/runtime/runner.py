@@ -8,13 +8,15 @@ R" (Sloan et al.), :class:`SweepRunner` shards a grid of
 ``concurrent.futures.ProcessPoolExecutor``:
 
 * ``workers <= 1`` executes shards inline, in submission order;
-* ``workers > 1`` dispatches shards to worker processes and re-orders
-  the results by shard index.
+* ``workers > 1`` dispatches shards to worker processes and delivers
+  each outcome as its shard completes.
 
-Both paths run :func:`~repro.runtime.spec.execute_run` on each spec,
-and every seed is derived before dispatch, so the merged statistics of
-a sweep are **byte-identical** for any worker count (this invariant is
-pinned by ``tests/test_runtime.py``).
+Either way every shard runs
+:func:`~repro.runtime.columns.execute_run_columns`, every seed is
+derived before dispatch, and what comes back is one
+:class:`~repro.runtime.columns.RunColumns` (about half a kilobyte),
+so the merged statistics of a sweep are **byte-identical** for any
+worker count (this invariant is pinned by ``tests/test_runtime.py``).
 
 Shard failures surface as :class:`ShardError`, naming the failing
 shard and preserving the original exception as ``__cause__``.
@@ -22,12 +24,7 @@ shard and preserving the original exception as ``__cause__``.
 
 from __future__ import annotations
 
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 
@@ -37,15 +34,7 @@ from ..simulator.experiment import ENGINE_KINDS, ExperimentSpec
 from ..simulator.network import NetworkModel, RELIABLE
 from ..simulator.random_source import derive_seed
 from .columns import RunColumns, execute_run_columns
-from .shm import (
-    ShmRing,
-    execute_run_columns_shm,
-    ring_slots,
-    shm_available,
-    slot_bytes_for,
-    transport,
-)
-from .spec import RunResult, RunSpec, ScheduleSpec, execute_run, replica_seed
+from .spec import RunSpec, ScheduleSpec, replica_seed
 
 __all__ = [
     "ShardError",
@@ -456,54 +445,21 @@ class SweepRunner:
         """Whether this runner dispatches to worker processes."""
         return self.workers > 1
 
-    def run(
-        self,
-        specs: Iterable[RunSpec],
-        *,
-        schedules_factory: Callable[[], Sequence[object]] | None = None,
-    ) -> list[RunResult]:
-        """Execute every shard and return results in shard order.
-
-        Sequential and parallel paths share :func:`execute_run`; the
-        only difference is where it runs.  The first shard to *fail*
-        (in completion order) raises :class:`ShardError` -- a slow
-        healthy shard submitted earlier never delays fail-fast.
-        """
-        ordered = list(specs)
-        if not self.parallel:
-            return [
-                self._guarded(spec, schedules_factory) for spec in ordered
-            ]
-        if schedules_factory is not None:
-            raise ValueError(
-                "schedules_factory is an in-process hook and cannot "
-                "cross process boundaries; encode schedules as "
-                "ScheduleSpec entries on the RunSpec instead"
-            )
-        return self._run_pool(ordered, execute_run)
-
     def run_columns(self, specs: Iterable[RunSpec]) -> list[RunColumns]:
-        """Execute every shard on the columnar transport path.
+        """Execute every shard; outcomes in submission (shard) order.
 
-        Identical scheduling, ordering, and failure semantics to
-        :meth:`run`; the difference is what crosses the process
-        boundary -- workers flatten their
-        :class:`~repro.runtime.spec.RunResult` into
-        :class:`~repro.runtime.columns.RunColumns` before pickling, so
-        a sweep ships flat float64 buffers instead of per-cycle sample
-        objects (several times fewer bytes per run; see
-        ``benchmarks/bench_sweep_transport.py``).
+        The ordered collection over :meth:`stream_columns`' loop, for
+        consumers that want the per-run values (wall times,
+        populations, trajectory checks) rather than a fold.
         """
         ordered = list(specs)
-        if not self.parallel:
-            results: list[RunColumns] = []
-            for spec in ordered:
-                try:
-                    results.append(execute_run_columns(spec))
-                except Exception as exc:
-                    raise ShardError(spec, exc) from exc
-            return results
-        return self._run_pool(ordered, execute_run_columns)
+        results: list = [None] * len(ordered)
+        self._dispatch(ordered, results.__setitem__)
+        return results
+
+    def run_grid_columns(self, grid: SweepGrid) -> list[RunColumns]:
+        """Expand *grid* and run every shard."""
+        return self.run_columns(grid.expand())
 
     def stream_columns(
         self,
@@ -512,76 +468,39 @@ class SweepRunner:
     ) -> int:
         """Execute shards, feeding each outcome to *sink* as it lands.
 
-        The streaming collection path: nothing is buffered here, so
-        collector memory is whatever *sink* retains (a
-        :class:`~repro.runtime.merge.StreamingMerge` keeps per-cell
-        folds -- constant in the replica count).  On the parallel path
-        outcomes arrive in **completion order**, not shard order; the
-        streaming merge folds replicas back into shard order
-        internally, so merged statistics stay byte-identical to
-        :meth:`run_columns` + batch merge.  Returns the number of
+        Nothing is buffered here, so collector memory is whatever
+        *sink* retains (a :class:`~repro.runtime.merge.StreamingMerge`
+        keeps per-cell folds -- constant in the replica count).  On
+        the parallel path outcomes arrive in **completion order**, not
+        shard order; the streaming merge folds replicas back into
+        shard order internally, so merged statistics stay
+        byte-identical for any worker count.  Returns the number of
         shards delivered; failures raise :class:`ShardError` and
         cancel queued shards.
         """
         ordered = list(specs)
-        if not ordered:
-            return 0
-        if not self.parallel:
-            for spec in ordered:
-                try:
-                    outcome = execute_run_columns(spec)
-                except Exception as exc:
-                    raise ShardError(spec, exc) from exc
-                sink(outcome)
-            return len(ordered)
-        self._pool_as_completed(
-            ordered,
-            execute_run_columns,
-            lambda index, outcome: sink(outcome),
-        )
+        self._dispatch(ordered, lambda index, outcome: sink(outcome))
         return len(ordered)
 
-    def _run_pool(self, ordered: list[RunSpec], worker: Callable) -> list:
-        """Fan *ordered* out over a process pool running *worker*.
-
-        Results come back in submission (shard) order regardless of
-        completion order -- the determinism contract.
-        """
-        if not ordered:
-            return []
-        results: list = [None] * len(ordered)
-        self._pool_as_completed(
-            ordered,
-            worker,
-            lambda index, outcome: results.__setitem__(index, outcome),
-        )
-        return results
-
-    def _pool_as_completed(
+    def _dispatch(
         self,
         ordered: list[RunSpec],
-        worker: Callable,
-        deliver: Callable[[int, object], None],
+        deliver: Callable[[int, RunColumns], None],
     ) -> None:
-        """Dispatch *ordered* to a pool, delivering ``(index, outcome)``
-        pairs in completion order.
+        """Run *ordered*, delivering ``(index, outcome)`` pairs: inline
+        in submission order, or from a pool in completion order.
 
         The first shard to fail raises :class:`ShardError` as soon as
         its future resolves -- collection never blocks on a slower,
         earlier-submitted shard before surfacing the error.
-
-        Columnar dispatch honours the ``REPRO_TRANSPORT`` seam: when
-        ``shm`` is requested and available, workers write their curve
-        buffers into a shared-memory ring instead of pickling them
-        (see :mod:`repro.runtime.shm`); otherwise -- including the
-        no-numpy leg -- outcomes pickle exactly as before.
         """
-        if (
-            worker is execute_run_columns
-            and transport() == "shm"
-            and shm_available()
-        ):
-            self._pool_shm(ordered, deliver)
+        if not self.parallel or not ordered:
+            for index, spec in enumerate(ordered):
+                try:
+                    outcome = execute_run_columns(spec)
+                except Exception as exc:
+                    raise ShardError(spec, exc) from exc
+                deliver(index, outcome)
             return
         factory = self._executor_factory or (
             lambda max_workers: ProcessPoolExecutor(max_workers=max_workers)
@@ -592,7 +511,7 @@ class SweepRunner:
         max_workers = min(self.workers, len(ordered))
         with factory(max_workers) as pool:  # type: ignore[attr-defined]
             futures = {
-                pool.submit(worker, spec): index
+                pool.submit(execute_run_columns, spec): index
                 for index, spec in enumerate(ordered)
             }
             try:
@@ -612,90 +531,6 @@ class SweepRunner:
                 # covers a failing *sink* on the streaming path.
                 pool.shutdown(cancel_futures=True)
                 raise
-
-    def _pool_shm(
-        self,
-        ordered: list[RunSpec],
-        deliver: Callable[[int, object], None],
-    ) -> None:
-        """Columnar pool dispatch over the shared-memory ring.
-
-        Scheduling differs from the pickled path in exactly one way:
-        a shard is only submitted once a ring slot is free (the
-        parent assigns slots, so no cross-process locking exists to
-        get wrong), which makes ring exhaustion plain back-pressure.
-        Completion-order delivery, fail-fast :class:`ShardError`, and
-        queued-shard cancellation are identical.  The ring is
-        destroyed on every exit path -- clean drain, worker crash,
-        failing sink -- so no segment outlives the sweep.
-        """
-        factory = self._executor_factory or (
-            lambda max_workers: ProcessPoolExecutor(max_workers=max_workers)
-        )
-        max_workers = min(self.workers, len(ordered))
-        slots = min(ring_slots(max_workers), len(ordered))
-        ring = ShmRing.create(slots, slot_bytes_for(ordered))
-        try:
-            with factory(max_workers) as pool:  # type: ignore[attr-defined]
-                try:
-                    pending: dict[object, tuple[int, int]] = {}
-                    free = list(range(ring.slots))
-                    queue = iter(enumerate(ordered))
-                    head = next(queue, None)
-                    while pending or head is not None:
-                        while head is not None and free:
-                            index, spec = head
-                            slot = free.pop()
-                            future = pool.submit(
-                                execute_run_columns_shm,
-                                spec,
-                                ring.name,
-                                slot,
-                                ring.slot_bytes,
-                            )
-                            pending[future] = (index, slot)
-                            head = next(queue, None)
-                        done, _ = wait(
-                            pending, return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            index, slot = pending.pop(future)
-                            try:
-                                outcome = future.result()
-                            except Exception as exc:
-                                raise ShardError(
-                                    ordered[index], exc
-                                ) from exc
-                            # Copy the curves out before reusing the
-                            # slot; delivery may fold or discard them.
-                            columns = ring.restore(outcome)
-                            free.append(slot)
-                            deliver(index, columns)
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
-        finally:
-            ring.destroy()
-
-    def run_grid(self, grid: SweepGrid) -> list[RunResult]:
-        """Expand *grid* and run every shard."""
-        return self.run(grid.expand())
-
-    def run_grid_columns(self, grid: SweepGrid) -> list[RunColumns]:
-        """Expand *grid* and run every shard on the columnar path."""
-        return self.run_columns(grid.expand())
-
-    @staticmethod
-    def _guarded(
-        spec: RunSpec,
-        schedules_factory: Callable[[], Sequence[object]] | None,
-    ) -> RunResult:
-        """Inline execution with the same failure surface as the pool
-        path."""
-        try:
-            return execute_run(spec, schedules_factory)
-        except Exception as exc:
-            raise ShardError(spec, exc) from exc
 
     def __repr__(self) -> str:
         return f"SweepRunner(workers={self.workers})"

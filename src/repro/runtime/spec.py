@@ -3,10 +3,10 @@
 A sweep is a grid of independent simulation runs (population sizes x
 drop rates x replicas).  Each point of the grid becomes one
 :class:`RunSpec` -- a frozen, picklable value that carries *everything*
-a worker process needs to execute the run, and nothing else.  The
-worker sends back a :class:`RunResult`, equally picklable, which the
-merge step (:mod:`repro.runtime.merge`) folds into the analysis-layer
-aggregates.
+a worker process needs to execute the run, and nothing else.
+:func:`execute_run` turns it into a :class:`RunResult`, the rich
+in-process outcome that :mod:`repro.runtime.columns` flattens into the
+wire form before anything crosses a process boundary.
 
 Two design rules keep parallel results byte-identical to sequential
 ones:
@@ -276,11 +276,11 @@ def execute_run(
     spec: RunSpec,
     schedules_factory: Callable[[], Sequence[object]] | None = None,
 ) -> RunResult:
-    """Execute one shard (this is the function worker processes run).
+    """Execute one shard in this process.
 
     *schedules_factory* is an in-process escape hatch for callers that
-    need schedule objects a :class:`ScheduleSpec` cannot describe; the
-    runner rejects it when dispatching across processes.
+    need schedule objects a :class:`ScheduleSpec` cannot describe
+    (:func:`repro.simulator.run_repeats`); pooled sweeps never pass it.
     """
     schedules = [s.build() for s in spec.schedules]
     if schedules_factory is not None:

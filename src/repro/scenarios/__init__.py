@@ -12,7 +12,7 @@ Three pieces:
   ``paper_scale``) -- what each historical hand-rolled benchmark loop
   encoded imperatively;
 * :func:`run_scenario` -- the shared executor: expand, shard across
-  the parallel runner on the columnar transport, merge.
+  the parallel runner, fold each outcome as it arrives.
 
 Typical use::
 

@@ -2,18 +2,16 @@
 
 :func:`run_scenario` is the single entry point the benchmarks and the
 CLI share: expand the scenario's grid, execute every shard through the
-parallel runner on the **columnar** transport, and fold the columns
-into the analysis-layer aggregate.  The returned
+parallel runner, and fold each outcome into per-cell accumulators as
+it arrives (:class:`~repro.runtime.StreamingMerge`).  The returned
 :class:`ScenarioResult` keeps the raw columns (for consumers that need
 per-run values: wall times, populations, trajectory equality checks)
 next to the merged :class:`~repro.runtime.SweepAggregate`.
 
-With ``checkpoint_dir=`` the execution switches to the streaming,
-journalled path: shard outcomes fold into per-cell accumulators as
-they arrive (constant collector memory -- raw columns are *not*
-retained), every completed cell is journalled to disk, and
-``resume=True`` skips journalled cells, re-dispatching only the
-missing shards.  Both paths produce byte-identical aggregates.
+With ``checkpoint_dir=`` the same loop also journals every completed
+cell to disk and drops the raw columns once folded (constant collector
+memory); ``resume=True`` skips journalled cells, re-dispatching only
+the missing shards.  The aggregate is byte-identical either way.
 """
 
 from __future__ import annotations
@@ -25,11 +23,11 @@ from ..analysis.stats import Summary
 from ..runtime.checkpoint import CheckpointError, CheckpointStore
 from ..runtime.columns import RunColumns, RunTiming
 from ..runtime.merge import (
+    CellAggregate,
     CellKey,
     StreamingMerge,
     SweepAggregate,
     cell_label,
-    merge_columns,
     throughput_summary,
 )
 from ..runtime.runner import SweepRunner
@@ -69,9 +67,9 @@ def convergence_rows(aggregate: SweepAggregate) -> list[list[str]]:
 class ScenarioResult:
     """Outcome of one scenario run: raw columns plus merged cells.
 
-    On the streaming/checkpointed path ``columns`` is empty (retaining
-    them would defeat the constant-memory fold); ``timings`` carries
-    the per-shard wall-clock scalars instead, and ``resumed_cells``
+    On a checkpointed run ``columns`` is empty (retaining them would
+    defeat the constant-memory fold); ``timings`` carries the
+    per-shard wall-clock scalars either way, and ``resumed_cells``
     counts the cells restored from the journal rather than re-run.
     """
 
@@ -119,47 +117,19 @@ def run_scenario(
     runs the :meth:`ScenarioSpec.smoke` rescaling instead (every axis
     kept, sizes clamped).
 
-    ``checkpoint_dir=`` switches to the streaming, journalled path:
-    each completed grid cell is written to the directory as it
-    finishes, and ``resume=True`` restores journalled cells instead of
-    re-running their shards.  The aggregate stays byte-identical to an
-    uninterrupted (or un-checkpointed) run; a directory written for a
-    different grid refuses with :class:`CheckpointError`.
+    Shard outcomes fold as they arrive.  With ``checkpoint_dir=`` each
+    grid cell is also written to the directory the moment its last
+    replica folds, folded columns are dropped, and ``resume=True``
+    restores journalled cells instead of re-running their shards.  The
+    aggregate stays byte-identical to an uninterrupted (or
+    un-checkpointed) run; a directory written for a different grid
+    refuses with :class:`CheckpointError`.
     """
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     if smoke:
         spec = spec.smoke()
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint_dir")
-    if checkpoint_dir is not None:
-        return _run_checkpointed(
-            spec, workers=workers, checkpoint_dir=checkpoint_dir,
-            resume=resume,
-        )
-    columns = SweepRunner(workers=workers).run_grid_columns(spec.grid)
-    return ScenarioResult(
-        spec=spec,
-        columns=tuple(columns),
-        aggregate=merge_columns(columns),
-        workers=workers,
-    )
-
-
-def _run_checkpointed(
-    spec: ScenarioSpec,
-    *,
-    workers: int,
-    checkpoint_dir: str,
-    resume: bool,
-) -> ScenarioResult:
-    """The streaming, journalled execution path of :func:`run_scenario`.
-
-    Shard outcomes fold as they arrive and are then dropped; each cell
-    is journalled the moment its last replica folds.  On resume,
-    journalled cells are preloaded and only the missing cells' shards
-    are dispatched.
-    """
-    store = CheckpointStore.open(checkpoint_dir, spec.grid, resume=resume)
     shards = spec.grid.expand()
     expected: dict[CellKey, int] = {}
     first_shard: dict[CellKey, int] = {}
@@ -168,39 +138,49 @@ def _run_checkpointed(
         expected[cell] = expected.get(cell, 0) + 1
         first_shard.setdefault(cell, shard.shard)
 
-    done = store.load_cells()
-    for cell, (shard0, _) in done.items():
-        if cell not in expected:
-            raise CheckpointError(
-                f"checkpoint directory {store.directory} journals cell "
-                f"{cell_label(*cell)!r}, which is not in this grid; "
-                "the journal is corrupt"
-            )
-        if shard0 != first_shard[cell]:
-            raise CheckpointError(
-                f"checkpoint record for cell {cell_label(*cell)!r} "
-                f"claims first shard {shard0}, but the grid expands it "
-                f"at shard {first_shard[cell]}; the journal is corrupt"
-            )
+    done: dict[CellKey, tuple[int, CellAggregate]] = {}
+    on_cell = None
+    if checkpoint_dir is not None:
+        store = CheckpointStore.open(checkpoint_dir, spec.grid, resume=resume)
+        done = store.load_cells()
+        on_cell = store.write_cell
+        for cell, (shard0, _) in done.items():
+            if cell not in expected:
+                raise CheckpointError(
+                    f"checkpoint directory {store.directory} journals "
+                    f"cell {cell_label(*cell)!r}, which is not in this "
+                    "grid; the journal is corrupt"
+                )
+            if shard0 != first_shard[cell]:
+                raise CheckpointError(
+                    f"checkpoint record for cell {cell_label(*cell)!r} "
+                    f"claims first shard {shard0}, but the grid expands "
+                    f"it at shard {first_shard[cell]}; the journal is "
+                    "corrupt"
+                )
 
-    merge = StreamingMerge(expected=expected, on_cell=store.write_cell)
+    merge = StreamingMerge(expected=expected, on_cell=on_cell)
     for shard0, aggregate in done.values():
         merge.preload(shard0, aggregate)
 
+    columns: list[RunColumns] = []
     timings: list[RunTiming] = []
 
     def sink(run: RunColumns) -> None:
         timings.append(run.timing())
+        if checkpoint_dir is None:
+            columns.append(run)
         merge.add(run)
 
     remaining = [shard for shard in shards if shard.cell not in done]
     SweepRunner(workers=workers).stream_columns(remaining, sink)
     # Arrival order is nondeterministic on the parallel path; shard
-    # order keeps the throughput report stable.
+    # order keeps the throughput report and the raw columns stable.
+    columns.sort(key=lambda run: run.shard)
     timings.sort(key=lambda timing: timing.shard)
     return ScenarioResult(
         spec=spec,
-        columns=(),
+        columns=tuple(columns),
         aggregate=merge.finalize(),
         workers=workers,
         timings=tuple(timings),

@@ -1,8 +1,8 @@
 """The seam registry: every ``REPRO_*`` environment variable, declared.
 
-The repo's behaviour seams -- engine backends, result transports,
-benchmark scale knobs -- are environment variables so that operators
-can flip them without touching call sites.  Before this module each
+The repo's behaviour seams -- engine backends, benchmark scale knobs
+-- are environment variables so that operators can flip them without
+touching call sites.  Before this module each
 seam was an ad-hoc ``os.environ`` read scattered across five modules
 and the benchmark harness; nothing guaranteed the set of names stayed
 documented, validated, or even spelled consistently.
@@ -71,7 +71,7 @@ def _registry(*seams: Seam) -> dict[str, Seam]:
 
 
 #: Every ``REPRO_*`` environment variable the repo reads, in catalog
-#: order (engines, transports, benchmark harness, test fixtures).
+#: order (engines, benchmark harness, test fixtures).
 SEAMS: dict[str, Seam] = _registry(
     Seam(
         name="REPRO_FAST_BACKEND",
@@ -117,50 +117,6 @@ SEAMS: dict[str, Seam] = _registry(
             "population, or the per-node array objects (bit-identical; "
             "the no-numpy fallback leg ignores the layout and keeps "
             "its set state either way)."
-        ),
-    ),
-    Seam(
-        name="REPRO_COLUMNS_BACKEND",
-        kind="enum",
-        choices=("numpy", "python"),
-        default=None,
-        doc=(
-            "Columnar-transport buffer backend: numpy float64 arrays or "
-            "stdlib array('d'); unset auto-selects numpy when installed."
-        ),
-    ),
-    Seam(
-        name="REPRO_TRANSPORT",
-        kind="enum",
-        choices=("pickle", "shm"),
-        default="pickle",
-        normalize=True,
-        doc=(
-            "Result transport of pooled sweeps: pickled RunColumns, or "
-            "curve buffers through a shared-memory ring with only "
-            "descriptors pickled."
-        ),
-    ),
-    Seam(
-        name="REPRO_SHM_BLOCKS",
-        kind="int",
-        minimum=1,
-        default=None,
-        doc=(
-            "Shared-memory ring capacity in blocks; unset sizes the "
-            "ring as max(2 x workers, 4)."
-        ),
-    ),
-    Seam(
-        name="REPRO_SHM_TEST_CRASH_BYTES",
-        kind="int",
-        minimum=0,
-        default=None,
-        testing_only=True,
-        doc=(
-            "Test hook: SIGKILL the worker after writing this many "
-            "curve bytes into its ring slot (simulates preemption "
-            "mid-write)."
         ),
     ),
     Seam(

@@ -132,39 +132,33 @@ def run_repeats(
     spec: ExperimentSpec,
     repeats: int,
     schedules_factory: Callable[[], Sequence[object]] | None = None,
-    *,
-    workers: int = 1,
 ) -> list[SimulationResult]:
-    """Run *repeats* independent instances of *spec*.
+    """Run *repeats* independent instances of *spec*, in this process.
 
     Seeds are derived from the spec's master seed so each repeat is an
     independent network (fresh identifiers, fresh randomness) -- the
-    paper's "independent experiments".
-
-    Execution is delegated to :class:`repro.runtime.SweepRunner`, so
-    ``workers > 1`` fans the repeats out over a process pool; results
-    are identical to the sequential ones for any worker count.  A
-    *schedules_factory* (a closure producing fresh schedule objects per
-    repeat) is only supported in-process (``workers <= 1``); parallel
-    sweeps describe schedules with
+    paper's "independent experiments".  A *schedules_factory* is a
+    closure producing fresh schedule objects per repeat.  Parallel
+    repeats are a :class:`repro.runtime.SweepGrid` with ``replicas=``
+    (same seed derivation), which describes schedules with
     :class:`repro.runtime.ScheduleSpec` instead.
 
     Raises
     ------
     repro.runtime.ShardError
-        When any repeat fails, on both the sequential and parallel
-        paths (the original exception is chained as ``__cause__``).
+        When any repeat fails (the original exception is chained as
+        ``__cause__``).
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
     # Imported lazily: repro.runtime builds on this module.
-    from ..runtime import SweepRunner, expand_repeats
+    from ..runtime import ShardError, execute_run, expand_repeats
 
-    runner = SweepRunner(workers=workers)
-    outcomes = runner.run(
-        expand_repeats(spec, repeats), schedules_factory=schedules_factory
-    )
-    return [outcome.result for outcome in outcomes]
+    results = []
+    for run_spec in expand_repeats(spec, repeats):
+        try:
+            results.append(execute_run(run_spec, schedules_factory).result)
+        except Exception as exc:
+            raise ShardError(run_spec, exc) from exc
+    return results
 
 
 def paper_repeat_counts(size: int, budget: int = 50) -> int:

@@ -3,10 +3,34 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+
+from .test_kill_resume import cli_env
+
+
+def test_cli_start_up_imports_no_numpy():
+    """`import repro` and CLI start-up are stdlib-only: numpy loads
+    lazily with the engine that needs it, and nothing in the sweep
+    runtime touches shared memory."""
+    probe = (
+        "import repro.cli, sys\n"
+        "loaded = [name for name in ('numpy', "
+        "'multiprocessing.shared_memory') if name in sys.modules]\n"
+        "assert not loaded, loaded"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=cli_env(),
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestParser:

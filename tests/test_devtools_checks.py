@@ -212,14 +212,14 @@ def test_enum_returns_default_when_unset(monkeypatch):
 
 
 def test_enum_rejects_unknown_value_naming_the_seam(monkeypatch):
-    monkeypatch.setenv("REPRO_TRANSPORT", "carrier-pigeon")
-    with pytest.raises(ValueError, match="REPRO_TRANSPORT"):
-        seams.enum("REPRO_TRANSPORT")
+    monkeypatch.setenv("REPRO_VECTOR_ABSORB", "carrier-pigeon")
+    with pytest.raises(ValueError, match="REPRO_VECTOR_ABSORB"):
+        seams.enum("REPRO_VECTOR_ABSORB")
 
 
 def test_enum_normalizes_declared_seams(monkeypatch):
-    monkeypatch.setenv("REPRO_TRANSPORT", "  SHM ")
-    assert seams.enum("REPRO_TRANSPORT") == "shm"
+    monkeypatch.setenv("REPRO_VECTOR_ABSORB", "  SINGLE ")
+    assert seams.enum("REPRO_VECTOR_ABSORB") == "single"
 
 
 def test_flag_semantics(monkeypatch):
@@ -232,16 +232,16 @@ def test_flag_semantics(monkeypatch):
 
 
 def test_integer_minimum_and_unset(monkeypatch):
-    monkeypatch.delenv("REPRO_SHM_BLOCKS", raising=False)
-    assert seams.integer("REPRO_SHM_BLOCKS") is None
-    monkeypatch.setenv("REPRO_SHM_BLOCKS", "6")
-    assert seams.integer("REPRO_SHM_BLOCKS") == 6
-    monkeypatch.setenv("REPRO_SHM_BLOCKS", "0")
-    with pytest.raises(ValueError, match="REPRO_SHM_BLOCKS"):
-        seams.integer("REPRO_SHM_BLOCKS")
-    monkeypatch.setenv("REPRO_SHM_BLOCKS", "many")
-    with pytest.raises(ValueError, match="REPRO_SHM_BLOCKS"):
-        seams.integer("REPRO_SHM_BLOCKS")
+    monkeypatch.delenv("REPRO_CHAOS_BUDGET", raising=False)
+    assert seams.integer("REPRO_CHAOS_BUDGET") is None
+    monkeypatch.setenv("REPRO_CHAOS_BUDGET", "6")
+    assert seams.integer("REPRO_CHAOS_BUDGET") == 6
+    monkeypatch.setenv("REPRO_CHAOS_BUDGET", "0")
+    with pytest.raises(ValueError, match="REPRO_CHAOS_BUDGET"):
+        seams.integer("REPRO_CHAOS_BUDGET")
+    monkeypatch.setenv("REPRO_CHAOS_BUDGET", "many")
+    with pytest.raises(ValueError, match="REPRO_CHAOS_BUDGET"):
+        seams.integer("REPRO_CHAOS_BUDGET")
 
 
 def test_undeclared_seam_rejected():
@@ -251,7 +251,7 @@ def test_undeclared_seam_rejected():
 
 def test_catalog_is_complete():
     names = [seam.name for seam in seams.catalog()]
-    assert len(names) == len(set(names)) == 18
+    assert len(names) == len(set(names)) == 14
     assert all(name.startswith("REPRO_") for name in names)
 
 

@@ -28,7 +28,7 @@ from repro.runtime import (
     SweepGrid,
     SweepRunner,
     execute_run,
-    merge_results,
+    merge_columns,
 )
 from repro.sampling.oracle import MembershipRegistry
 from repro.simulator import (
@@ -185,18 +185,18 @@ class TestSweepParity:
         )
 
     def test_merged_aggregates_identical(self):
-        ref = merge_results(SweepRunner(workers=1).run_grid(self.grid("reference")))
-        fast = merge_results(SweepRunner(workers=1).run_grid(self.grid("fast")))
+        ref = merge_columns(SweepRunner(workers=1).run_grid_columns(self.grid("reference")))
+        fast = merge_columns(SweepRunner(workers=1).run_grid_columns(self.grid("fast")))
         assert json.dumps(ref.to_dict(), sort_keys=True) == json.dumps(
             fast.to_dict(), sort_keys=True
         )
 
     def test_fast_engine_parallel_workers(self):
-        sequential = merge_results(
-            SweepRunner(workers=1).run_grid(self.grid("fast"))
+        sequential = merge_columns(
+            SweepRunner(workers=1).run_grid_columns(self.grid("fast"))
         )
-        parallel = merge_results(
-            SweepRunner(workers=4).run_grid(self.grid("fast"))
+        parallel = merge_columns(
+            SweepRunner(workers=4).run_grid_columns(self.grid("fast"))
         )
         assert json.dumps(sequential.to_dict(), sort_keys=True) == json.dumps(
             parallel.to_dict(), sort_keys=True

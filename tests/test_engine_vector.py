@@ -48,7 +48,7 @@ from repro.runtime import (
     SweepGrid,
     SweepRunner,
     execute_run,
-    merge_results,
+    merge_columns,
 )
 from repro.simulator import (
     ENGINE_KINDS,
@@ -330,8 +330,8 @@ class TestDeterminism:
             config=FAST,
             engine="vector",
         )
-        sequential = merge_results(SweepRunner(workers=1).run_grid(grid))
-        parallel = merge_results(SweepRunner(workers=2).run_grid(grid))
+        sequential = merge_columns(SweepRunner(workers=1).run_grid_columns(grid))
+        parallel = merge_columns(SweepRunner(workers=2).run_grid_columns(grid))
         assert json.dumps(sequential.to_dict(), sort_keys=True) == (
             json.dumps(parallel.to_dict(), sort_keys=True)
         )

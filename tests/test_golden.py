@@ -27,7 +27,7 @@ import pytest
 
 from repro import seams
 from repro.core import BootstrapConfig
-from repro.runtime import ScheduleSpec, SweepGrid, SweepRunner, merge_results
+from repro.runtime import ScheduleSpec, SweepGrid, SweepRunner, merge_columns
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -71,7 +71,7 @@ def compute(name: str, engine: str) -> dict:
     grid = GRIDS[name]
     if engine != grid.engine:
         grid = replace(grid, engine=engine)
-    aggregate = merge_results(SweepRunner(workers=1).run_grid(grid))
+    aggregate = merge_columns(SweepRunner(workers=1).run_grid_columns(grid))
     return json.loads(json.dumps(aggregate.to_dict(), sort_keys=True))
 
 

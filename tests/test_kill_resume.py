@@ -29,7 +29,7 @@ import time
 import pytest
 
 from repro.core import BootstrapConfig
-from repro.runtime import SweepGrid, shm_available
+from repro.runtime import SweepGrid
 from repro.scenarios import ScenarioSpec, run_scenario
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -71,17 +71,14 @@ def shm_segments() -> set:
     return {p.name for p in shm_dir.iterdir() if p.name.startswith("psm_")}
 
 
-def cli(args, extra_env=None, **kwargs):
+def cli(args, **kwargs):
     # Each sweep gets its own process group so the kill takes out the
     # worker-pool children too (the way a job scheduler preempts a
     # task) -- and so orphaned workers cannot hold the output pipes
     # open past the parent's death.
-    env = cli_env()
-    if extra_env:
-        env.update(extra_env)
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "scenarios", "run", *args],
-        env=env,
+        env=cli_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -131,17 +128,10 @@ def spec_file(tmp_path_factory) -> pathlib.Path:
     return path
 
 
-@pytest.mark.parametrize(
-    "workers,transport",
-    [(1, "pickle"), (2, "pickle"), (2, "shm")],
-    ids=["sequential", "workers2", "workers2-shm"],
-)
+@pytest.mark.parametrize("workers", [1, 2], ids=["sequential", "workers2"])
 def test_sigkill_then_resume_is_byte_identical(
-    tmp_path, spec_file, reference_bytes, workers, transport
+    tmp_path, spec_file, reference_bytes, workers
 ):
-    if transport == "shm" and not shm_available():
-        pytest.skip("shm transport needs numpy + shared_memory")
-    extra_env = {"REPRO_TRANSPORT": transport}
     shm_before = shm_segments()
     checkpoint_dir = tmp_path / "ckpt"
     aggregate_out = tmp_path / "aggregate.json"
@@ -152,8 +142,7 @@ def test_sigkill_then_resume_is_byte_identical(
             "--spec-file", str(spec_file),
             "--checkpoint-dir", str(checkpoint_dir),
             "--workers", str(workers),
-        ],
-        extra_env=extra_env,
+        ]
     )
     try:
         records_at_kill = wait_for_first_record(checkpoint_dir, victim)
@@ -165,41 +154,29 @@ def test_sigkill_then_resume_is_byte_identical(
         "the sweep journalled every cell before the kill landed; "
         "the gate never exercised an interruption"
     )
-    # SIGKILL runs no cleanup and the group kill takes the resource
-    # tracker too, so the mid-sweep ring may persist (POSIX shared
-    # memory has kernel persistence) -- but never more than the one
-    # ring segment the sweep had live.
-    orphans = shm_segments() - shm_before
-    assert len(orphans) <= (1 if transport == "shm" else 0)
+    # A sweep owns no shared-memory segment, so even a SIGKILL (no
+    # cleanup handlers, resource tracker killed too) leaves none.
+    assert shm_segments() == shm_before
 
-    try:
-        # Phase 2: resume from the journal and write the aggregate out.
-        resumed = cli(
-            [
-                "--spec-file", str(spec_file),
-                "--checkpoint-dir", str(checkpoint_dir),
-                "--resume",
-                "--workers", str(workers),
-                "--aggregate-out", str(aggregate_out),
-            ],
-            extra_env=extra_env,
-        )
-        out, err = resumed.communicate(timeout=300)
-        assert resumed.returncode == 0, f"resume failed:\n{out}\n{err}"
-        restored = len(list(checkpoint_dir.glob("cell-*.json")))
-        assert restored == TOTAL_CELLS  # resume repaired the journal
-        assert "cells restored" in out
+    # Phase 2: resume from the journal and write the aggregate out.
+    resumed = cli(
+        [
+            "--spec-file", str(spec_file),
+            "--checkpoint-dir", str(checkpoint_dir),
+            "--resume",
+            "--workers", str(workers),
+            "--aggregate-out", str(aggregate_out),
+        ]
+    )
+    out, err = resumed.communicate(timeout=300)
+    assert resumed.returncode == 0, f"resume failed:\n{out}\n{err}"
+    restored = len(list(checkpoint_dir.glob("cell-*.json")))
+    assert restored == TOTAL_CELLS  # resume repaired the journal
+    assert "cells restored" in out
+    assert shm_segments() == shm_before
 
-        # The clean resume must leak nothing: any segment visible now
-        # was orphaned by the SIGKILL, never by the resumed sweep.
-        assert shm_segments() - shm_before == orphans
-
-        # The gate itself: byte-identical to the uninterrupted
-        # reference.
-        assert aggregate_out.read_text() == reference_bytes
-    finally:
-        for name in orphans:
-            (pathlib.Path("/dev/shm") / name).unlink(missing_ok=True)
+    # The gate itself: byte-identical to the uninterrupted reference.
+    assert aggregate_out.read_text() == reference_bytes
 
 
 def test_resume_against_changed_grid_refuses(tmp_path, spec_file):

@@ -18,7 +18,6 @@ import pytest
 
 from repro.core import BootstrapConfig
 from repro.runtime import (
-    RunColumns,
     RunSpec,
     ScheduleSpec,
     ShardError,
@@ -27,7 +26,6 @@ from repro.runtime import (
     execute_run,
     expand_repeats,
     merge_columns,
-    merge_results,
     replica_seed,
     throughput_summary,
 )
@@ -113,8 +111,8 @@ class TestDeterminism:
         """The acceptance property: workers=4 equals workers=1 to the
         byte on merged statistics for the same base seed."""
         grid = fast_grid()
-        sequential = merge_results(SweepRunner(workers=1).run_grid(grid))
-        parallel = merge_results(SweepRunner(workers=4).run_grid(grid))
+        sequential = merge_columns(SweepRunner(workers=1).run_grid_columns(grid))
+        parallel = merge_columns(SweepRunner(workers=4).run_grid_columns(grid))
 
         def as_bytes(aggregate):
             return json.dumps(aggregate.to_dict(), sort_keys=True).encode()
@@ -122,21 +120,28 @@ class TestDeterminism:
         assert as_bytes(sequential) == as_bytes(parallel)
 
     def test_run_repeats_workers_equivalent(self):
+        """``run_repeats`` is in-process; its parallel form is the
+        same shard list through the pool, curve for curve."""
         spec = ExperimentSpec(size=24, seed=5, config=FAST, max_cycles=30)
         sequential = run_repeats(spec, 3)
-        parallel = run_repeats(spec, 3, workers=2)
+        parallel = SweepRunner(workers=2).run_columns(
+            expand_repeats(spec, 3)
+        )
         assert [r.converged_at for r in sequential] == [
             r.converged_at for r in parallel
         ]
-        assert [r.samples for r in sequential] == [
-            r.samples for r in parallel
+        assert [r.leaf_series() for r in sequential] == [
+            r.leaf_series() for r in parallel
+        ]
+        assert [r.prefix_series() for r in sequential] == [
+            r.prefix_series() for r in parallel
         ]
 
     def test_results_in_shard_order(self):
         grid = fast_grid(sizes=(32, 24), replicas=1)
-        results = SweepRunner(workers=2).run_grid(grid)
-        assert [r.spec.shard for r in results] == list(range(len(results)))
-        assert [r.spec.size for r in results] == [32, 32, 24, 24]
+        results = SweepRunner(workers=2).run_grid_columns(grid)
+        assert [r.shard for r in results] == list(range(len(results)))
+        assert [r.size for r in results] == [32, 32, 24, 24]
 
 
 class TestScheduleSpecParams:
@@ -246,8 +251,8 @@ class TestMultiAxisGrid:
         equals workers=1 to the byte when samplers, schedule sets, and
         engines are all swept at once."""
         grid = self.axes_grid()
-        sequential = merge_results(SweepRunner(workers=1).run_grid(grid))
-        parallel = merge_results(SweepRunner(workers=4).run_grid(grid))
+        sequential = merge_columns(SweepRunner(workers=1).run_grid_columns(grid))
+        parallel = merge_columns(SweepRunner(workers=4).run_grid_columns(grid))
         assert json.dumps(sequential.to_dict(), sort_keys=True) == (
             json.dumps(parallel.to_dict(), sort_keys=True)
         )
@@ -319,7 +324,7 @@ class TestMultiAxisGrid:
 
     def test_cell_lookup_error_names_variant_filters(self):
         grid = fast_grid(sizes=(24,), drop_rates=(0.0,), replicas=1)
-        aggregate = merge_results(SweepRunner(workers=1).run_grid(grid))
+        aggregate = merge_columns(SweepRunner(workers=1).run_grid_columns(grid))
         with pytest.raises(KeyError, match="engine='vector'"):
             aggregate.cell(24, 0.0, engine="vector")
 
@@ -331,17 +336,8 @@ class TestMultiAxisGrid:
 
 
 class TestColumnarTransport:
-    """The transport satellite: columnar and legacy merges are
-    byte-identical, across worker counts and buffer backends."""
-
-    def test_columnar_matches_legacy_merge(self):
-        grid = fast_grid()
-        runner = SweepRunner(workers=1)
-        legacy = merge_results(runner.run_grid(grid))
-        columnar = merge_columns(runner.run_grid_columns(grid))
-        assert json.dumps(legacy.to_dict(), sort_keys=True) == (
-            json.dumps(columnar.to_dict(), sort_keys=True)
-        )
+    """The one wire form: what crosses the pool boundary, and what it
+    must still be on the other side."""
 
     def test_columnar_parallel_byte_identical(self):
         grid = fast_grid(schedules=(ScheduleSpec.of("churn", rate=0.05),))
@@ -365,43 +361,11 @@ class TestColumnarTransport:
         assert clone.cell == columns.cell
         assert clone.converged_at == columns.converged_at
 
-    def test_columns_are_compact_on_the_wire(self):
-        """The transport claim at unit scale: a pickled RunColumns is
-        at least 2x smaller than the pickled RunResult it flattens
-        (the benchmark gates 3x at figure3 sizes, where the sample
-        list is longer)."""
-        grid = fast_grid(sizes=(32,), drop_rates=(0.0,), replicas=1)
-        (result,) = SweepRunner(workers=1).run_grid(grid)
-        columns = RunColumns.from_run_result(result)
-        assert len(pickle.dumps(columns)) * 2 < len(pickle.dumps(result))
-
-    def test_python_backend_merges_identically(self, monkeypatch):
-        grid = fast_grid(sizes=(24,), replicas=2)
-        default = merge_columns(
-            SweepRunner(workers=1).run_grid_columns(grid)
-        )
-        monkeypatch.setenv("REPRO_COLUMNS_BACKEND", "python")
-        fallback = merge_columns(
-            SweepRunner(workers=1).run_grid_columns(grid)
-        )
-        assert json.dumps(default.to_dict(), sort_keys=True) == (
-            json.dumps(fallback.to_dict(), sort_keys=True)
-        )
-
-    @pytest.mark.parametrize("buffers", ["numpy", "python"])
-    def test_round_tripped_columns_stay_foldable(
-        self, buffers, monkeypatch
-    ):
-        """Transported buffers must behave exactly like fresh ones.
-
-        The regression: ``numpy.frombuffer`` over pickled bytes is a
-        *read-only* view, so a restored run would raise on any
-        in-place consumer -- only on the numpy leg, and only after
-        transport.  Pin writability and fold identity on both buffer
-        backends."""
-        if buffers == "numpy":
-            pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_COLUMNS_BACKEND", buffers)
+    def test_round_tripped_columns_stay_foldable(self):
+        """Transported buffers must behave exactly like fresh ones:
+        writable (a buffer rebuilt as a read-only view of the pickled
+        bytes would raise on any in-place consumer, only after
+        transport) and folding to the same aggregate."""
         grid = fast_grid(sizes=(24,), drop_rates=(0.2,), replicas=2)
         columns = SweepRunner(workers=1).run_grid_columns(grid)
         clones = [pickle.loads(pickle.dumps(run)) for run in columns]
@@ -413,13 +377,6 @@ class TestColumnarTransport:
         ) == json.dumps(
             merge_columns(columns).to_dict(), sort_keys=True
         )
-
-    def test_backend_env_validated(self, monkeypatch):
-        from repro.runtime import columns as columns_module
-
-        monkeypatch.setenv("REPRO_COLUMNS_BACKEND", "fortran")
-        with pytest.raises(ValueError, match="REPRO_COLUMNS_BACKEND"):
-            columns_module.backend()
 
     def test_throughput_summary_accepts_columns(self):
         grid = fast_grid(sizes=(24,), drop_rates=(0.0,), replicas=2)
@@ -473,7 +430,7 @@ class TestFailurePropagation:
             experiment=ExperimentSpec(size=1, seed=3, config=FAST), shard=7
         )
         with pytest.raises(ShardError, match="shard 7") as excinfo:
-            SweepRunner(workers=1).run([bad])
+            SweepRunner(workers=1).run_columns([bad])
         assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_parallel_shard_failure(self):
@@ -487,14 +444,7 @@ class TestFailurePropagation:
             experiment=ExperimentSpec(size=1, seed=3, config=FAST), shard=1
         )
         with pytest.raises(ShardError, match="shard 1"):
-            SweepRunner(workers=2).run([good, bad])
-
-    def test_schedules_factory_rejected_across_processes(self):
-        spec = ExperimentSpec(size=16, seed=3, config=FAST)
-        with pytest.raises(ValueError, match="in-process"):
-            SweepRunner(workers=2).run(
-                expand_repeats(spec, 2), schedules_factory=lambda: []
-            )
+            SweepRunner(workers=2).run_columns([good, bad])
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
@@ -517,7 +467,7 @@ class TestFailurePropagation:
         factory = RecordingFactory()
         runner = SweepRunner(workers=2, executor_factory=factory)
         with pytest.raises(ShardError, match="shard 1") as excinfo:
-            runner.run(specs)
+            runner.run_columns(specs)
         assert excinfo.value.spec is specs[1]
         assert isinstance(excinfo.value.__cause__, ValueError)
         (pool,) = factory.pools
@@ -583,7 +533,7 @@ class TestFailurePropagation:
 
         runner = SweepRunner(workers=3, executor_factory=factory)
         with pytest.raises(ShardError, match="shard 1") as excinfo:
-            runner.run(specs)
+            runner.run_columns(specs)
         assert excinfo.value.spec is specs[1]
         (pool,) = pools
         assert pool.shutdown_calls[0] == {
@@ -592,14 +542,34 @@ class TestFailurePropagation:
         # The never-resolved slow shard was cancelled, not awaited.
         assert pool.futures[0].cancelled()
 
+    def test_failing_sink_cancels_queued_shards(self):
+        """A sink that raises on the streaming path propagates its own
+        exception and cancels every queued shard, exactly like a
+        failing shard does."""
+        delivered = []
+
+        def sink(columns):
+            delivered.append(columns)
+            raise RuntimeError("collector rejected the fold")
+
+        factory = RecordingFactory()
+        runner = SweepRunner(workers=2, executor_factory=factory)
+        with pytest.raises(RuntimeError, match="collector rejected"):
+            runner.stream_columns(fast_grid().expand(), sink)
+        assert len(delivered) == 1
+        (pool,) = factory.pools
+        assert pool.shutdown_calls[0] == {
+            "wait": True, "cancel_futures": True,
+        }
+
     def test_pool_size_clamped_to_shard_count(self):
         """workers > shard count must still merge byte-identically
         while only spawning as many processes as there are shards."""
         grid = fast_grid(sizes=(24,), drop_rates=(0.0,), replicas=3)
         factory = RecordingFactory()
         oversubscribed = SweepRunner(workers=16, executor_factory=factory)
-        parallel = merge_results(oversubscribed.run_grid(grid))
-        sequential = merge_results(SweepRunner(workers=1).run_grid(grid))
+        parallel = merge_columns(oversubscribed.run_grid_columns(grid))
+        sequential = merge_columns(SweepRunner(workers=1).run_grid_columns(grid))
         assert json.dumps(parallel.to_dict(), sort_keys=True) == (
             json.dumps(sequential.to_dict(), sort_keys=True)
         )
@@ -608,7 +578,8 @@ class TestFailurePropagation:
 
     def test_parallel_empty_sweep(self):
         factory = RecordingFactory()
-        assert SweepRunner(workers=4, executor_factory=factory).run([]) == []
+        runner = SweepRunner(workers=4, executor_factory=factory)
+        assert runner.run_columns([]) == []
         assert factory.pools == []
 
 
@@ -624,23 +595,23 @@ class TestSweepAxes:
             max_cycles=20,
             schedules=(ScheduleSpec.of("churn", rate=0.05),),
         )
-        sequential = merge_results(SweepRunner(workers=1).run_grid(grid))
-        parallel = merge_results(SweepRunner(workers=2).run_grid(grid))
+        sequential = merge_columns(SweepRunner(workers=1).run_grid_columns(grid))
+        parallel = merge_columns(SweepRunner(workers=2).run_grid_columns(grid))
         assert json.dumps(sequential.to_dict(), sort_keys=True) == (
             json.dumps(parallel.to_dict(), sort_keys=True)
         )
         # Churn actually fired: the population turned over but stayed
         # stationary in expectation.
-        results = SweepRunner(workers=1).run_grid(grid)
-        assert all(r.result.population > 0 for r in results)
+        results = SweepRunner(workers=1).run_grid_columns(grid)
+        assert all(r.population > 0 for r in results)
         assert any(
-            r.result.transport["void_requests"] > 0 for r in results
+            r.transport_counters()["void_requests"] > 0 for r in results
         ), "churn never produced a request to a departed node"
 
     def test_newscast_sampler_workers_equivalent(self):
         grid = fast_grid(sizes=(24,), replicas=2, sampler="newscast")
-        sequential = merge_results(SweepRunner(workers=1).run_grid(grid))
-        parallel = merge_results(SweepRunner(workers=2).run_grid(grid))
+        sequential = merge_columns(SweepRunner(workers=1).run_grid_columns(grid))
+        parallel = merge_columns(SweepRunner(workers=2).run_grid_columns(grid))
         assert json.dumps(sequential.to_dict(), sort_keys=True) == (
             json.dumps(parallel.to_dict(), sort_keys=True)
         )
@@ -650,8 +621,8 @@ class TestSweepAxes:
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_engine_axis_workers_equivalent(self, engine):
         grid = fast_grid(sizes=(24,), engine=engine)
-        sequential = merge_results(SweepRunner(workers=1).run_grid(grid))
-        parallel = merge_results(SweepRunner(workers=2).run_grid(grid))
+        sequential = merge_columns(SweepRunner(workers=1).run_grid_columns(grid))
+        parallel = merge_columns(SweepRunner(workers=2).run_grid_columns(grid))
         assert json.dumps(sequential.to_dict(), sort_keys=True) == (
             json.dumps(parallel.to_dict(), sort_keys=True)
         )
@@ -668,7 +639,7 @@ class TestSweepAxes:
                 schedules=(ScheduleSpec.of("churn", rate=0.05),),
                 engine=engine,
             )
-            merged = merge_results(SweepRunner(workers=1).run_grid(grid))
+            merged = merge_columns(SweepRunner(workers=1).run_grid_columns(grid))
             return json.dumps(merged.to_dict(), sort_keys=True)
 
         assert run("reference") == run("fast")
@@ -678,7 +649,7 @@ class TestSweepAxes:
             size=24, seed=5, config=FAST, max_cycles=30, engine="fast"
         )
         reference = run_repeats(spec.with_engine("reference"), 2)
-        fast = run_repeats(spec, 2, workers=2)
+        fast = run_repeats(spec, 2)
         assert [r.samples for r in reference] == [r.samples for r in fast]
         assert all(r.engine == "fast" for r in fast)
 
@@ -686,7 +657,7 @@ class TestSweepAxes:
 class TestMerge:
     def test_cells_grouped_and_summarized(self):
         grid = fast_grid()
-        aggregate = merge_results(SweepRunner(workers=1).run_grid(grid))
+        aggregate = merge_columns(SweepRunner(workers=1).run_grid_columns(grid))
         assert len(aggregate.cells) == 4
         cell = aggregate.cell(24, 0.2)
         assert cell.runs == 2
@@ -701,12 +672,12 @@ class TestMerge:
 
     def test_merge_rejects_empty(self):
         with pytest.raises(ValueError):
-            merge_results([])
+            merge_columns([])
 
     def test_throughput_excluded_from_merge(self):
         grid = fast_grid(sizes=(24,), drop_rates=(0.0,), replicas=2)
-        results = SweepRunner(workers=1).run_grid(grid)
-        merged = json.dumps(merge_results(results).to_dict())
+        results = SweepRunner(workers=1).run_grid_columns(grid)
+        merged = json.dumps(merge_columns(results).to_dict())
         assert "wall" not in merged
         summary = throughput_summary(results)
         assert summary is not None and summary.mean > 0

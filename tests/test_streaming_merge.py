@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import json
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -279,7 +281,7 @@ class TestConstantMemoryShape:
         """The fold keeps aggregate state only: after folding, no
         :class:`RunColumns` object is reachable from it (the
         constant-memory claim's structural half; the quantitative half
-        is ``benchmarks/bench_streaming_merge.py``)."""
+        is :func:`test_fold_peak_memory_is_constant_in_replicas`)."""
         columns = multi_axis_columns()
         cell = columns[0].cell
         cell_runs = [run for run in columns if run.cell == cell]
@@ -302,3 +304,59 @@ class TestConstantMemoryShape:
                 values = list(vars(obj).values())
             return any(reachable_columns(v, seen) for v in values)
         assert not reachable_columns(fold)
+
+
+#: Measurements per synthetic curve (a long fixed-window run).
+POINTS = 96
+
+
+def synth_run(replica: int) -> RunColumns:
+    """One synthetic shard outcome of a single cell (no simulation, so
+    a measurement around the fold isolates the collector)."""
+    jitter = ((replica * 2654435761) % 997) / 997.0
+    return RunColumns(
+        shard=replica,
+        replica=replica,
+        size=4096,
+        drop=0.0,
+        sampler="oracle",
+        schedules=(),
+        engine="reference",
+        seed=1000 + replica,
+        converged_at=float(POINTS - 1) if replica % 3 else None,
+        population=4096,
+        cycles_run=POINTS,
+        started_at_cycle=0,
+        cycles=array("d", (float(c) for c in range(POINTS))),
+        leaf=array(
+            "d", ((1.0 + 0.5 * jitter) * 0.9**c for c in range(POINTS))
+        ),
+        prefix=array(
+            "d", ((2.0 + jitter) * 0.85**c for c in range(POINTS))
+        ),
+        transport=(10, 9, 1, 8, 1, 0, 0, 10, 9, 8),
+        wall_seconds=0.5 + jitter,
+    )
+
+
+def test_fold_peak_memory_is_constant_in_replicas():
+    """Collector memory does not grow with the curves it has folded:
+    what the fold keeps per replica is one converged scalar and one
+    shard index (~120 bytes), never the run's buffers.  Quadrupling
+    one cell's replicas may therefore add, per replica, at most a
+    tenth of what one run's curves weigh."""
+
+    def peak(replicas: int) -> int:
+        tracemalloc.start()
+        try:
+            merge = StreamingMerge()
+            for replica in range(replicas):
+                merge.add(synth_run(replica))
+            merge.finalize()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    curve_bytes = 3 * POINTS * 8
+    growth = (peak(384) - peak(96)) / (384 - 96)
+    assert growth <= 0.1 * curve_bytes
