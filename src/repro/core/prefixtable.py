@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from .descriptor import NodeDescriptor
-from .idspace import IDSpace
+from .idspace import IDSpace, slot_tables
 
 __all__ = ["PrefixTable"]
 
@@ -44,10 +44,14 @@ class PrefixTable:
         identifier's slot.
     entries_per_slot:
         Paper's ``k``.
+
+    ``version`` changes whenever an entry is added or removed, so a
+    cache built from the table can tell when it is stale.
     """
 
     __slots__ = ("_space", "_own_id", "_k", "_slots", "_ids", "_bits",
-                 "_digit_bits", "_num_digits", "_base_mask")
+                 "_digit_bits", "_num_digits", "_base_mask", "_row_of",
+                 "_shift_of", "version")
 
     def __init__(
         self, space: IDSpace, own_id: int, entries_per_slot: int
@@ -69,6 +73,8 @@ class PrefixTable:
         self._digit_bits = space.digit_bits
         self._num_digits = space.num_digits
         self._base_mask = space.digit_base - 1
+        self._row_of, self._shift_of = slot_tables(space.bits, space.digit_bits)
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -143,41 +149,47 @@ class PrefixTable:
 
         Returns ``True`` when an entry was actually added.
         """
-        node_id = desc.node_id
-        if node_id == self._own_id or node_id in self._ids:
-            return False
-        own = self._own_id
-        diff = own ^ node_id
-        row = (self._bits - diff.bit_length()) // self._digit_bits
-        shift = self._bits - (row + 1) * self._digit_bits
-        column = (node_id >> shift) & self._base_mask
-        key = (row, column)
-        slot = self._slots.get(key)
-        if slot is None:
-            self._slots[key] = {node_id: desc}
-            self._ids.add(node_id)
-            return True
-        if len(slot) >= self._k:
-            return False
-        slot[node_id] = desc
-        self._ids.add(node_id)
-        return True
+        return self.update((desc,)) == 1
 
     def update(self, descriptors: Iterable[NodeDescriptor]) -> int:
         """Fill missing entries from *descriptors* (UPDATEPREFIXTABLE).
 
-        Returns the number of entries added.
+        Returns the number of entries added.  Descriptors are taken in
+        order, so within a batch the first to reach a slot wins it.
         """
+        own = self._own_id
+        ids = self._ids
+        slots = self._slots
+        k = self._k
+        digit_bits = self._digit_bits
+        base_mask = self._base_mask
+        row_of = self._row_of
+        shift_of = self._shift_of
         added = 0
         for desc in descriptors:
-            if self.add(desc):
-                added += 1
+            node_id = desc.node_id
+            if node_id in ids or node_id == own:
+                continue
+            row = row_of[(own ^ node_id).bit_length()]
+            key = (row, (node_id >> shift_of[row]) & base_mask)
+            slot = slots.get(key)
+            if slot is None:
+                slots[key] = {node_id: desc}
+            elif len(slot) >= k:
+                continue
+            else:
+                slot[node_id] = desc
+            ids.add(node_id)
+            added += 1
+        if added:
+            self.version += 1
         return added
 
     def clear(self) -> None:
         """Empty the table (protocol start: "clear their prefix table")."""
         self._slots.clear()
         self._ids.clear()
+        self.version += 1
 
     def forget(self, node_id: int) -> bool:
         """Drop *node_id* if present (used by churn handling in the
@@ -194,6 +206,7 @@ class PrefixTable:
             if not slot:
                 del self._slots[key]
         self._ids.discard(node_id)
+        self.version += 1
         return True
 
     # ------------------------------------------------------------------

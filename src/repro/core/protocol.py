@@ -44,7 +44,8 @@ from typing import Protocol
 
 from .config import BootstrapConfig
 from .descriptor import NodeDescriptor
-from .leafset import LeafSet, select_balanced_ids
+from .idspace import slot_tables
+from .leafset import LeafSet, split_balanced_ids
 from .messages import BootstrapMessage
 from .prefixtable import PrefixTable
 
@@ -134,6 +135,8 @@ class BootstrapNode:
         "_space",
         "_started",
         "_now",
+        "_table_union",
+        "_table_stamp",
     )
 
     def __init__(
@@ -157,6 +160,10 @@ class BootstrapNode:
         self.stats = ProtocolStats()
         self._started = False
         self._now = 0.0
+        # The prefix table as CREATEMESSAGE's union starts it, and the
+        # table version it was built from.
+        self._table_union: dict[int, NodeDescriptor] = {}
+        self._table_stamp = -1
 
     # ------------------------------------------------------------------
     # Identity and lifecycle
@@ -288,11 +295,10 @@ class BootstrapNode:
         config = self.config
         peer_id = peer.node_id
 
-        # Union of all locally available information, freshest per id.
-        if feed_prefix_table:
-            union = {d.node_id: d for d in self.prefix_table.descriptors()}
-        else:
-            union = {}
+        # Union of all locally available information, freshest per id:
+        # prefix table, then the leaf set (whose copy wins), then the
+        # samples, then our own refreshed descriptor.
+        union = dict(self._table_descriptors()) if feed_prefix_table else {}
         for desc in self.leaf_set:
             union[desc.node_id] = desc
         for desc in self._sampler.sample(config.random_samples):
@@ -302,69 +308,65 @@ class BootstrapNode:
         # The peer gains nothing from its own descriptor.
         union.pop(peer_id, None)
 
-        # Rank by (ring distance to peer, id).  Decorate-sort-undecorate
-        # rather than a key callable: this sort runs twice per exchange
-        # over ~c + cr + |prefix table| entries, and avoiding the
-        # per-element Python call is a measurable win on the hot path.
-        # The id tiebreak makes the order identical to the keyed sort.
-        mask = self._space.size - 1
-        decorated = sorted(
-            (
-                min((nid - peer_id) & mask, (peer_id - nid) & mask),
-                nid,
-            )
-            for nid in union
-        )
-        ranked = [union[nid] for _, nid in decorated]
+        # Both parts are in (ring distance to peer, id) order.
+        space = self._space
+        mask = space.size - 1
         if optimize_close_part:
-            close_ids = select_balanced_ids(
-                self._space, peer_id, union, config.half_leaf_set
+            close_ids, rest = split_balanced_ids(
+                union, peer_id, mask, space.half, config.half_leaf_set
             )
-            close_part = []
-            rest = []
-            for d in ranked:
-                if d.node_id in close_ids:
-                    close_part.append(d)
-                else:
-                    rest.append(d)
+            close_part = [union[nid] for nid in close_ids]
         else:
             shuffled = list(union.values())
             self._rng.shuffle(shuffled)
             close_part = shuffled[: config.leaf_set_size]
-            close_ids = {d.node_id for d in close_part}
-            rest = [d for d in ranked if d.node_id not in close_ids]
+            close_set = {d.node_id for d in close_part}
+            # A zero-capacity split is a plain ranking.
+            _, ranked = split_balanced_ids(union, peer_id, mask, space.half, 0)
+            rest = [nid for nid in ranked if nid not in close_set]
 
         # Prefix-targeted part: fill a hypothetical table for the peer
         # from the remaining union members; whatever finds a slot is
         # "potentially useful for the peer for its prefix table".
-        # Inlined slot-counting instead of a throwaway PrefixTable:
-        # union ids are unique and never equal to the peer (popped
+        # Union ids are unique and never equal to the peer (popped
         # above), so "does this descriptor land in a slot?" reduces to
-        # counting occupancy per (row, column) up to k -- the dominant
-        # allocation in the exchange hot path before this rewrite.
+        # counting occupancy per packed (row, column) up to k.
         prefix_part: list[NodeDescriptor] = []
         if include_prefix_part:
-            space = self._space
-            bits = space.bits
             digit_bits = space.digit_bits
             base_mask = space.digit_base - 1
+            row_of, shift_of = slot_tables(space.bits, digit_bits)
             k = config.entries_per_slot
             occupancy: dict[int, int] = {}
-            for desc in rest:
-                nid = desc.node_id
-                diff = peer_id ^ nid
-                row = (bits - diff.bit_length()) // digit_bits
-                shift = bits - (row + 1) * digit_bits
-                slot = (row << digit_bits) | ((nid >> shift) & base_mask)
-                count = occupancy.get(slot, 0)
+            get = occupancy.get
+            for nid in rest:
+                row = row_of[(peer_id ^ nid).bit_length()]
+                slot = (row << digit_bits) | ((nid >> shift_of[row]) & base_mask)
+                count = get(slot, 0)
                 if count < k:
                     occupancy[slot] = count + 1
-                    prefix_part.append(desc)
+                    prefix_part.append(union[nid])
 
         payload = tuple(close_part) + tuple(prefix_part)
         return BootstrapMessage(
             sender=own, descriptors=payload, is_reply=is_reply
         )
+
+    def _table_descriptors(self) -> dict[int, NodeDescriptor]:
+        """The prefix table's descriptors by id, in table order.
+
+        The prefix table is the bulk of every CREATEMESSAGE union and
+        changes far less often than the leaf set (whose members'
+        timestamps refresh on most absorbs), so it is flattened once
+        and reused until the table bumps ``version`` -- which every
+        mutation does, including the direct calls the maintenance layer
+        makes.  Callers copy the dict before adding to it.
+        """
+        table = self.prefix_table
+        if table.version != self._table_stamp:
+            self._table_union = {d.node_id: d for d in table.descriptors()}
+            self._table_stamp = table.version
+        return self._table_union
 
     # ------------------------------------------------------------------
     # UPDATELEAFSET + UPDATEPREFIXTABLE

@@ -24,7 +24,8 @@ differential suite runs both backends against the reference engine.
 Arrays only pay for themselves past a size threshold (converting a
 50-element set to ``ndarray`` costs more than sorting it); below
 :data:`NUMPY_MIN_SIZE` candidates the Python path is used even when
-numpy is installed.
+numpy is installed (:data:`NUMPY_MIN_SPLIT` and :data:`NUMPY_MIN_SLOTS`
+for the kernels with their own crossovers).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from heapq import nsmallest
 from collections.abc import Iterable, Sequence
 
 from .. import seams
+from ..core.idspace import slot_tables
+from ..core.leafset import balanced_counts as _balanced_counts
+from ..core.leafset import split_balanced_ids
 
 try:  # pragma: no cover - exercised via both backend parametrisations
     import numpy as _np
@@ -41,6 +45,7 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "NUMPY_MIN_SIZE",
+    "NUMPY_MIN_SPLIT",
     "backend",
     "set_backend",
     "rank_ids",
@@ -64,6 +69,10 @@ __all__ = [
 #: Measured crossovers on CPython 3.11 / numpy 2.x; the exact values
 #: only affect speed, never results.
 NUMPY_MIN_SIZE = 24
+#: CREATEMESSAGE's close/rest split: the pure-Python leg is a single
+#: sort plus one walk, so numpy only pulls ahead on larger unions
+#: (measured crossover ~45-55 ids on CPython 3.11 / numpy 2.x).
+NUMPY_MIN_SPLIT = 48
 #: The slot kernels do an argsort-based group-cap; their crossover is
 #: much higher than the pure ranking kernels'.
 NUMPY_MIN_SLOTS = 192
@@ -140,22 +149,6 @@ def rank_ids(ids: Sequence[int], origin: int, mask: int) -> list[int]:
 # ----------------------------------------------------------------------
 # Balanced leaf-set selection
 # ----------------------------------------------------------------------
-
-
-def _balanced_counts(
-    n_succ: int, n_pred: int, half_capacity: int
-) -> tuple[int, int]:
-    """How many successors/predecessors to keep, with the paper's
-    backfill rule when one side runs short."""
-    take_succ = min(half_capacity, n_succ)
-    take_pred = min(half_capacity, n_pred)
-    spare = (half_capacity - take_succ) + (half_capacity - take_pred)
-    if spare:
-        extra = min(spare, n_succ - take_succ)
-        take_succ += extra
-        spare -= extra
-        take_pred += min(spare, n_pred - take_pred)
-    return take_succ, take_pred
 
 
 def balanced_counts_arrays(n_succ, n_pred, half_capacity: int):
@@ -271,28 +264,19 @@ def close_and_rest(
     The numpy path computes the forward-distance array once and derives
     ranking, successor/predecessor split, and the balanced pick from it
     in a single pass (this runs twice per exchange, it is the hottest
-    kernel in the engine).
+    kernel in the engine).  The Python leg is
+    :func:`repro.core.leafset.split_balanced_ids`, the same single-sort
+    split the reference CREATEMESSAGE runs.
     """
     pool = ids if isinstance(ids, (list, tuple, set)) else list(ids)
     n = len(pool)
-    if _use_numpy(n):
+    if _use_numpy(n, NUMPY_MIN_SPLIT):
         arr = _np.fromiter(pool, dtype=_np.uint64, count=n)
         close_arr, rest_arr = close_and_rest_arrays(
             arr, peer, mask, half_ring, half_capacity
         )
         return close_arr.tolist(), rest_arr.tolist()
-    if not isinstance(pool, (list, tuple)):
-        pool = list(pool)
-    ranked = rank_ids(pool, peer, mask)
-    chosen = select_balanced(pool, peer, mask, half_ring, half_capacity)
-    close_part: list[int] = []
-    rest: list[int] = []
-    for nid in ranked:
-        if nid in chosen:
-            close_part.append(nid)
-        else:
-            rest.append(nid)
-    return close_part, rest
+    return split_balanced_ids(pool, peer, mask, half_ring, half_capacity)
 
 
 def close_and_rest_arrays(arr, peer: int, mask: int, half_ring: int,
@@ -411,20 +395,6 @@ def close_and_rest_with_aux(arr, aux, peer: int, mask: int, half_ring: int,
 # ----------------------------------------------------------------------
 
 
-def slot_tables(bits: int, digit_bits: int) -> tuple[list[int], list[int]]:
-    """Lookup tables for the packed-slot computation.
-
-    ``row_of[bit_length(own ^ id)]`` is the prefix-table row, and
-    ``shift_of[row]`` the right-shift that exposes the id's digit at
-    that row.  The hot python loops index these instead of redoing the
-    division/multiplication per id.
-    """
-    row_of = [(bits - bl) // digit_bits for bl in range(bits + 1)]
-    rows = bits // digit_bits
-    shift_of = [bits - (row + 1) * digit_bits for row in range(rows + 1)]
-    return row_of, shift_of
-
-
 def prefix_slots(ids: Sequence[int], origin: int, bits: int,
                  digit_bits: int, base_mask: int) -> list[int]:
     """Packed prefix-table slots ``(row << digit_bits) | column`` of
@@ -453,7 +423,7 @@ def prefix_slots(ids: Sequence[int], origin: int, bits: int,
 
 def prefix_part(rest: list[int], peer: int, bits: int, digit_bits: int,
                 base_mask: int, k: int,
-                tables: tuple[list[int], list[int]] | None = None,
+                tables: tuple[Sequence[int], Sequence[int]] | None = None,
                 ) -> tuple[list[int], list[int]]:
     """CREATEMESSAGE's prefix-targeted part: walk *rest* (already in
     ranked order) and keep the first *k* ids landing in each slot of a

@@ -218,8 +218,8 @@ class FastNodeState:
     :class:`repro.core.protocol.BootstrapNode` state).
 
     ``leaf_sorted`` caches the distance-ranked leaf ids between
-    membership changes; the reference re-sorts on every ``SELECTPEER``,
-    which is one of the fast engine's wins.  ``prefix_slots`` keys are
+    membership changes, as the reference ``LeafSet.closest_half()``
+    caches its list.  ``prefix_slots`` keys are
     packed ``(row << digit_bits) | column`` ints.
     """
 
