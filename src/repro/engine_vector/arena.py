@@ -22,7 +22,10 @@ This module replaces the layer with one **arena** per simulation:
   which is what keeps the two layouts **bit-identical** (pinned by the
   differential suite, ``tests/test_engine_vector_arena.py``);
 * :class:`SlabMeasure` recomputes convergence deficits for all dirty
-  ranks in one slab scan instead of a Python loop per node.
+  ranks in one slab scan instead of a Python loop per node, against
+  perfect tables that :func:`perfect_tables` derives for the whole
+  live population in array passes over the sorted live ids (the
+  object-level ``ReferenceTables`` oracle is never built here).
 
 Ranks are recycled through a free list on node death, windows are
 compacted when a pool buffer fills, and slabs double when the
@@ -43,7 +46,12 @@ try:  # pragma: no cover - exercised via both backend parametrisations
 except ImportError:  # pragma: no cover
     _np = None
 
-__all__ = ["Arena", "ArenaState", "SlabMeasure"]
+__all__ = ["Arena", "ArenaState", "SlabMeasure", "perfect_tables"]
+
+#: Live ranks per array pass in :func:`perfect_tables`: scratch stays
+#: O(block x c) for the leaf windows and O(block x digit base) for the
+#: prefix bands, whatever the population.
+_PACK_BLOCK = 2048
 
 
 class _VarPool:
@@ -539,8 +547,135 @@ class ArenaState:
             self._views["known"] = arr
 
 
+def perfect_tables(ids, space, c: int, k: int):
+    """Every live node's perfect leaf set and perfect prefix-slot
+    demands, as flat arrays in *ids* order.
+
+    *ids* is the live identifier set ("the actual set of IDs in the
+    network") as an ascending, duplicate-free ``uint64`` array; *space*
+    is its :class:`~repro.core.idspace.IDSpace`, *c* and *k* the
+    paper's leaf-set size and entries per slot.  Returns ``(leaf,
+    leaf_lens, slots, need, slot_lens)``: node ``i``'s perfect leaf ids
+    are the ``leaf_lens[i]`` entries of *leaf* following those of
+    nodes ``0..i-1``, and its prefix slots -- packed ``(row <<
+    digit_bits) | digit`` in row, then digit order -- and their demands
+    ``min(k, live ids in the slot)`` are laid out the same way in
+    *slots* / *need* by *slot_lens*.
+
+    Node for node this equals ``ReferenceTables.perfect_leaf_ids`` /
+    ``perfect_prefix_counts`` (pinned by ``tests/test_perfect_tables.py``),
+    but costs a few array passes per :data:`_PACK_BLOCK` ranks instead
+    of a Python selection and a trie walk per node.
+    """
+    n = ids.size
+    if not n:
+        raise ValueError("perfect tables need at least one identifier")
+    blocks = []
+    for lo in range(0, n, _PACK_BLOCK):
+        hi = min(n, lo + _PACK_BLOCK)
+        blocks.append(
+            _perfect_leaf(ids, lo, hi, space, c)
+            + _perfect_prefix(ids, lo, hi, space, k)
+        )
+    return tuple(
+        _np.concatenate(column) for column in zip(*blocks, strict=True)
+    )
+
+
+def _perfect_leaf(ids, lo: int, hi: int, space, c: int):
+    """``(leaf ids, lengths)`` for the nodes at sorted positions
+    ``[lo, hi)``.
+
+    The candidate window is ``ReferenceTables.perfect_leaf_ids``'s: the
+    c nearest ids on each side, or every other id once ``n - 1 <= 2c``,
+    so no id repeats in a row.  Its columns run clockwise (offsets
+    ``+1..+c``, then ``-c..-1``), so the forward distance grows along
+    each row: the successors (``forward <= half``) are a prefix of the
+    row, nearest first, and the predecessors the rest, nearest last.
+    The balanced rule then keeps the first ``take_succ`` and the last
+    ``take_pred`` columns.
+    """
+    n = ids.size
+    if n - 1 > 2 * c:
+        offsets = _np.concatenate((_np.arange(1, c + 1), _np.arange(-c, 0)))
+    else:
+        offsets = _np.arange(1, n)
+    width = offsets.size
+    cand = ids[(_np.arange(lo, hi)[:, None] + offsets) % n]
+    forward = (cand - ids[lo:hi, None]) & _np.uint64(space.size - 1)
+    n_succ = (forward <= _np.uint64(space.half)).sum(axis=1)
+    take_succ, take_pred = kernels.balanced_counts_arrays(
+        n_succ, width - n_succ, c // 2
+    )
+    col = _np.arange(width)
+    keep = (col < take_succ[:, None]) | (col >= (width - take_pred)[:, None])
+    return cand[keep], take_succ + take_pred
+
+
+def _perfect_prefix(ids, lo: int, hi: int, space, k: int):
+    """``(packed slots, demands, lengths)`` for the nodes at sorted
+    positions ``[lo, hi)``: ``DigitTrie.slot_counts_for``, level by
+    level for the whole block.
+
+    A node's depth-``r`` block -- the ids sharing its first ``r``
+    digits -- is a contiguous run ``[start, end)`` of *ids*.
+    Searchsorting the block's interior digit-band boundaries splits it
+    into per-digit populations; the non-empty ones other than the
+    node's own digit are its slots ``(r, digit)``.  The own digit's band
+    is the next depth's block, and a node stops once its block holds
+    only itself -- where the trie walk meets a sole occupant (ids are
+    unique, so every node stops by depth ``num_digits``).  Block ends
+    are inherited, never computed: the top band of an all-ones block
+    ends at ``2^bits``, which ``uint64`` cannot hold.
+    """
+    n = ids.size
+    db = space.digit_bits
+    base = space.digit_base
+    own = ids[lo:hi]
+    start = _np.zeros(hi - lo, dtype=_np.intp)
+    end = _np.full(hi - lo, n, dtype=_np.intp)
+    active = _np.flatnonzero(end - start >= 2)
+    steps = _np.arange(1, base, dtype=_np.uint64)
+    rows = [_np.empty(0, dtype=_np.intp)]
+    slots = [_np.empty(0, dtype=_np.intp)]
+    need = [_np.empty(0, dtype=_np.intp)]
+    depth = 0
+    while active.size:
+        shift = space.bits - (depth + 1) * db
+        node = own[active]
+        prefix = node & _np.uint64(space.size - (1 << (shift + db)))
+        bounds = _np.empty((active.size, base + 1), dtype=_np.intp)
+        bounds[:, 0] = start[active]
+        bounds[:, base] = end[active]
+        bounds[:, 1:base] = ids.searchsorted(
+            prefix[:, None] + (steps << _np.uint64(shift))
+        )
+        counts = _np.diff(bounds, axis=1)
+        digit = ((node >> _np.uint64(shift)) & _np.uint64(base - 1)).astype(
+            _np.intp
+        )
+        at = _np.arange(active.size)
+        start[active] = bounds[at, digit]
+        end[active] = bounds[at, digit + 1]
+        counts[at, digit] = 0
+        r, j = _np.nonzero(counts)
+        rows.append(active[r])
+        slots.append((depth << db) | j)
+        need.append(_np.minimum(counts[r, j], k))
+        active = active[end[active] - start[active] >= 2]
+        depth += 1
+    row = _np.concatenate(rows)
+    order = _np.argsort(row, kind="stable")
+    return (
+        _np.concatenate(slots)[order],
+        _np.concatenate(need)[order],
+        _np.bincount(row, minlength=hi - lo),
+    )
+
+
 class SlabMeasure:
-    """Convergence deficits as one slab scan over dirty ranks.
+    """Convergence deficits and totals as array passes over the bound
+    ranks.
 
     The generic tracker walks every node per measurement, paying a
     Python iteration plus a dict probe each even when the cached
@@ -557,78 +692,67 @@ class SlabMeasure:
       per-node filter because occupancy equals the resident-slot
       histogram by invariant).
 
-    The perfect tables are packed lazily on the first measurement
-    after a (re)bind, exactly like the generic tracker's per-node
-    cache; a rebind invalidates every bound rank's cached deficit (the
-    reference, and possibly the liveness filter, changed).
+    The perfect tables come from one :func:`perfect_tables` pass over
+    the bound population's sorted ids on the first measurement after a
+    (re)bind, sliced per bound rank; the sample's totals are sums of
+    the same arrays.  The tracker binds a fresh measurer after every
+    membership change, which invalidates every bound rank's cached
+    deficit (the perfect tables, and possibly the liveness filter,
+    changed).
     """
 
-    def __init__(self, ops, arena: Arena, states, reference, live) -> None:
-        self._ops = ops
+    def __init__(self, arena: Arena, states, config) -> None:
         self._arena = arena
-        self._states = list(states)
-        self._reference = reference
-        self._live = live
-        self._ranks = _np.array(
-            [state.rank for state in self._states], dtype=_np.intp
+        self._config = config
+        self._ranks = _np.fromiter(
+            (state.rank for state in states), dtype=_np.intp
         )
         arena.def_valid[self._ranks] = False
-        self._packed = False
+        self._totals: tuple[int, int] | None = None
 
     def _pack(self) -> None:
-        ops = self._ops
-        reference = self._reference
-        count = len(self._states)
-        leaf_parts = []
-        slot_parts = []
-        need_parts = []
-        pl_lens = _np.empty(count, dtype=_np.intp)
-        pp_lens = _np.empty(count, dtype=_np.intp)
-        for j, state in enumerate(self._states):
-            leaf, pslots, needed = ops.pack_perfect(reference, state.node_id)
-            leaf_parts.append(leaf)
-            slot_parts.append(pslots)
-            need_parts.append(needed)
-            pl_lens[j] = leaf.size
-            pp_lens[j] = pslots.size
-        self._pl = (
-            _np.concatenate(leaf_parts)
-            if leaf_parts
-            else _np.empty(0, dtype=_np.uint64)
+        config = self._config
+        ids = self._arena.node_ids[self._ranks]
+        order = _np.argsort(ids)
+        self._live = ids[order]
+        leaf, leaf_lens, slots, need, slot_lens = perfect_tables(
+            self._live,
+            config.space,
+            config.leaf_set_size,
+            config.entries_per_slot,
         )
-        self._pl_lens = pl_lens
-        self._pl_offs = _np.cumsum(pl_lens) - pl_lens
-        self._pp_slots = (
-            _np.concatenate(slot_parts)
-            if slot_parts
-            else _np.empty(0, dtype=_np.int64)
-        )
-        self._pp_need = (
-            _np.concatenate(need_parts)
-            if need_parts
-            else _np.empty(0, dtype=_np.int64)
-        )
-        self._pp_lens = pp_lens
-        self._pp_offs = _np.cumsum(pp_lens) - pp_lens
-        self._packed = True
+        # The packer's segments are in live-id order; bound rank j's is
+        # segment where[j].
+        where = _np.empty(order.size, dtype=_np.intp)
+        where[order] = _np.arange(order.size)
+        self._pl = leaf
+        self._pl_lens = leaf_lens[where]
+        self._pl_offs = (_np.cumsum(leaf_lens) - leaf_lens)[where]
+        self._pp_slots = slots
+        self._pp_need = need
+        self._pp_lens = slot_lens[where]
+        self._pp_offs = (_np.cumsum(slot_lens) - slot_lens)[where]
+        self._totals = (int(leaf_lens.sum()), int(need.sum()))
 
-    def measure(self, check_live: bool) -> tuple[int, int]:
-        """Network-wide ``(missing_leaf, missing_prefix)`` totals."""
+    def measure(self, check_live: bool) -> tuple[int, int, int, int]:
+        """Network-wide ``(missing_leaf, total_leaf, missing_prefix,
+        total_prefix)``."""
+        if self._totals is None:
+            self._pack()
         ranks = self._ranks
-        if not ranks.size:
-            return 0, 0
         arena = self._arena
         dirty = arena.stats_dirty[ranks] | ~arena.def_valid[ranks]
         if dirty.any():
-            if not self._packed:
-                self._pack()
             d = _np.nonzero(dirty)[0]
             self._recompute(d, check_live)
             arena.stats_dirty[ranks[d]] = False
             arena.def_valid[ranks[d]] = True
+        total_leaf, total_prefix = self._totals
         return (
             int(arena.def_leaf[ranks].sum()),
+            total_leaf,
             int(arena.def_prefix[ranks].sum()),
+            total_prefix,
         )
 
     def _recompute(self, d, check_live: bool) -> None:

@@ -1377,6 +1377,7 @@ class _ArenaOps(_NumpyOps):
 
     def __init__(self, config: BootstrapConfig, capacity: int = 64) -> None:
         super().__init__(config)
+        self._config = config
         self.arena = Arena(self._n_slots, self._c, capacity)
 
     def new_state(self, node_id: int) -> ArenaState:
@@ -1387,10 +1388,10 @@ class _ArenaOps(_NumpyOps):
         """Return a killed node's rank (the cycle driver's hook)."""
         self.arena.release(state.rank)
 
-    def slab_measurer(self, states, reference, live) -> SlabMeasure:
-        """A slab-scan deficit measurer bound to *states* (the
-        tracker's hook; see :class:`SlabMeasure`)."""
-        return SlabMeasure(self, self.arena, states, reference, live)
+    def slab_measurer(self, states) -> SlabMeasure:
+        """A slab-scan measurer bound to *states*, packing its own
+        perfect tables (the tracker's hook; see :class:`SlabMeasure`)."""
+        return SlabMeasure(self.arena, states, self._config)
 
     def _seg_columns(self, states):
         """The wave absorb's per-segment columns as slab gathers: one
@@ -1883,46 +1884,53 @@ class VectorConvergenceTracker:
     """Convergence measurement over vector-engine node states.
 
     Produces the same :class:`ConvergenceSample` metric as the
-    reference tracker; the per-node arithmetic is delegated to the
-    active leg's ops (vectorised on numpy, set-based on the fallback).
+    reference tracker.  Arena-backed ops supply a slab measurer that
+    packs its own perfect tables and recomputes deficits as array
+    passes over the slabs (:class:`~repro.engine_vector.arena.SlabMeasure`);
+    the per-node layout and the fallback leg delegate the per-node
+    arithmetic to their ops (vectorised on numpy, set-based on the
+    fallback), against the live set's :class:`ReferenceTables`.
+
+    *reference* is a zero-argument callable returning those tables.
+    Only the per-node path calls it, once per (re)bind, so the arena
+    leg never builds them.
     """
 
-    def __init__(self, ops, reference: ReferenceTables, states) -> None:
+    def __init__(self, ops, reference, states) -> None:
         self._ops = ops
+        self._reference_of = reference
         self.samples: list[ConvergenceSample] = []
-        self.rebind(reference, states)
+        self.rebind(states)
 
-    def rebind(self, reference: ReferenceTables, states) -> None:
-        """Swap reference and population, keeping the sample history."""
-        self._reference = reference
-        self._states = [s for s in states if s.node_id in reference]
-        self._live = self._ops.live_view(reference.ids)
+    def rebind(self, states) -> None:
+        """Swap the population after a membership change, keeping the
+        sample history."""
+        maker = getattr(self._ops, "slab_measurer", None)
+        self._slab = maker(states) if maker is not None else None
+        if self._slab is not None:
+            return
+        self._states = list(states)
+        self._reference = self._reference_of()
+        self._live = self._ops.live_view(self._reference.ids)
         self._packed: dict[int, object] = {}
         # Per-node deficits are cached between measurements and
         # recomputed only for nodes whose tables changed
         # (``stats_dirty``); membership events land here and wipe the
         # cache, so liveness filtering always sees fresh values.
         self._deficits: dict[int, tuple[int, int]] = {}
-        # Arena-backed ops supply a slab measurer: the dirty set and
-        # the recomputation both become vector passes over the slabs
-        # instead of a Python loop with a dict probe per node.
-        maker = getattr(self._ops, "slab_measurer", None)
-        self._slab = (
-            maker(self._states, reference, self._live)
-            if maker is not None
-            else None
-        )
 
     def measure(self, cycle: float, check_live: bool) -> ConvergenceSample:
         """Take one network-wide measurement and append it to
         :attr:`samples` (same metric as the reference tracker;
         *check_live* enables dead-entry filtering once any node has
         been killed)."""
-        ops = self._ops
-        reference = self._reference
         if self._slab is not None:
-            missing_leaf, missing_prefix = self._slab.measure(check_live)
+            missing_leaf, total_leaf, missing_prefix, total_prefix = (
+                self._slab.measure(check_live)
+            )
         else:
+            ops = self._ops
+            reference = self._reference
             live = self._live
             packed_cache = self._packed
             deficits = self._deficits
@@ -1943,7 +1951,7 @@ class VectorConvergenceTracker:
                 ml, mp = deficits[node_id]
                 missing_leaf += ml
                 missing_prefix += mp
-        total_leaf, total_prefix = reference.totals()
+            total_leaf, total_prefix = reference.totals()
         sample = ConvergenceSample(
             cycle=cycle,
             missing_leaf=missing_leaf,
@@ -2055,11 +2063,9 @@ class VectorBootstrapSimulation:
         if sampler == "newscast":
             self._seed_newscast_views()
 
-        self.reference = ReferenceTables(
-            space, id_list, config.leaf_set_size, config.entries_per_slot
-        )
+        self._reference: ReferenceTables | None = None
         self.tracker = VectorConvergenceTracker(
-            self._ops, self.reference, self.nodes.values()
+            self._ops, lambda: self.reference, self.nodes.values()
         )
         self._membership_dirty = False
         self._ever_killed = False
@@ -2129,6 +2135,7 @@ class VectorBootstrapSimulation:
         if self._news is not None:
             self.newscast.pop(node_id, None)
             self._news.dirty = True
+        self._reference = None
         self._membership_dirty = True
         self._ever_killed = True
         return True
@@ -2151,6 +2158,7 @@ class VectorBootstrapSimulation:
                     self._newscast_view_size, rng, exclude_id=node_id
                 )
             )
+        self._reference = None
         self._membership_dirty = True
         return state
 
@@ -2171,15 +2179,21 @@ class VectorBootstrapSimulation:
             )
         return universe
 
-    def _refresh_reference(self) -> None:
-        self.reference = ReferenceTables(
-            self._space,
-            self.nodes.keys(),
-            self.config.leaf_set_size,
-            self.config.entries_per_slot,
-        )
-        self.tracker.rebind(self.reference, self.nodes.values())
-        self._membership_dirty = False
+    @property
+    def reference(self) -> ReferenceTables:
+        """Perfect tables of the live identifier set (the object-level
+        oracle), built on first access after a membership change.  The
+        per-node layout and the fallback leg measure against them; the
+        arena leg packs its own arrays and never builds them."""
+        reference = self._reference
+        if reference is None:
+            reference = self._reference = ReferenceTables(
+                self._space,
+                self.nodes.keys(),
+                self.config.leaf_set_size,
+                self.config.entries_per_slot,
+            )
+        return reference
 
     # ------------------------------------------------------------------
     # Cycle execution
@@ -2453,10 +2467,11 @@ class VectorBootstrapSimulation:
     # ------------------------------------------------------------------
 
     def measure(self) -> ConvergenceSample:
-        """Measure convergence now (rebuilding the reference first if
-        membership changed)."""
+        """Measure convergence now (rebinding the tracker to the live
+        population first if membership changed)."""
         if self._membership_dirty:
-            self._refresh_reference()
+            self.tracker.rebind(self.nodes.values())
+            self._membership_dirty = False
         return self.tracker.measure(
             float(self._boot.cycle), self._ever_killed
         )

@@ -12,6 +12,13 @@ module pins it:
   samplers x churn/growth schedules x absorb modes and requires the
   full observable trajectory -- every table, every measurement, the
   final transport counters -- to be **equal**, not statistically close;
+* the sample suite runs churn, catastrophe, massive join and
+  spawn-only growth on both samplers and requires every
+  ``ConvergenceSample`` to be equal -- the arena leg's perfect tables
+  come from the array packer, the pernode leg's from
+  ``ReferenceTables``, so this is an end-to-end oracle test of the
+  packer -- and pins that the arena leg never builds
+  ``ReferenceTables`` at all;
 * the lifecycle suite exercises the arena's memory management edges:
   freed-rank recycling under churn, slab doubling when the population
   outgrows the initial capacity, variable-length window relocation and
@@ -26,10 +33,11 @@ from __future__ import annotations
 import pytest
 
 from repro import engine_vector
-from repro.core import BootstrapConfig
+from repro.core import BootstrapConfig, ReferenceTables
 from repro.engine_vector import STATE_MODES, VectorBootstrapSimulation, state_mode
 from repro.engine_vector.sim import _ArenaOps, _PythonOps
 from repro.simulator import NetworkModel
+from repro.simulator.failures import CatastrophicFailure, Churn, MassiveJoin
 
 FAST = BootstrapConfig(leaf_set_size=8, entries_per_slot=2, random_samples=10)
 
@@ -124,6 +132,83 @@ class TestArenaPernodeBitIdentity:
         assert self._trace("arena", **config) == (
             self._trace("pernode", **config)
         )
+
+
+class _SpawnOnly:
+    """Spawn-only growth: *count* joins every cycle, nobody leaves."""
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+
+    def apply(self, sim, cycle: int) -> None:
+        for _ in range(self.count):
+            sim.spawn_node()
+
+
+class TestSamplesUnderMembershipChange:
+    """Sample-level oracle for the arena leg's perfect-table packer.
+
+    The arena leg derives perfect tables and totals from one array
+    pass over the sorted live ids; the pernode leg still asks
+    ``ReferenceTables`` per node.  Under every kind of membership
+    change, on both samplers, every ``ConvergenceSample`` must be
+    equal."""
+
+    SCHEDULES = {
+        "churn": lambda: [Churn(rate=0.05)],
+        "catastrophe": lambda: [CatastrophicFailure(at_cycle=5, fraction=0.5)],
+        "massive-join": lambda: [MassiveJoin(at_cycle=5, count=40)],
+        "spawn-only": lambda: [_SpawnOnly(count=3)],
+    }
+
+    @pytest.mark.parametrize("sampler", ["oracle", "newscast"])
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_arena_samples_equal_pernode(self, schedule, sampler,
+                                         numpy_backend):
+        def samples(state):
+            sim = VectorBootstrapSimulation(
+                40,
+                seed=17,
+                config=FAST,
+                network=NetworkModel(drop_probability=0.1),
+                sampler=sampler,
+                state=state,
+            )
+            result = sim.run(
+                16,
+                stop_when_perfect=False,
+                schedules=self.SCHEDULES[schedule](),
+            )
+            return result.samples
+
+        arena_samples = samples("arena")
+        assert len(arena_samples) == 16
+        assert arena_samples == samples("pernode")
+
+    @pytest.mark.parametrize("state", STATE_MODES)
+    def test_measure_after_mutation_rebuilds_reference(self, state,
+                                                       numpy_backend):
+        sim = VectorBootstrapSimulation(16, config=FAST, seed=3, state=state)
+        sim.run_cycle()
+        victim = sim.live_ids[0]
+        sim.kill_node(victim)
+        sample = sim.measure()
+        assert victim not in sim.reference
+        assert (sample.total_leaf, sample.total_prefix) == (
+            sim.reference.totals()
+        )
+
+    def test_arena_leg_never_builds_reference_tables(self, monkeypatch,
+                                                     numpy_backend):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the arena leg built ReferenceTables")
+
+        monkeypatch.setattr(ReferenceTables, "__init__", refuse)
+        sim = VectorBootstrapSimulation(24, seed=5, config=FAST)
+        result = sim.run(
+            8, stop_when_perfect=False, schedules=[Churn(rate=0.1)]
+        )
+        assert len(result.samples) == 8
 
 
 class TestStateSeam:
