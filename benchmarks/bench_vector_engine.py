@@ -17,22 +17,16 @@ matters for the production north star (long-running service, steady
 churn); the full-run ratio -- transient included -- is reported
 alongside for transparency.
 
-Gate: the sustained ratio must reach ``MIN_SPEEDUP`` for the active
-vector backend (>= 5.2x on numpy; the pure-Python fallback leg only
-has to beat the reference engine with margin).  A
+Gate: the sustained ratio must reach ``MIN_SPEEDUP`` (5.2x).  A
 statistical sanity check asserts both engines actually converged
 during warm-up, so the sustained window never compares different
 workload phases.
 
 A second gate bounds the engine's *memory* footprint: tracemalloc peak
 bytes per node over a built-and-warmed simulation must stay under
-``MAX_BYTES_PER_NODE`` on the numpy leg's default (arena) layout, so
-the pool-resident slabs cannot silently regress toward the per-object
-layout's allocator overhead.  The artefact reports both layouts plus
-the process's peak RSS for before/after diffing.
-
-``REPRO_BENCH_VECTOR_SMOKE=1`` shrinks the run to one small size with
-the fallback floor -- the no-numpy CI leg's smoke configuration.
+``MAX_BYTES_PER_NODE``, so the pool-resident slabs cannot silently
+regress toward per-object allocator overhead.  The artefact reports
+the footprint plus the process's peak RSS for before/after diffing.
 """
 
 from __future__ import annotations
@@ -42,50 +36,37 @@ import tracemalloc
 
 import pytest
 
-from repro import engine_vector, seams
 from repro.analysis import render_table
 from repro.engine_vector import VectorBootstrapSimulation
 from repro.simulator import BootstrapSimulation
 
 from common import bench_sizes, emit, size_label
 
-#: Sustained-window floors per vector backend, divided by a reference
-#: whose CREATEMESSAGE is a single sort and whose UPDATELEAFSET skips
-#: no-op reselects.  numpy: measured ~6.0-7.1x at the shoot-out sizes
-#: under the paired protocol (~10.3-10.9x against the reference before
-#: that kernel); the floor keeps the old floor's ~15 % margin.  python:
-#: the fallback only promises to beat the reference engine; measured
-#: ~1.6x with the list kernels at the smoke size, ~1.4x at the full
-#: sizes when numpy is installed but the vector backend is pinned to
-#: python.
-MIN_SPEEDUP = {"numpy": 5.2, "python": 1.2}
+#: Sustained-window floor, divided by a reference whose CREATEMESSAGE
+#: is a single sort and whose UPDATELEAFSET skips no-op reselects:
+#: measured ~6.0-7.1x at the shoot-out sizes under the paired protocol
+#: (~10.3-10.9x against the reference before that kernel); the floor
+#: keeps the old floor's ~15 % margin.
+MIN_SPEEDUP = 5.2
 
 #: Cycles of warm-up (covers convergence at the bench sizes, ~10-14
 #: cycles) and of sustained measurement.
 WARMUP_CYCLES = 14
 SUSTAIN_CYCLES = 10
 
-#: Memory-profile population and bytes-per-node ceilings (tracemalloc
+#: Memory-profile population and bytes-per-node ceiling (tracemalloc
 #: peak over simulation build plus warm-up, divided by the population).
-#: Measured ~13.3 KB/node at 2048 nodes on the arena layout versus
-#: ~14.9 KB/node per-node (the peak mixes per-node state with shared
-#: structures -- reference tables, wave buffers -- and at 256 nodes
-#: the fixed costs amortise worse, ~16.6 KB/node); the ceilings add
-#: ~20-45% headroom, so they catch a layout regression -- a pool that
-#: stops compacting, a cache pinning superseded buffers -- not
-#: allocator noise.
+#: Measured ~10.1 KiB/node at 2048 nodes (the peak mixes per-node state
+#: with shared structures such as the wave buffers); the ceiling sits
+#: ~50% above, so it catches a layout regression -- a pool that stops
+#: compacting, a cache pinning superseded buffers -- not allocator
+#: noise.
 MEM_PROFILE_SIZE = 2048
-MEM_SMOKE_SIZE = 256
-MAX_BYTES_PER_NODE = {MEM_PROFILE_SIZE: 16_000, MEM_SMOKE_SIZE: 24_000}
-
-
-def _smoke() -> bool:
-    return seams.flag("REPRO_BENCH_VECTOR_SMOKE")
+MAX_BYTES_PER_NODE = 16_000
 
 
 def shootout_sizes():
-    """Bench sizes clamped to the vectorised regime, or the one-size
-    smoke grid for the no-numpy leg.
+    """Bench sizes clamped to the vectorised regime.
 
     The sustained ratio has an amortisation knee near 2^11 nodes:
     below it each wave's fixed costs (kernel dispatch, the flush glue)
@@ -94,8 +75,6 @@ def shootout_sizes():
     2^11 up).  Sizes under the knee are doubled into the sustained
     regime so the floor gates the engine's steady-state claim.
     """
-    if _smoke():
-        return [256]
     return sorted(
         {size if size >= 2048 else 2 * size for size in bench_sizes()}
     )
@@ -150,7 +129,7 @@ def _ratios(windows):
 
 
 def run_shootout():
-    floor = MIN_SPEEDUP[engine_vector.backend()]
+    floor = MIN_SPEEDUP
     rows = []
     ratios = {}
     for size in shootout_sizes():
@@ -192,15 +171,13 @@ def run_shootout():
     return rows, ratios
 
 
-def memory_profile(state: str) -> float:
+def memory_profile() -> float:
     """Tracemalloc peak bytes per node: build one simulation and run
-    the warm-up window under the given state layout.  (On the fallback
-    leg the layout is recorded but ignored -- both labels profile the
-    set-based state.)"""
-    size = MEM_SMOKE_SIZE if _smoke() else MEM_PROFILE_SIZE
+    the warm-up window."""
+    size = MEM_PROFILE_SIZE
     tracemalloc.start()
     try:
-        sim = VectorBootstrapSimulation(size, seed=5, state=state)
+        sim = VectorBootstrapSimulation(size, seed=5)
         sim.run(WARMUP_CYCLES, stop_when_perfect=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -218,22 +195,17 @@ def peak_rss_bytes() -> int | None:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
-def memory_lines(per_node: dict[str, float]) -> str:
+def memory_lines(bytes_per_node: float) -> str:
     """Render the memory section of the artefact."""
-    size = MEM_SMOKE_SIZE if _smoke() else MEM_PROFILE_SIZE
-    layouts = ", ".join(
-        f"{state} {bytes_per_node / 1024:.1f} KiB/node"
-        for state, bytes_per_node in per_node.items()
-    )
     rss = peak_rss_bytes()
     rss_part = (
         f"; peak RSS {rss / 2**20:.1f} MiB" if rss is not None else ""
     )
     return (
-        f"memory: {layouts} (tracemalloc peak over build + "
-        f"{WARMUP_CYCLES} warm-up cycles at {size} nodes; ceiling "
-        f"{MAX_BYTES_PER_NODE[size] / 1024:.1f} KiB/node on the numpy "
-        f"arena leg{rss_part})"
+        f"memory: {bytes_per_node / 1024:.1f} KiB/node (tracemalloc "
+        f"peak over build + {WARMUP_CYCLES} warm-up cycles at "
+        f"{MEM_PROFILE_SIZE} nodes; ceiling "
+        f"{MAX_BYTES_PER_NODE / 1024:.1f} KiB/node{rss_part})"
     )
 
 
@@ -241,25 +213,18 @@ def memory_lines(per_node: dict[str, float]) -> str:
 def test_vector_engine_speedup(benchmark):
     rows, ratios = benchmark.pedantic(run_shootout, rounds=1, iterations=1)
 
-    floor = MIN_SPEEDUP[engine_vector.backend()]
     for size, ratio in ratios.items():
-        assert ratio >= floor, (
+        assert ratio >= MIN_SPEEDUP, (
             f"{size_label(size)}: vector engine only {ratio:.2f}x the "
-            f"reference (floor {floor}x on the "
-            f"{engine_vector.backend()} backend)"
+            f"reference (floor {MIN_SPEEDUP}x)"
         )
 
-    per_node = {
-        state: memory_profile(state) for state in ("arena", "pernode")
-    }
-    if engine_vector.backend() == "numpy":
-        size = MEM_SMOKE_SIZE if _smoke() else MEM_PROFILE_SIZE
-        ceiling = MAX_BYTES_PER_NODE[size]
-        assert per_node["arena"] <= ceiling, (
-            f"arena state costs {per_node['arena']:.0f} bytes/node at "
-            f"{size} nodes (ceiling {ceiling}); the pool-resident "
-            "layout regressed"
-        )
+    bytes_per_node = memory_profile()
+    assert bytes_per_node <= MAX_BYTES_PER_NODE, (
+        f"arena state costs {bytes_per_node:.0f} bytes/node at "
+        f"{MEM_PROFILE_SIZE} nodes (ceiling {MAX_BYTES_PER_NODE}); the "
+        "pool-resident layout regressed"
+    )
 
     text = render_table(
         [
@@ -273,9 +238,8 @@ def test_vector_engine_speedup(benchmark):
         title=(
             "engine shoot-out: vectorised-semantics engine throughput, "
             f"sustained window of {SUSTAIN_CYCLES} post-convergence "
-            f"cycles (target >= {MIN_SPEEDUP['numpy']}x on numpy; "
-            f"backend={engine_vector.backend()})"
+            f"cycles (target >= {MIN_SPEEDUP}x)"
         ),
     )
-    text = "\n".join([text, memory_lines(per_node)])
+    text = "\n".join([text, memory_lines(bytes_per_node)])
     emit("vector_engine", text, engine="reference+vector")

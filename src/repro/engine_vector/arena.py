@@ -1,13 +1,11 @@
 """Pool-resident structure-of-arrays state for the vector engine.
 
-The numpy leg originally kept one ``_ArrayState`` object per node --
-half a dozen small arrays each -- and every wave kernel re-assembled
-slabs from per-node pieces (``[state.leaf for state, _ in per_seg]``).
-Past ~2^16 nodes the engine's ceiling is exactly that object layer:
+One object per node -- half a dozen small arrays each -- would make
+every wave kernel re-assemble slabs from per-node pieces, and past
+~2^16 nodes the engine's ceiling would be exactly that object layer:
 allocator traffic for tiny arrays, pointer-chasing gathers, and a
-Python attribute hop per touched field.
-
-This module replaces the layer with one **arena** per simulation:
+Python attribute hop per touched field.  This module keeps the whole
+population in one **arena** per simulation instead:
 
 * fixed-width per-node fields (own id, leaf table + length, ranked
   cache, occupancy counts, admission windows, flags) live in
@@ -16,11 +14,11 @@ This module replaces the layer with one **arena** per simulation:
   over shared growable buffers (:class:`_VarPool`), with per-rank
   offset/length/capacity cursors; the derived known-union cache stays
   an exact-size array on the handle (it churns too fast to pool);
-* :class:`_ArenaState` is a two-word handle ``(arena, rank)`` exposing
-  the exact ``_ArrayState`` attribute surface as properties over the
-  slabs, so every transition kernel runs unchanged on either layout --
-  which is what keeps the two layouts **bit-identical** (pinned by the
-  differential suite, ``tests/test_engine_vector_arena.py``);
+* :class:`ArenaState` is a two-word handle ``(arena, rank)`` exposing
+  one node's fields as properties over the slabs, so the per-node
+  transitions (a node's start, the scalar SELECTPEER fallback, the
+  leaf reselect and the prefix admissions) read and write the slabs
+  directly;
 * :class:`SlabMeasure` recomputes convergence deficits for all dirty
   ranks in one slab scan instead of a Python loop per node, against
   perfect tables that :func:`perfect_tables` derives for the whole
@@ -32,19 +30,13 @@ compacted when a pool buffer fills, and slabs double when the
 population outgrows them -- so churn-heavy schedules keep the arena's
 footprint proportional to the live population's tables, not to the
 membership event count.
-
-numpy-only: the pure-Python fallback leg keeps its set-based state
-(there are no slabs to win without numpy).
 """
 
 from __future__ import annotations
 
-from ..engine_fast import kernels
+import numpy as _np
 
-try:  # pragma: no cover - exercised via both backend parametrisations
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from ..engine_fast import kernels
 
 __all__ = ["Arena", "ArenaState", "SlabMeasure", "perfect_tables"]
 
@@ -332,14 +324,13 @@ class Arena:
 
 
 class ArenaState:
-    """A node handle: ``_ArrayState``'s attribute surface as
-    properties over the arena slabs, so the transition kernels run
-    unchanged on either state layout.
+    """A node handle: one node's fields as properties over the arena
+    slabs.
 
     Scalar getters that feed Python ring arithmetic (``succ_max`` and
     friends) return built-in ints -- the 64-bit ring mask overflows
-    ``int64`` -- while array-valued fields return slab views, writable
-    in place exactly where the per-node layout's arrays were.
+    ``int64`` -- while array-valued fields return slab views
+    (``slot_count`` is the one the kernels write in place).
 
     The id-table views (``leaf``/``prefix_ids``/``prefix_slots``/
     ``known``) are cached between writes: every mutation routes
@@ -677,20 +668,20 @@ class SlabMeasure:
     """Convergence deficits and totals as array passes over the bound
     ranks.
 
-    The generic tracker walks every node per measurement, paying a
-    Python iteration plus a dict probe each even when the cached
-    deficit is clean.  Bound to an arena, the dirty set is just
-    ``stats_dirty[ranks] | ~def_valid[ranks]`` -- one vector op -- and
-    only the dirty ranks' deficits are recomputed, batched:
+    A per-node walk would pay a Python iteration plus a dict probe
+    per node even when its cached deficit is clean.  Bound to an
+    arena, the dirty set is just ``stats_dirty[ranks] |
+    ~def_valid[ranks]`` -- one vector op -- and only the dirty ranks'
+    deficits are recomputed, batched:
 
     * leaf deficits by a segmented sort-merge of the resident leaf
       slab against the flattened perfect-leaf table;
     * prefix deficits by occupancy lookups against the perfect slot
       demands -- or, under liveness filtering, one global
       ``bincount`` over the alive resident entries' composite
-      ``rank * n_slots + slot`` keys (numerically identical to the
-      per-node filter because occupancy equals the resident-slot
-      histogram by invariant).
+      ``rank * n_slots + slot`` keys (occupancy equals the
+      resident-slot histogram by invariant, so the filter only drops
+      dead entries).
 
     The perfect tables come from one :func:`perfect_tables` pass over
     the bound population's sorted ids on the first measurement after a

@@ -7,83 +7,27 @@ The vector engine's contract is **distributional** identity, which
 frees it to draw everything a cycle needs -- the activation
 permutation, per-exchange peer picks, message-drop coins, and
 peer-sampling index matrices -- in a handful of bulk calls against
-**one generator per simulation**:
+**one generator per simulation**: a single ``numpy.random.Generator``
+(``default_rng`` / PCG64), seeded with ``derive_seed(seed, "vector-rng")``.
 
-* the numpy leg wraps a single ``numpy.random.Generator``
-  (``default_rng`` / PCG64), seeded with
-  ``derive_seed(seed, "vector-rng")``;
-* the pure-Python fallback wraps a single ``random.Random`` under the
-  same derived seed.
-
-Both legs are deterministic per ``(seed, backend)``, but their streams
-differ from each other and from the reference engine's -- that is the
-documented trade the vector engine makes for whole-cycle batching (see
-the package docstring for what is and is not preserved).
-
-Backend selection mirrors :mod:`repro.engine_fast.kernels`:
-``REPRO_VECTOR_BACKEND`` pins the session default, and
-:func:`set_backend` is the runtime/testing hook.  Unlike the fast
-kernels there is no size threshold -- the two legs produce *different*
-(equally valid) trajectories, so the choice is per-simulation, never
-per-call.
+The stream is deterministic per seed but differs from the reference
+engine's -- that is the documented trade the vector engine makes for
+whole-cycle batching (see the package docstring for what is and is not
+preserved).
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 
-from .. import seams
+import numpy as _np
 
-try:  # pragma: no cover - exercised via both backend parametrisations
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-__all__ = [
-    "backend",
-    "set_backend",
-    "make_draw_source",
-    "NumpyDrawSource",
-    "PythonDrawSource",
-    "sample_distinct",
-]
-
-_DEFAULT_BACKEND = seams.enum("REPRO_VECTOR_BACKEND")
-if _DEFAULT_BACKEND == "numpy" and _np is None:
-    raise ImportError(
-        "REPRO_VECTOR_BACKEND=numpy but numpy is not installed"
-    )
-_backend = _DEFAULT_BACKEND
-
-
-def backend() -> str:
-    """The active vector-engine backend: ``"numpy"`` or ``"python"``."""
-    return "numpy" if _np is not None and _backend != "python" else "python"
-
-
-def set_backend(name: str) -> None:
-    """Force a backend for subsequently *constructed* simulations.
-
-    ``"auto"`` restores the session default (the
-    ``REPRO_VECTOR_BACKEND`` pin captured at import, or numpy-if-
-    available).  Running simulations keep the backend they were built
-    with -- the two legs' trajectories differ, so switching mid-run
-    would make a run neither leg's.
-    """
-    global _backend
-    if name not in ("auto", "numpy", "python"):
-        raise ValueError(f"backend must be auto|numpy|python, got {name!r}")
-    if name == "numpy" and _np is None:
-        raise ValueError("numpy backend requested but numpy is not installed")
-    _backend = _DEFAULT_BACKEND if name == "auto" else name
+__all__ = ["NumpyDrawSource", "sample_distinct"]
 
 
 class NumpyDrawSource:
     """All of a simulation's exchange randomness from one
     ``numpy.random.Generator``."""
-
-    kind = "numpy"
 
     __slots__ = ("_rng",)
 
@@ -108,52 +52,6 @@ class NumpyDrawSource:
     def float_matrix(self, rows: int, cols: int):
         """A ``rows x cols`` matrix of uniform floats in ``[0, 1)``."""
         return self._rng.random((rows, cols))
-
-
-class PythonDrawSource:
-    """The same draw surface over a single ``random.Random`` (the
-    no-numpy leg).  Deterministic per seed, but a *different* stream
-    from the numpy leg's."""
-
-    kind = "python"
-
-    __slots__ = ("_rng",)
-
-    def __init__(self, seed: int) -> None:
-        self._rng = random.Random(seed)
-
-    def shuffle(self, items: list[int]) -> None:
-        """Shuffle a Python list in place."""
-        self._rng.shuffle(items)
-
-    def floats(self, count: int) -> list[float]:
-        """*count* uniform floats in ``[0, 1)`` as a list."""
-        rand = self._rng.random
-        return [rand() for _ in range(count)]
-
-    def index_matrix(self, bound: int, rows: int, cols: int):
-        """A ``rows x cols`` list-of-lists of uniform indices below
-        *bound* (float-scaled with a clamp against the 1-ulp edge)."""
-        if rows == 0 or cols == 0 or bound == 0:
-            return [[] for _ in range(rows)]
-        rand = self._rng.random
-        last = bound - 1
-        return [
-            [min(int(rand() * bound), last) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-
-    def float_matrix(self, rows: int, cols: int):
-        """A ``rows x cols`` list-of-lists of uniform floats."""
-        rand = self._rng.random
-        return [[rand() for _ in range(cols)] for _ in range(rows)]
-
-
-def make_draw_source(seed: int):
-    """Instantiate the active backend's draw source for *seed*."""
-    if backend() == "numpy":
-        return NumpyDrawSource(seed)
-    return PythonDrawSource(seed)
 
 
 def sample_distinct(

@@ -14,10 +14,11 @@ deliberately **breaks the bit-identity contract** those two share:
   **with replacement** from the live pool (and may include the
   sender); duplicates vanish in the message union, so for ``cr << N``
   the effect is a vanishing reduction of effective fresh samples.
-* On the numpy leg, per-node state lives in sorted ``uint64`` id
-  arrays and every per-exchange operation -- message-union dedup, ring
-  ranking, balanced selection, prefix-slot capping, absorb novelty
-  scans, and convergence measurement -- is an array operation (the
+* Node state lives in one pool-resident arena of sorted ``uint64`` id
+  slabs (:mod:`repro.engine_vector.arena`), and every per-exchange
+  operation -- message-union dedup, ring ranking, balanced selection,
+  prefix-slot capping, absorb novelty scans, and convergence
+  measurement -- is an array operation over a whole wave (the
   geometry kernels are shared with :mod:`repro.engine_fast.kernels`).
 
 What is preserved -- and what the statistical-equivalence harness
@@ -29,8 +30,7 @@ and UPDATEPREFIXTABLE semantics are unchanged, and message-drop coins
 are i.i.d. per transmission.  Mean convergence curves,
 convergence-cycle summaries, and transport loss fractions match the
 reference engine within tight tolerances; individual trajectories do
-not (and per-seed results differ between the numpy leg and the
-pure-Python fallback leg, each being deterministic on its own).
+not (each seed's trajectory is deterministic on its own).
 
 Membership randomness (initial identifier draw, spawn identifiers,
 NEWSCAST view seeding) still uses the reference seed tree, so a given
@@ -43,7 +43,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .. import seams
+import numpy as _np
+
 from ..core.config import BootstrapConfig, PAPER_CONFIG
 from ..core.convergence import ConvergenceSample
 from ..core.reference import ReferenceTables
@@ -52,74 +53,14 @@ from ..engine_fast.state import FastRegistry
 from ..simulator.bootstrap_sim import SAMPLER_KINDS, SimulationResult
 from ..simulator.network import NetworkModel, RELIABLE, TransportStats
 from ..simulator.random_source import RandomSource, derive_seed
-from . import rng as vrng
 from .arena import Arena, ArenaState, SlabMeasure
-from .rng import make_draw_source, sample_distinct
-
-try:  # pragma: no cover - exercised via both backend parametrisations
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from .rng import NumpyDrawSource, sample_distinct
 
 __all__ = [
-    "ABSORB_MODES",
-    "STATE_MODES",
     "VectorBootstrapSimulation",
     "VectorConvergenceTracker",
     "VectorNewscastView",
-    "absorb_mode",
-    "state_mode",
 ]
-
-#: Absorb dispatch modes: ``batch`` drains each wave's surviving
-#: absorbs through one segmented slab pass (``absorb_wave``);
-#: ``single`` replays the per-exchange scalar path.  The two are
-#: **bit-identical** (pinned by ``tests/test_engine_vector.py``); the
-#: seam exists so the equivalence stays testable and the scalar path
-#: stays debuggable.
-ABSORB_MODES = ("batch", "single")
-
-
-def absorb_mode(override: str | None = None) -> str:
-    """Resolve the absorb dispatch mode (``REPRO_VECTOR_ABSORB``).
-
-    *override* (a constructor argument) wins over the environment;
-    unset means ``batch``.
-    """
-    mode = override
-    if mode is None:
-        mode = seams.get("REPRO_VECTOR_ABSORB") or "batch"
-    if mode not in ABSORB_MODES:
-        raise ValueError(
-            f"absorb mode must be one of {ABSORB_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-#: State layouts for the numpy leg: ``arena`` keeps the whole
-#: population in pool-resident structure-of-arrays slabs
-#: (:mod:`repro.engine_vector.arena`); ``pernode`` keeps the original
-#: per-node array objects.  The two are **bit-identical** (pinned by
-#: ``tests/test_engine_vector_arena.py``); the seam keeps the
-#: equivalence testable and the per-node layout debuggable.  The
-#: pure-Python fallback leg keeps its set state under either value.
-STATE_MODES = ("arena", "pernode")
-
-
-def state_mode(override: str | None = None) -> str:
-    """Resolve the state layout (``REPRO_VECTOR_STATE``).
-
-    *override* (a constructor argument) wins over the environment;
-    unset means ``arena``.
-    """
-    mode = override
-    if mode is None:
-        mode = seams.get("REPRO_VECTOR_STATE") or "arena"
-    if mode not in STATE_MODES:
-        raise ValueError(
-            f"state mode must be one of {STATE_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 class _Layer:
@@ -193,76 +134,9 @@ class VectorNewscastView:
         self.merge([(nid, 0.0) for nid in ids])
 
 
-# ----------------------------------------------------------------------
-# numpy leg: sorted-array node state + vectorised transitions
-# ----------------------------------------------------------------------
-
-
-class _ArrayState:
-    """One node as sorted numpy arrays.
-
-    ``leaf`` and ``prefix_ids`` are ascending uint64 id arrays (sorted
-    by *id*, which makes novelty scans a ``searchsorted``);
-    ``prefix_slots`` is parallel to ``prefix_ids`` (packed slot of each
-    entry in this node's table) and ``slot_count`` the per-slot
-    occupancy, so capacity checks and convergence measurement are pure
-    fancy indexing.  ``leaf_ranked`` caches the distance-ranked leaf
-    ids between membership changes (SELECTPEER's pick order); the
-    ``succ_*``/``pred_*`` bounds are the UPDATELEAFSET no-op filter
-    (same invariant as the fast engine's ``FastNodeState``).
-    """
-
-    __slots__ = (
-        "node_id",
-        "own_u64",
-        "leaf",
-        "leaf_ranked",
-        "leaf_full",
-        "succ_count",
-        "succ_max",
-        "pred_count",
-        "pred_max",
-        "accept_lo",
-        "accept_hi",
-        "prefix_ids",
-        "prefix_slots",
-        "slot_count",
-        "known",
-        "stats_dirty",
-        "started",
-        "dense_cache",
-    )
-
-    def __init__(self, node_id: int, n_slots: int) -> None:
-        self.node_id = node_id
-        self.own_u64 = _np.array([node_id], dtype=_np.uint64)
-        self.leaf = _np.empty(0, dtype=_np.uint64)
-        self.leaf_ranked: _np.ndarray | None = None
-        self.leaf_full = False
-        self.succ_count = 0
-        self.succ_max = -1
-        self.pred_count = 0
-        self.pred_max = -1
-        # UPDATELEAFSET admission window (valid when ``leaf_full``): a
-        # candidate can change the balanced selection iff its forward
-        # distance is below ``accept_lo`` (successor side) or above
-        # ``accept_hi`` (predecessor side).
-        self.accept_lo = _np.uint64(0)
-        self.accept_hi = _np.uint64(0)
-        self.prefix_ids = _np.empty(0, dtype=_np.uint64)
-        self.prefix_slots = _np.empty(0, dtype=_np.int64)
-        self.slot_count = _np.zeros(n_slots, dtype=_np.int64)
-        # Cached sorted union of leaf + prefix + own id (the message
-        # base); rebuilt lazily after membership changes.
-        self.known: _np.ndarray | None = None
-        # Measurement cache validity (see VectorConvergenceTracker):
-        # cleared whenever either table mutates.
-        self.stats_dirty = True
-        self.started = False
-        # Universe-dense index cache for the wave kernels, keyed per
-        # table; entries self-invalidate by object identity (every
-        # mutation rebinds the table array).
-        self.dense_cache: dict = {}
+def _as_ids(ids: list[int]):
+    """A list of identifiers as a uint64 array."""
+    return _np.fromiter(ids, dtype=_np.uint64, count=len(ids))
 
 
 def _not_in_sorted(sorted_arr, values):
@@ -287,11 +161,18 @@ def _first_occurrence(keys):
 
 
 class _NumpyOps:
-    """Array-native node transitions (the vector engine's fast leg)."""
+    """Array-native node transitions over the population's arena.
 
-    kind = "numpy"
+    A cycle runs :meth:`select_wave`, :meth:`create_wave_flat` and
+    :meth:`absorb_wave_flat` per wave, and the tracker measures through
+    :meth:`slab_measurer`.  Node handles are
+    :class:`~repro.engine_vector.arena.ArenaState` views over the
+    arena's slabs; the per-message :meth:`create_message` and the
+    scalar :meth:`absorb` stay beside the wave kernels as their test
+    oracles, never on the cycle path.
+    """
 
-    def __init__(self, config: BootstrapConfig) -> None:
+    def __init__(self, config: BootstrapConfig, capacity: int = 64) -> None:
         space = config.space
         self._mask = space.size - 1
         self._mu = _np.uint64(self._mask)
@@ -307,51 +188,48 @@ class _NumpyOps:
         self._row_of, self._shift_of = kernels.slot_tables(
             space.bits, space.digit_bits
         )
+        self._config = config
+        self.arena = Arena(self._n_slots, self._c, capacity)
 
     # -- state / pool plumbing -----------------------------------------
 
-    def new_state(self, node_id: int) -> _ArrayState:
-        return _ArrayState(node_id, self._n_slots)
+    def new_state(self, node_id: int) -> ArenaState:
+        arena = self.arena
+        return ArenaState(arena, arena.allocate(node_id), node_id)
 
-    def live_pool(self, ids: list[int]):
-        return _np.fromiter(ids, dtype=_np.uint64, count=len(ids))
+    def release_state(self, state: ArenaState) -> None:
+        """Return a killed node's rank to the arena (``kill_node``)."""
+        self.arena.release(state.rank)
 
-    def gather(self, pool, index_matrix):
-        return pool[index_matrix]
+    def slab_measurer(self, states) -> SlabMeasure:
+        """A slab-scan measurer bound to *states*, packing its own
+        perfect tables (the tracker's hook; see :class:`SlabMeasure`)."""
+        return SlabMeasure(self.arena, states, self._config)
 
-    def oracle_samples(self, pool, index_matrix, pool_dense=None):
+    def oracle_samples(self, pool, index_matrix, pool_dense):
         """Message-sample rows, batch-sorted with duplicate masks so
-        per-message union folding needs no ``np.unique``.  With
-        *pool_dense* (the live pool's universe-dense indices) the rows'
-        dense indices ride along, sorted by the same order -- the
-        dense map is strictly monotone in the id, so sorting each
+        per-message union folding needs no ``np.unique``.  The rows'
+        dense indices (gathered from *pool_dense*, the live pool's
+        universe-dense indices) ride along, sorted by the same order --
+        the dense map is strictly monotone in the id, so sorting each
         independently yields parallel arrays -- and the wave union
         needs no per-wave ``searchsorted`` against the universe."""
         rows = pool[index_matrix]
         dup = _np.zeros(rows.shape, dtype=bool)
-        dense = None if pool_dense is None else pool_dense[index_matrix]
+        dense = pool_dense[index_matrix]
         if rows.shape[1] > 1:
             rows.sort(axis=1)
             _np.equal(rows[:, 1:], rows[:, :-1], out=dup[:, 1:])
-            if dense is not None:
-                dense.sort(axis=1)
-        if dense is None:
-            return rows, dup
+            dense.sort(axis=1)
         return rows, dup, dense
 
     def msg_row(self, buf, i: int):
-        if len(buf) == 3:
-            rows, dup, dense = buf
-            return rows[i], dup[i], dense[i]
-        rows, dup = buf
-        return rows[i], dup[i]
-
-    def as_ids(self, ids: list[int]):
-        return _np.fromiter(ids, dtype=_np.uint64, count=len(ids))
+        rows, dup, dense = buf
+        return rows[i], dup[i], dense[i]
 
     # -- protocol transitions ------------------------------------------
 
-    def start_node(self, state: _ArrayState, samples) -> None:
+    def start_node(self, state: ArenaState, samples) -> None:
         """Protocol start: wipe the prefix table, seed the leaf set."""
         state.prefix_ids = _np.empty(0, dtype=_np.uint64)
         state.prefix_slots = _np.empty(0, dtype=_np.int64)
@@ -365,7 +243,7 @@ class _NumpyOps:
             self._merge_fresh(state, fresh)
         state.started = True
 
-    def select_peer(self, state: _ArrayState, u: float, fallback):
+    def select_peer(self, state: ArenaState, u: float, fallback):
         """SELECTPEER: uniform over the closest half of the ranked
         leaf set; an empty leaf set falls back to the first fresh
         sample that is not the node itself."""
@@ -390,11 +268,13 @@ class _NumpyOps:
                 return nid
         return None
 
-    def create_message(self, state: _ArrayState, peer_id: int, samples):
-        """CREATEMESSAGE over resident arrays: the cached known-id
-        union plus the novel fresh samples, then the shared close/rest
-        and prefix-cap kernels.  Returns ``(close, tail, tail_slots)``
-        arrays; the slots are the receiver's UPDATEPREFIXTABLE keys (a
+    def create_message(self, state: ArenaState, peer_id: int, samples):
+        """CREATEMESSAGE of one message -- the test oracle of
+        :meth:`create_wave_flat`, which builds every message of a wave
+        in one segmented pass.  The cached known-id union plus the
+        novel fresh samples go through the shared close/rest and
+        prefix-cap kernels.  Returns ``(ids, slots)`` arrays, close part
+        first; the slots are the receiver's UPDATEPREFIXTABLE keys (a
         message is only absorbed by the peer it was created for)."""
         union = self._union(state, samples)
         # One slot pass for the whole union: the tail's capping keys
@@ -419,10 +299,10 @@ class _NumpyOps:
             _np.concatenate((close_slots, tail_slots)),
         )
 
-    def _union(self, state: _ArrayState, samples):
-        """The CREATEMESSAGE base: the cached known union plus any
-        fresh samples (unsorted tail; uniqueness is all the kernels
-        need)."""
+    @staticmethod
+    def _known(state: ArenaState):
+        """The cached sorted ``leaf + prefix + own`` union of a node,
+        rebuilt after any table change."""
         known = state.known
         if known is None:
             known = state.known = _np.unique(
@@ -430,11 +310,18 @@ class _NumpyOps:
                     (state.leaf, state.prefix_ids, state.own_u64)
                 )
             )
+        return known
+
+    def _union(self, state: ArenaState, samples):
+        """The CREATEMESSAGE base: the cached known union plus any
+        fresh samples (unsorted tail; uniqueness is all the kernels
+        need)."""
+        known = self._known(state)
         if type(samples) is tuple:
             # Oracle leg: a pre-sorted row plus its duplicate mask
             # (both produced once per cycle for the whole batch; a
-            # third element, the dense universe indices, rides along
-            # on the numpy leg and is only used by the wave path).
+            # third element, the dense universe indices, is only used
+            # by the wave path).
             row, dup = samples[0], samples[1]
             pos = _np.minimum(
                 known.searchsorted(row), known.size - 1
@@ -455,11 +342,11 @@ class _NumpyOps:
         """Cached ``universe.searchsorted(values)`` for a node's
         slowly-changing id table.  Keyed on the identity of both the
         universe (rebuilt on membership change) and the table array
-        (rebound on every mutation -- per-node arrays by assignment,
-        arena views by the setters dropping their cached view), so a
-        stale entry can never be returned; in the converged steady
-        state every wave hits, turning the wave kernels' biggest
-        ``searchsorted`` slabs into pure gathers.  Stored as int32 --
+        (rebound on every mutation: the arena handle's setters drop
+        their cached view), so a stale entry can never be returned;
+        in the converged steady state every wave hits, turning the
+        wave kernels' biggest ``searchsorted`` slabs into pure
+        gathers.  Stored as int32 --
         dense indices are bounded by the universe size (< 2^31 at any
         reachable population), and the narrow dtype halves what is
         otherwise the largest per-node cache."""
@@ -474,49 +361,25 @@ class _NumpyOps:
         state.dense_cache[field] = (universe, values, dense)
         return dense
 
-    def _seg_columns(self, states):
-        """The wave absorb's per-segment scalar columns (own id,
-        leaf-full flag, admission window) plus the concatenated
-        occupancy slab, one entry/row per receiving state.  The arena
-        layout overrides this with pure slab gathers."""
-        own = _np.array(
-            [state.node_id for state in states], dtype=_np.uint64
-        )
-        full = _np.array(
-            [state.leaf_full for state in states], dtype=bool
-        )
-        lo = _np.array(
-            [state.accept_lo for state in states], dtype=_np.uint64
-        )
-        hi = _np.array(
-            [state.accept_hi for state in states], dtype=_np.uint64
-        )
-        occ = _np.concatenate([state.slot_count for state in states])
-        return own, full, lo, hi, occ
-
-    def _union_wave(self, jobs, universe, samples=None):
+    def _union_wave(self, jobs, universe, samples):
         """Every job's CREATEMESSAGE union in one slab pass.
 
         Returns ``(u, lens, u_dense)``: the concatenated per-job
         unions, their lengths, and the unions' dense ``universe``
-        indices (``None`` on the fallback path).  On the oracle leg
-        (equal-length pre-sorted sample rows, all ids drawn from the
-        live pool and therefore present in *universe*) the per-job
-        novelty scans collapse into a single ``searchsorted`` of the
+        indices (``None`` on the NEWSCAST leg).  On the oracle leg
+        *samples* is ``(sample_buf, row_indices)`` from
+        :meth:`create_wave_flat`: equal-length pre-sorted sample rows,
+        all ids drawn from the live pool and therefore present in
+        *universe*, gathered straight from the cycle's batch buffer
+        with their duplicate masks and dense indices.  The per-job
+        novelty scans then collapse into one membership pass of the
         wave's sample slab against the concatenated known slab, keyed
         ``segment * len(universe) + dense`` exactly like the wave
-        absorb; anything else falls back to the scalar :meth:`_union`
-        per job.  *samples* is the optional ``(sample_buf,
-        row_indices)`` fast path from :meth:`create_wave_flat`: the
-        rows (and their duplicate masks and dense indices) are
-        gathered straight from the batch buffer, skipping the
-        per-message stack of the jobs' row views -- the gathered
-        values are identical by construction.
+        absorb.  On the NEWSCAST leg (*samples* is ``None``; each job
+        carries its own sample array) the scalar :meth:`_union` folds
+        each job.
         """
-        if universe is None or (
-            samples is None
-            and any(type(s) is not tuple for _, _, s in jobs)
-        ):
+        if samples is None:
             unions = [
                 self._union(state, samples) for state, _, samples in jobs
             ]
@@ -527,41 +390,21 @@ class _NumpyOps:
         denses = []
         dense = self._dense
         for state, _, _ in jobs:
-            known = state.known
-            if known is None:
-                known = state.known = _np.unique(
-                    _np.concatenate(
-                        (state.leaf, state.prefix_ids, state.own_u64)
-                    )
-                )
-                known = state.known
+            known = self._known(state)
             knowns.append(known)
             denses.append(dense(state, "known", known, universe))
         k_lens = _np.array([k.size for k in knowns], dtype=_np.intp)
         kn = _np.concatenate(knowns)
         kn_dense = _np.concatenate(denses)
-        if samples is not None:
-            buf, row_idx = samples
-            rows = buf[0][row_idx]
-            dups = buf[1][row_idx]
-        else:
-            rows = _np.stack([s[0] for _, _, s in jobs])
-            dups = _np.stack([s[1] for _, _, s in jobs])
+        buf, row_idx = samples
+        rows = buf[0][row_idx]
+        dups = buf[1][row_idx]
         cr = rows.shape[1]
         if not cr:
             return kn, k_lens, kn_dense
         u_size = universe.size
         row_flat = rows.ravel()
-        if samples is not None and len(buf) == 3:
-            row_dense = buf[2][row_idx].reshape(-1)
-        elif samples is None and len(jobs[0][2]) == 3:
-            # The oracle buffer already carries the rows' dense
-            # indices (gathered from the live pool's, once per cycle).
-            row_dense = _np.stack(
-                [s[2] for _, _, s in jobs]
-            ).reshape(-1)
-        else:
-            row_dense = universe.searchsorted(row_flat).astype(_np.intp)
+        row_dense = buf[2][row_idx].reshape(-1)
         seg_of_kn = _np.repeat(kernels._arange(m_count), k_lens)
         seg_of_row = _np.repeat(kernels._arange(m_count), cr)
         if m_count * u_size <= (1 << 23):
@@ -607,19 +450,20 @@ class _NumpyOps:
         u_dense[f_dest] = row_dense[novel]
         return u, lens, u_dense
 
-    def create_wave_flat(self, jobs, universe=None, samples=None):
+    def create_wave_flat(self, jobs, universe, samples=None):
         """CREATEMESSAGE for a whole wave of exchanges in one
         segmented batch, returned in flat slab form.
 
         *jobs* is a list of ``(state, peer_id, samples)`` message
-        specifications; the result is ``(ids_flat, slots_flat,
-        dense_flat, bounds)`` -- message ``m`` of the wave is rows
-        ``bounds[m]:bounds[m + 1]`` of each slab (``dense_flat`` is
-        ``None`` off the oracle leg).  *samples*, when given, is
-        ``(sample_buf, row_indices)`` -- the cycle's batch sample
+        specifications and *universe* the sorted id universe (see
+        :meth:`absorb_wave_flat`); the result is ``(ids_flat,
+        slots_flat, dense_flat, bounds)`` -- message ``m`` of the wave
+        is rows ``bounds[m]:bounds[m + 1]`` of each slab (``dense_flat``
+        is ``None`` on the NEWSCAST leg).  On the oracle leg *samples*
+        is ``(sample_buf, row_indices)`` -- the cycle's batch sample
         buffer plus each job's row in it -- letting the union gather
-        the wave's sample rows in three fancy-index ops instead of
-        re-stacking the jobs' per-message views.  All messages are built from
+        the wave's sample rows in three fancy-index ops; the jobs'
+        own sample entries are then unused.  All messages are built from
         wave-start state (the cycle loop applies the wave's absorbs
         afterwards), which is the vector engine's scheduling
         relaxation: a message cannot see updates applied earlier
@@ -762,32 +606,11 @@ class _NumpyOps:
         dense_flat[t_dest] = tail_dense
         return ids_flat, slots_flat, dense_flat, bounds
 
-    def create_wave(self, jobs, universe=None):
-        """Per-message view of :meth:`create_wave_flat`: the same
-        construction, sliced into one ``(ids, slots[, dense])`` tuple
-        per job for the scalar absorb paths and per-message
-        comparisons."""
-        ids_flat, slots_flat, dense_flat, bounds = self.create_wave_flat(
-            jobs, universe
-        )
-        bl = bounds.tolist()
-        if dense_flat is None:
-            return [
-                (ids_flat[bl[m]:bl[m + 1]], slots_flat[bl[m]:bl[m + 1]])
-                for m in range(len(jobs))
-            ]
-        return [
-            (
-                ids_flat[bl[m]:bl[m + 1]],
-                slots_flat[bl[m]:bl[m + 1]],
-                dense_flat[bl[m]:bl[m + 1]],
-            )
-            for m in range(len(jobs))
-        ]
-
-    def absorb(self, state: _ArrayState, message, sender_id: int) -> None:
-        """UPDATELEAFSET + UPDATEPREFIXTABLE of one message, all in
-        array ops: novelty via ``searchsorted`` on the sorted resident
+    def absorb(self, state: ArenaState, message, sender_id: int) -> None:
+        """UPDATELEAFSET + UPDATEPREFIXTABLE of one message -- the test
+        oracle of :meth:`absorb_wave_flat`, which must equal this
+        replayed per surviving absorb in arrival order.  All in array
+        ops: novelty via ``searchsorted`` on the sorted resident
         arrays, slot capping via a stable grouped rank against current
         occupancy (first-come in message order, exactly the reference's
         sequential fill), then one balanced reselect when a novel id
@@ -835,164 +658,17 @@ class _NumpyOps:
                     self._merge_fresh(state, fresh)
         self._absorb_single(state, sender_id)
 
-    def absorb_wave(self, jobs, universe) -> None:
-        """One wave's surviving absorbs as a segmented slab pass.
-
-        *jobs* is the arrival-ordered list of ``(state, message,
-        sender_id)`` absorbs of one wave; *universe* is the sorted
-        uint64 array of **every identifier ever admitted** to the
-        network (dead ids stay: they persist in tables and messages).
-        The wave's candidates are laid out as one contiguous id slab
-        with per-segment offset/length arrays -- a segment is one
-        receiving node, its messages kept in arrival order -- and the
-        per-exchange novelty/dedup/cap scans become whole-wave kernel
-        calls:
-
-        * every id maps to its dense ``universe`` index, so the
-          composite key ``segment * len(universe) + dense`` makes the
-          concatenated (per-node sorted) resident tables a *globally*
-          sorted slab -- novelty for the whole wave is a single
-          ``searchsorted``, not one per message;
-        * first-occurrence dedup per ``(segment, id)`` via one
-          ``lexsort`` reproduces the sequential scan exactly: a
-          repeated id is always a no-op on the scalar path (admitted
-          ids are resident, rejected ids face the same full slot);
-        * slot capping is the same stable grouped rank as the scalar
-          fill, keyed by ``segment * n_slots + slot`` against a
-          concatenated occupancy slab, so first-come order within a
-          receiver is preserved across its messages;
-        * UPDATELEAFSET applies the wave-start admission windows and
-          folds each segment's surviving candidates through one
-          balanced reselect.  This is bit-identical to the sequential
-          merges because balanced selection is an associative fold:
-          take-counts are monotone in the candidate set, so an id a
-          sequential intermediate window would have dropped is dropped
-          by the final reselect too (and ids the stale wave-start
-          window over-admits are exactly those, see ``_ArrayState``).
-
-        The result is bit-identical to replaying ``absorb`` per job
-        (the ``single`` mode; pinned by the engine test suite).
-        """
-        if not jobs:
-            return
-        # Group jobs by receiver, first-appearance segment order;
-        # each receiver's messages stay in wave order.
-        seg_of: dict[int, int] = {}
-        per_seg: list[tuple[_ArrayState, list[tuple]]] = []
-        for state, message, sender in jobs:
-            s = seg_of.get(id(state))
-            if s is None:
-                s = seg_of[id(state)] = len(per_seg)
-                per_seg.append((state, []))
-            per_seg[s][1].append((message, sender))
-        n_seg = len(per_seg)
-        # Envelope senders join the candidate stream after their
-        # message's payload; their slots are one batched mixed-origin
-        # kernel call (the scalar path computes them one at a time).
-        sender_ids: list[int] = []
-        sender_owner: list[int] = []
-        for state, msgs in per_seg:
-            own = state.node_id
-            for _, sender in msgs:
-                if sender != own:
-                    sender_ids.append(sender)
-                    sender_owner.append(own)
-        s_ids = _np.array(sender_ids, dtype=_np.uint64)
-        s_slots = kernels.prefix_slots_arrays(
-            s_ids,
-            _np.array(sender_owner, dtype=_np.uint64),
-            self._bits,
-            self._digit_bits,
-            self._base_mask,
-        )
-        s_dense = universe.searchsorted(s_ids).astype(_np.intp)
-        id_pieces: list[_np.ndarray] = []
-        slot_pieces: list[_np.ndarray] = []
-        dense_pieces: list[_np.ndarray] = []
-        has_dense = True
-        seg_len = _np.zeros(n_seg, dtype=_np.intp)
-        si = 0
-        for s, (state, msgs) in enumerate(per_seg):
-            own = state.node_id
-            total = 0
-            for msg, sender in msgs:
-                ids = msg[0]
-                id_pieces.append(ids)
-                slot_pieces.append(msg[1])
-                if len(msg) == 3:
-                    dense_pieces.append(msg[2])
-                else:
-                    has_dense = False
-                total += ids.size
-                if sender != own:
-                    id_pieces.append(s_ids[si:si + 1])
-                    slot_pieces.append(s_slots[si:si + 1])
-                    dense_pieces.append(s_dense[si:si + 1])
-                    si += 1
-                    total += 1
-            seg_len[s] = total
-        cand_ids = _np.concatenate(id_pieces)
-        m = cand_ids.size
-        if not m:
-            return
-        cand_slots = _np.concatenate(slot_pieces)
-        cand_seg = _np.repeat(kernels._arange(n_seg), seg_len)
-        # Messages from the batched create carry their ids' dense
-        # indices; then the candidate slab needs no universe search
-        # (only the handful of envelope senders were looked up above).
-        if has_dense:
-            cand_dense = _np.concatenate(dense_pieces)
-        else:
-            cand_dense = universe.searchsorted(cand_ids).astype(_np.intp)
-        self._absorb_candidates(
-            per_seg, cand_ids, cand_slots, cand_dense, cand_seg, universe
-        )
-
-    def _resident_keys(self, per_seg, universe, u_size):
-        """Concatenated ``segment * u_size + dense`` keys of every
-        receiver's resident prefix ids -- sorted, because each table
-        is sorted and segments concatenate in order -- or ``None``
-        when no receiver has any.  The arena layout overrides this
-        (and :meth:`_leaf_keys`) with ragged slab gathers over
-        pool-resident dense caches: no per-segment Python at all."""
-        dense = self._dense
-        pieces = [state.prefix_ids for state, _ in per_seg]
-        lens = _np.array([p.size for p in pieces], dtype=_np.intp)
-        if not int(lens.sum()):
-            return None
-        return _np.repeat(
-            kernels._arange(len(per_seg)), lens
-        ) * u_size + _np.concatenate(
-            [
-                dense(state, "prefix", p, universe)
-                for (state, _), p in zip(per_seg, pieces)
-            ]
-        )
-
-    def _leaf_keys(self, per_seg, universe, u_size):
-        """Concatenated composite keys of every receiver's leaf set
-        (see :meth:`_resident_keys`), or ``None`` when all empty."""
-        dense = self._dense
-        pieces = [state.leaf for state, _ in per_seg]
-        lens = _np.array([p.size for p in pieces], dtype=_np.intp)
-        if not int(lens.sum()):
-            return None
-        return _np.repeat(
-            kernels._arange(len(per_seg)), lens
-        ) * u_size + _np.concatenate(
-            [
-                dense(state, "leaf", p, universe)
-                for (state, _), p in zip(per_seg, pieces)
-            ]
-        )
-
     def _absorb_candidates(
-        self, per_seg, cand_ids, cand_slots, cand_dense, cand_seg, universe
+        self, states, cand_ids, cand_slots, cand_dense, cand_seg, universe
     ) -> None:
-        """The shared core of the wave absorb: gate, dedup, cap and
-        apply one assembled candidate slab (see :meth:`absorb_wave`
-        for the semantics argument)."""
-        n_seg = len(per_seg)
+        """The core of the wave absorb: gate, dedup, cap and apply one
+        assembled candidate slab (see :meth:`absorb_wave_flat` for the
+        semantics argument).  *states* are the receivers, one per
+        segment."""
+        n_seg = len(states)
+        ranks = _np.fromiter(
+            (state.rank for state in states), dtype=_np.intp, count=n_seg
+        )
         u_size = universe.size
         ckey = cand_seg * u_size + cand_dense
         if n_seg * u_size <= 0x7FFFFFFF:
@@ -1007,7 +683,7 @@ class _NumpyOps:
         # no-op" shows up here as: only the first copy survives the
         # subset dedup, and every copy carries the same verdict).
         own_arr, full_arr, lo_arr, hi_arr, occ_slab = self._seg_columns(
-            [state for state, _ in per_seg]
+            ranks
         )
         # UPDATEPREFIXTABLE: the cheap occupancy gate first (a gather
         # and a compare); dedup, novelty against the resident slab and
@@ -1021,7 +697,7 @@ class _NumpyOps:
             o_idx = _np.nonzero(open_mask)[0]
             o_idx = o_idx[_first_occurrence(ckey[o_idx])]
             o_key = ckey[o_idx]
-            res_key = self._resident_keys(per_seg, universe, u_size)
+            res_key = self._resident_keys(ranks, universe, u_size)
             if res_key is not None:
                 pos = _np.minimum(
                     res_key.searchsorted(o_key), res_key.size - 1
@@ -1054,7 +730,7 @@ class _NumpyOps:
                 for s in segs.tolist():
                     lo, hi = bounds[s], bounds[s + 1]
                     self._apply_admitted(
-                        per_seg[s][0], a_ids[lo:hi], a_slots[lo:hi]
+                        states[s], a_ids[lo:hi], a_slots[lo:hi]
                     )
         # UPDATELEAFSET: the wave-start admission windows gate first,
         # then dedup + one leaf-slab novelty scan over the gated
@@ -1067,7 +743,7 @@ class _NumpyOps:
             return
         l_idx = _np.nonzero(leaf_cand)[0]
         l_idx = l_idx[_first_occurrence(ckey[l_idx])]
-        lf_key = self._leaf_keys(per_seg, universe, u_size)
+        lf_key = self._leaf_keys(ranks, universe, u_size)
         if lf_key is not None:
             q = ckey[l_idx]
             pos = _np.minimum(
@@ -1084,19 +760,51 @@ class _NumpyOps:
         f_ids = cand_ids[f_idx]
         for s in fsegs.tolist():
             lo, hi = fbounds[s], fbounds[s + 1]
-            self._merge_fresh(per_seg[s][0], f_ids[lo:hi])
+            self._merge_fresh(states[s], f_ids[lo:hi])
 
     def absorb_wave_flat(self, wave, specs, universe) -> None:
-        """:meth:`absorb_wave` fed straight from the flat wave slabs.
+        """One wave's surviving absorbs as a segmented slab pass.
 
         *wave* is :meth:`create_wave_flat`'s return value; *specs* is
         the arrival-ordered list of surviving ``(state, message_index,
-        sender_id)`` absorbs.  Semantics are exactly
-        :meth:`absorb_wave` over the equivalent sliced messages -- the
-        candidate slab is simply assembled by one vectorised gather
-        through the message bounds (payload rows, then the envelope
-        sender row after each message that has one) instead of
-        per-message tuple views and re-concatenation.
+        sender_id)`` absorbs; *universe* is the sorted uint64 array of
+        **every identifier ever admitted** to the network (dead ids
+        stay: they persist in tables and messages).  One vectorised
+        gather through the message bounds assembles the candidate slab
+        (payload rows, then the envelope sender row after each message
+        that has one).
+
+        The wave's candidates are laid out as one contiguous id slab
+        with per-segment offset/length arrays -- a segment is one
+        receiving node, its messages kept in arrival order -- and the
+        per-exchange novelty/dedup/cap scans become whole-wave kernel
+        calls:
+
+        * every id maps to its dense ``universe`` index, so the
+          composite key ``segment * len(universe) + dense`` makes the
+          concatenated (per-node sorted) resident tables a *globally*
+          sorted slab -- novelty for the whole wave is a single
+          ``searchsorted``, not one per message;
+        * first-occurrence dedup per ``(segment, id)`` via one
+          ``lexsort`` reproduces the sequential scan exactly: a
+          repeated id is always a no-op on the scalar path (admitted
+          ids are resident, rejected ids face the same full slot);
+        * slot capping is the same stable grouped rank as the scalar
+          fill, keyed by ``segment * n_slots + slot`` against a
+          concatenated occupancy slab, so first-come order within a
+          receiver is preserved across its messages;
+        * UPDATELEAFSET applies the wave-start admission windows and
+          folds each segment's surviving candidates through one
+          balanced reselect.  This is bit-identical to the sequential
+          merges because balanced selection is an associative fold:
+          take-counts are monotone in the candidate set, so an id a
+          sequential intermediate window would have dropped is dropped
+          by the final reselect too (and ids the stale wave-start
+          window over-admits are exactly those, see :meth:`_set_leaf`).
+
+        The result is bit-identical to replaying the scalar
+        :meth:`absorb` per spec in arrival order (pinned by the engine
+        test suite).
         """
         if not specs:
             return
@@ -1104,25 +812,24 @@ class _NumpyOps:
         # Group by receiver, first-appearance segment order; each
         # receiver's messages stay in wave order.
         seg_of: dict[int, int] = {}
-        per_seg: list[tuple[_ArrayState, None]] = []
+        states: list[ArenaState] = []
         seg_msgs: list[list[tuple[int, int]]] = []
         for state, mi_, sender in specs:
             s = seg_of.get(id(state))
             if s is None:
-                s = seg_of[id(state)] = len(per_seg)
-                per_seg.append((state, None))
+                s = seg_of[id(state)] = len(states)
+                states.append(state)
                 seg_msgs.append([])
             seg_msgs[s].append(
                 (mi_, sender if sender != state.node_id else -1)
             )
-        n_seg = len(per_seg)
         mi_list: list[int] = []
         aseg: list[int] = []
         sender_ids: list[int] = []
         sender_owner: list[int] = []
         has_s: list[bool] = []
         for s, msgs in enumerate(seg_msgs):
-            own = per_seg[s][0].node_id
+            own = states[s].node_id
             for mi_, sender in msgs:
                 mi_list.append(mi_)
                 aseg.append(s)
@@ -1169,12 +876,13 @@ class _NumpyOps:
             cand_dense = universe.searchsorted(cand_ids).astype(_np.intp)
         cand_seg = _np.repeat(_np.array(aseg, dtype=_np.intp), plen)
         self._absorb_candidates(
-            per_seg, cand_ids, cand_slots, cand_dense, cand_seg, universe
+            states, cand_ids, cand_slots, cand_dense, cand_seg, universe
         )
 
-    def _fill_slots(self, state: _ArrayState, nids, nslots) -> None:
+    def _fill_slots(self, state: ArenaState, nids, nslots) -> None:
         """Admit novel ids into the prefix table, first-come per slot
-        up to ``k``, honouring existing occupancy."""
+        up to ``k``, honouring existing occupancy (the scalar
+        :meth:`absorb` oracle's prefix fill)."""
         order = _np.argsort(nslots, kind="stable")
         ss = nslots[order]
         m = ss.size
@@ -1189,7 +897,7 @@ class _NumpyOps:
         kept = order[keep_sorted]
         self._apply_admitted(state, nids[kept], nslots[kept])
 
-    def _apply_admitted(self, state: _ArrayState, kids, kslots) -> None:
+    def _apply_admitted(self, state: ArenaState, kids, kslots) -> None:
         """Install already-capped admissions into the resident arrays
         (shared by the scalar fill and the segmented wave absorb)."""
         _np.add.at(state.slot_count, kslots, 1)
@@ -1219,7 +927,7 @@ class _NumpyOps:
                     known, known.searchsorted(sub), sub
                 )
 
-    def _merge_fresh(self, state: _ArrayState, fresh) -> None:
+    def _merge_fresh(self, state: ArenaState, fresh) -> None:
         """Reselect the leaf membership after novel candidates."""
         candidates = _np.concatenate((state.leaf, fresh))
         if candidates.size <= self._c:
@@ -1238,7 +946,7 @@ class _NumpyOps:
                 ),
             )
 
-    def _set_leaf(self, state: _ArrayState, arr) -> None:
+    def _set_leaf(self, state: ArenaState, arr) -> None:
         if arr.size == state.leaf.size and _np.array_equal(arr, state.leaf):
             # The balanced reselect rejected every candidate: nothing
             # changed, so the ranked/known caches and the tracker's
@@ -1260,7 +968,7 @@ class _NumpyOps:
             state.pred_max = -1
         state.leaf_full = arr.size >= self._c
         if state.leaf_full:
-            # Admission window (see _ArrayState): a short side accepts
+            # Admission window: a short side accepts
             # its whole half-ring, a full side only below/above its
             # worst kept distance.
             if state.succ_count < self._half_c:
@@ -1276,8 +984,10 @@ class _NumpyOps:
                     self._mask - state.pred_max + 1
                 )
 
-    def _absorb_single(self, state: _ArrayState, nid: int) -> None:
-        """Scalar absorb of one id (the envelope sender)."""
+    def _absorb_single(self, state: ArenaState, nid: int) -> None:
+        """Scalar absorb of one id, the envelope sender (part of the
+        scalar :meth:`absorb` oracle; the wave absorb appends senders
+        to its candidate slab instead)."""
         own = state.node_id
         if nid == own:
             return
@@ -1310,99 +1020,13 @@ class _NumpyOps:
         if lpos == leaf.size or int(leaf[lpos]) != nid:
             self._merge_fresh(state, _np.array([nid], dtype=_np.uint64))
 
-    # -- convergence measurement ---------------------------------------
+    # -- wave-absorb slab gathers -----------------------------------------
 
-    def live_view(self, ids: Sequence[int]):
-        return _np.fromiter(ids, dtype=_np.uint64, count=len(ids))
-
-    def pack_perfect(self, reference: ReferenceTables, node_id: int):
-        """Cacheable per-node perfect-table arrays."""
-        leaf = _np.fromiter(
-            sorted(reference.perfect_leaf_ids(node_id)), dtype=_np.uint64
-        )
-        items = reference.perfect_prefix_counts(node_id).items()
-        db = self._digit_bits
-        pslots = _np.array(
-            [(row << db) | col for (row, col), _ in items], dtype=_np.int64
-        )
-        needed = _np.array([need for _, need in items], dtype=_np.int64)
-        return leaf, pslots, needed
-
-    def node_missing(
-        self, state: _ArrayState, packed, live, check_live: bool
-    ) -> tuple[int, int]:
-        """(missing leaf entries, missing prefix entries) of one node.
-
-        Perfect ids are live by construction, so dead leaf entries
-        never match and need no explicit filtering; prefix occupancy
-        is live-filtered only when the run has ever killed a node.
-        """
-        perfect_leaf, pslots, needed = packed
-        missing_leaf = perfect_leaf.size
-        if state.leaf.size and missing_leaf:
-            pos = _np.searchsorted(state.leaf, perfect_leaf)
-            present = (
-                state.leaf[_np.minimum(pos, state.leaf.size - 1)]
-                == perfect_leaf
-            )
-            missing_leaf -= int(present.sum())
-        if not pslots.size:
-            return missing_leaf, 0
-        have = None
-        if check_live and state.prefix_ids.size:
-            alive = ~_not_in_sorted(live, state.prefix_ids)
-            if not alive.all():
-                counts = _np.bincount(
-                    state.prefix_slots[alive], minlength=self._n_slots
-                )
-                have = counts[pslots]
-        if have is None:
-            have = state.slot_count[pslots]
-        missing_prefix = int(_np.maximum(needed - have, 0).sum())
-        return missing_leaf, missing_prefix
-
-
-class _ArenaOps(_NumpyOps):
-    """The numpy transitions bound to pool-resident arena state.
-
-    Every protocol kernel is inherited unchanged --
-    :class:`~repro.engine_vector.arena.ArenaState` exposes the exact
-    ``_ArrayState`` attribute surface as properties over the slabs --
-    which is what makes the two layouts bit-identical by construction.
-    What the arena layout adds is the batched plumbing the per-node
-    layout cannot offer: rank allocation and recycling, whole-chunk
-    peer selection (:meth:`select_wave`), and the slab-scan
-    convergence measurer (:meth:`slab_measurer`).
-    """
-
-    def __init__(self, config: BootstrapConfig, capacity: int = 64) -> None:
-        super().__init__(config)
-        self._config = config
-        self.arena = Arena(self._n_slots, self._c, capacity)
-
-    def new_state(self, node_id: int) -> ArenaState:
-        arena = self.arena
-        return ArenaState(arena, arena.allocate(node_id), node_id)
-
-    def release_state(self, state: ArenaState) -> None:
-        """Return a killed node's rank (the cycle driver's hook)."""
-        self.arena.release(state.rank)
-
-    def slab_measurer(self, states) -> SlabMeasure:
-        """A slab-scan measurer bound to *states*, packing its own
-        perfect tables (the tracker's hook; see :class:`SlabMeasure`)."""
-        return SlabMeasure(self.arena, states, self._config)
-
-    def _seg_columns(self, states):
-        """The wave absorb's per-segment columns as slab gathers: one
-        fancy index per column instead of a Python listcomp each, and
-        the occupancy slab as a single 2-D row gather."""
+    def _seg_columns(self, ranks):
+        """The wave absorb's per-segment columns (own id, leaf-full
+        flag, admission window) as one fancy index each, plus the
+        receivers' occupancy rows as one flat slab."""
         a = self.arena
-        ranks = _np.fromiter(
-            (state.rank for state in states),
-            dtype=_np.intp,
-            count=len(states),
-        )
         return (
             a.node_ids[ranks],
             a.leaf_full[ranks],
@@ -1414,30 +1038,25 @@ class _ArenaOps(_NumpyOps):
     def _sync_dense_universe(self, universe) -> None:
         """Invalidate every pooled dense-index cache when the
         membership universe was rebuilt (identity-keyed exactly like
-        :meth:`_NumpyOps._dense`; holding the reference also keeps the
-        old object alive, so its id cannot be recycled)."""
+        :meth:`_dense`; holding the reference also keeps the old object
+        alive, so its id cannot be recycled)."""
         a = self.arena
         if a.dense_universe is not universe:
             a.p_dense_valid[:] = False
             a.leaf_dense_valid[:] = False
             a.dense_universe = universe
 
-    def _resident_keys(self, per_seg, universe, u_size):
-        """Composite resident-prefix keys as one ragged pool gather.
+    def _resident_keys(self, ranks, universe, u_size):
+        """Concatenated ``segment * u_size + dense`` keys of every
+        receiver's resident prefix ids -- sorted, because each table
+        is sorted and segments concatenate in order -- or ``None``
+        when no receiver has any.
 
-        The base implementation walks the receivers in Python -- a
-        view plus a dense-cache probe per segment, the absorb's
-        biggest remaining scalar tax at 2^14+ nodes.  Here each rank's
-        dense indices live in a pool mirroring ``p_ids`` (refreshed in
-        one batched ``searchsorted`` over just the stale ranks), so
-        the steady-state path is a ``segment_take`` and an add over
-        values identical to the base path's."""
+        One ragged pool gather: each rank's dense indices live in a
+        pool mirroring ``p_ids``, refreshed in one batched
+        ``searchsorted`` over just the stale ranks, so the steady-state
+        path is a ``segment_take`` and an add."""
         a = self.arena
-        ranks = _np.fromiter(
-            (state.rank for state, _ in per_seg),
-            dtype=_np.intp,
-            count=len(per_seg),
-        )
         pool = a.p_ids
         lens = pool.len[ranks]
         if not int(lens.sum()):
@@ -1463,16 +1082,11 @@ class _ArenaOps(_NumpyOps):
             kernels._arange(ranks.size), lens
         ) * u_size + dense
 
-    def _leaf_keys(self, per_seg, universe, u_size):
+    def _leaf_keys(self, ranks, universe, u_size):
         """Composite leaf keys via the fixed-width ``leaf_dense`` slab
         (see :meth:`_resident_keys`; the stale-rank refresh scatters
         straight into the slab rows)."""
         a = self.arena
-        ranks = _np.fromiter(
-            (state.rank for state, _ in per_seg),
-            dtype=_np.intp,
-            count=len(per_seg),
-        )
         lens = a.leaf_len[ranks]
         total = int(lens.sum())
         if not total:
@@ -1535,7 +1149,7 @@ class _ArenaOps(_NumpyOps):
         path decides, ``None`` where the scalar path must (a missing
         or unstarted node, or an empty leaf set falling back to the
         fresh samples).  Each pick is bit-identical to
-        :meth:`_NumpyOps.select_peer` on the same pre-drawn uniform:
+        :meth:`select_peer` on the same pre-drawn uniform:
         the ranking keys match and ``floor(u * half)`` is the same
         IEEE product either way.
         """
@@ -1567,315 +1181,6 @@ class _ArenaOps(_NumpyOps):
 
 
 # ----------------------------------------------------------------------
-# pure-Python leg: set/dict node state over the shared list kernels
-# ----------------------------------------------------------------------
-
-
-class _SetState:
-    """One node as plain sets and dicts (the no-numpy leg's state;
-    same layout as the fast engine's ``FastNodeState`` minus the
-    per-node RNG plumbing the vector engine replaces)."""
-
-    __slots__ = (
-        "node_id",
-        "leaf_members",
-        "leaf_sorted",
-        "leaf_full",
-        "succ_count",
-        "succ_max",
-        "pred_count",
-        "pred_max",
-        "prefix_slots",
-        "prefix_ids",
-        "stats_dirty",
-        "started",
-    )
-
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-        self.leaf_members: set = set()
-        self.leaf_sorted: list[int] | None = None
-        self.leaf_full = False
-        self.succ_count = 0
-        self.succ_max = -1
-        self.pred_count = 0
-        self.pred_max = -1
-        self.prefix_slots: dict[int, list[int]] = {}
-        self.prefix_ids: set = set()
-        # Set when either table actually mutates (prefix admission or
-        # leaf membership change), cleared by the tracker when it
-        # recomputes this node's deficit; see the tracker cache.
-        self.stats_dirty = True
-        self.started = False
-
-
-class _PythonOps:
-    """The same transitions over set state and the list kernels
-    (which fall back to pure Python when numpy is absent).  Mirrors
-    the fast engine's per-exchange logic with the per-call RNG
-    replaced by pre-drawn samples."""
-
-    kind = "python"
-
-    def __init__(self, config: BootstrapConfig) -> None:
-        space = config.space
-        self._mask = space.size - 1
-        self._half_ring = space.half
-        self._bits = space.bits
-        self._digit_bits = space.digit_bits
-        self._base_mask = space.digit_base - 1
-        self._k = config.entries_per_slot
-        self._c = config.leaf_set_size
-        self._half_c = config.half_leaf_set
-        self._slot_tables = kernels.slot_tables(space.bits, space.digit_bits)
-        self._row_of, self._shift_of = self._slot_tables
-
-    # -- state / pool plumbing -----------------------------------------
-
-    def new_state(self, node_id: int) -> _SetState:
-        return _SetState(node_id)
-
-    def live_pool(self, ids: list[int]) -> list[int]:
-        return ids
-
-    def gather(self, pool: list[int], index_matrix):
-        return [[pool[i] for i in row] for row in index_matrix]
-
-    def oracle_samples(self, pool: list[int], index_matrix, pool_dense=None):
-        return self.gather(pool, index_matrix)
-
-    def msg_row(self, buf, i: int):
-        return buf[i]
-
-    def as_ids(self, ids: list[int]) -> list[int]:
-        return ids
-
-    # -- protocol transitions ------------------------------------------
-
-    def start_node(self, state: _SetState, samples: list[int]) -> None:
-        state.prefix_slots.clear()
-        state.prefix_ids.clear()
-        state.stats_dirty = True
-        own = state.node_id
-        members = state.leaf_members
-        # dict.fromkeys, not set(): dedup that preserves sample order,
-        # so the merge sees a hash-seed-independent sequence.
-        fresh = [
-            nid
-            for nid in dict.fromkeys(samples)
-            if nid != own and nid not in members
-        ]
-        if fresh:
-            self._merge_fresh(state, fresh)
-        state.started = True
-
-    def select_peer(self, state: _SetState, u: float, fallback):
-        ranked = state.leaf_sorted
-        if ranked is None:
-            ranked = state.leaf_sorted = kernels.rank_ids(
-                list(state.leaf_members), state.node_id, self._mask
-            )
-        if ranked:
-            half = (len(ranked) + 1) // 2
-            return ranked[min(int(u * half), half - 1)]
-        own = state.node_id
-        for nid in fallback:
-            if nid != own:
-                return nid
-        return None
-
-    def create_message(self, state: _SetState, peer_id: int, samples):
-        union = set(state.prefix_ids)
-        union |= state.leaf_members
-        union.update(samples)
-        union.add(state.node_id)
-        union.discard(peer_id)
-        close, rest = kernels.close_and_rest(
-            union, peer_id, self._mask, self._half_ring, self._half_c
-        )
-        tail, tail_slots = kernels.prefix_part(
-            rest,
-            peer_id,
-            self._bits,
-            self._digit_bits,
-            self._base_mask,
-            self._k,
-            self._slot_tables,
-        )
-        return close, tail, tail_slots
-
-    def create_wave(self, jobs, universe=None):
-        """Wave creation on the fallback leg: the same wave-start-state
-        scheduling semantics as the numpy leg, built message by
-        message (there is nothing to batch without numpy; *universe*
-        is the numpy leg's dense id map and is unused here)."""
-        return [
-            self.create_message(state, peer_id, samples)
-            for state, peer_id, samples in jobs
-        ]
-
-    def absorb_wave(self, jobs, universe=None) -> None:
-        """Wave absorb on the fallback leg: the scalar path per job
-        (there is nothing to batch without numpy; *universe* is the
-        numpy leg's dense id map and is unused here)."""
-        for state, message, sender in jobs:
-            self.absorb(state, message, sender)
-
-    def absorb(self, state: _SetState, message, sender_id: int) -> None:
-        close, tail, tail_slots = message
-        own = state.node_id
-        members = state.leaf_members
-        prefix_ids = state.prefix_ids
-        table = state.prefix_slots
-        digit_bits = self._digit_bits
-        base_mask = self._base_mask
-        row_of = self._row_of
-        shift_of = self._shift_of
-        k = self._k
-        fresh: list[int] = []
-        effective = not state.leaf_full
-        resident_before = len(prefix_ids)
-
-        def scan_unslotted(ids) -> None:
-            nonlocal effective
-            for nid in ids:
-                if nid not in prefix_ids:
-                    row = row_of[(own ^ nid).bit_length()]
-                    slot = (row << digit_bits) | (
-                        (nid >> shift_of[row]) & base_mask
-                    )
-                    held = table.get(slot)
-                    if held is None:
-                        table[slot] = [nid]
-                        prefix_ids.add(nid)
-                    elif len(held) < k:
-                        held.append(nid)
-                        prefix_ids.add(nid)
-                if nid not in members:
-                    fresh.append(nid)
-                    if not effective:
-                        effective = self._can_affect_leaf(state, nid)
-
-        scan_unslotted(close)
-        for nid, slot in zip(tail, tail_slots, strict=True):
-            if nid not in prefix_ids:
-                held = table.get(slot)
-                if held is None:
-                    table[slot] = [nid]
-                    prefix_ids.add(nid)
-                elif len(held) < k:
-                    held.append(nid)
-                    prefix_ids.add(nid)
-            if nid not in members:
-                fresh.append(nid)
-                if not effective:
-                    effective = self._can_affect_leaf(state, nid)
-        if sender_id != own:
-            scan_unslotted((sender_id,))
-        if len(prefix_ids) != resident_before:
-            # Admissions only ever add, so a length change is exactly
-            # "the table mutated" -- the tracker's cached deficit for
-            # this node is stale.  Leaf changes dirty via _set_leaf.
-            state.stats_dirty = True
-        if fresh and effective:
-            self._merge_fresh(state, fresh)
-
-    def _can_affect_leaf(self, state: _SetState, nid: int) -> bool:
-        fw = (nid - state.node_id) & self._mask
-        if fw <= self._half_ring:
-            return state.succ_count < self._half_c or fw < state.succ_max
-        return (
-            state.pred_count < self._half_c
-            or self._mask + 1 - fw < state.pred_max
-        )
-
-    def _merge_fresh(self, state: _SetState, fresh: list[int]) -> None:
-        candidates = state.leaf_members | set(fresh)
-        if len(candidates) <= self._c:
-            self._set_leaf(state, candidates)
-        else:
-            self._set_leaf(
-                state,
-                kernels.select_balanced(
-                    candidates,
-                    state.node_id,
-                    self._mask,
-                    self._half_ring,
-                    self._half_c,
-                ),
-            )
-
-    def _set_leaf(self, state: _SetState, members: set) -> None:
-        if members == state.leaf_members:
-            # Reselect kept the same membership: caches and the
-            # tracker's cached deficit stay valid.
-            return
-        state.leaf_members = members
-        state.leaf_sorted = None
-        state.stats_dirty = True
-        own = state.node_id
-        mask = self._mask
-        half_ring = self._half_ring
-        succ_count = pred_count = 0
-        succ_max = pred_max = -1
-        for nid in members:
-            fw = (nid - own) & mask
-            if fw <= half_ring:
-                succ_count += 1
-                if fw > succ_max:
-                    succ_max = fw
-            else:
-                bw = mask + 1 - fw
-                pred_count += 1
-                if bw > pred_max:
-                    pred_max = bw
-        state.succ_count = succ_count
-        state.succ_max = succ_max
-        state.pred_count = pred_count
-        state.pred_max = pred_max
-        state.leaf_full = len(members) >= self._c
-
-    # -- convergence measurement ---------------------------------------
-
-    def live_view(self, ids: Sequence[int]) -> set:
-        return set(ids)
-
-    def pack_perfect(self, reference: ReferenceTables, node_id: int):
-        db = self._digit_bits
-        packed_slots = [
-            ((row << db) | col, need)
-            for (row, col), need in reference.perfect_prefix_counts(
-                node_id
-            ).items()
-        ]
-        return reference.perfect_leaf_ids(node_id), packed_slots
-
-    def node_missing(
-        self, state: _SetState, packed, live: set, check_live: bool
-    ) -> tuple[int, int]:
-        perfect_leaf, packed_slots = packed
-        members = state.leaf_members
-        if check_live and not members <= live:
-            members = members & live
-        missing_leaf = len(perfect_leaf - members)
-        missing_prefix = 0
-        slots = state.prefix_slots
-        if check_live and not state.prefix_ids <= live:
-            for slot, needed in packed_slots:
-                held = slots.get(slot)
-                have = sum(1 for nid in held if nid in live) if held else 0
-                if have < needed:
-                    missing_prefix += needed - have
-        else:
-            for slot, needed in packed_slots:
-                held = slots.get(slot)
-                have = len(held) if held else 0
-                if have < needed:
-                    missing_prefix += needed - have
-        return missing_leaf, missing_prefix
-
-
-# ----------------------------------------------------------------------
 # Tracker and simulation
 # ----------------------------------------------------------------------
 
@@ -1884,74 +1189,31 @@ class VectorConvergenceTracker:
     """Convergence measurement over vector-engine node states.
 
     Produces the same :class:`ConvergenceSample` metric as the
-    reference tracker.  Arena-backed ops supply a slab measurer that
-    packs its own perfect tables and recomputes deficits as array
-    passes over the slabs (:class:`~repro.engine_vector.arena.SlabMeasure`);
-    the per-node layout and the fallback leg delegate the per-node
-    arithmetic to their ops (vectorised on numpy, set-based on the
-    fallback), against the live set's :class:`ReferenceTables`.
-
-    *reference* is a zero-argument callable returning those tables.
-    Only the per-node path calls it, once per (re)bind, so the arena
-    leg never builds them.
+    reference tracker.  The ops' slab measurer
+    (:class:`~repro.engine_vector.arena.SlabMeasure`) packs its own
+    perfect tables and recomputes deficits as array passes over the
+    arena's slabs; the tracker binds a fresh one after every
+    membership change.
     """
 
-    def __init__(self, ops, reference, states) -> None:
+    def __init__(self, ops, states) -> None:
         self._ops = ops
-        self._reference_of = reference
         self.samples: list[ConvergenceSample] = []
         self.rebind(states)
 
     def rebind(self, states) -> None:
         """Swap the population after a membership change, keeping the
         sample history."""
-        maker = getattr(self._ops, "slab_measurer", None)
-        self._slab = maker(states) if maker is not None else None
-        if self._slab is not None:
-            return
-        self._states = list(states)
-        self._reference = self._reference_of()
-        self._live = self._ops.live_view(self._reference.ids)
-        self._packed: dict[int, object] = {}
-        # Per-node deficits are cached between measurements and
-        # recomputed only for nodes whose tables changed
-        # (``stats_dirty``); membership events land here and wipe the
-        # cache, so liveness filtering always sees fresh values.
-        self._deficits: dict[int, tuple[int, int]] = {}
+        self._slab = self._ops.slab_measurer(states)
 
     def measure(self, cycle: float, check_live: bool) -> ConvergenceSample:
         """Take one network-wide measurement and append it to
         :attr:`samples` (same metric as the reference tracker;
         *check_live* enables dead-entry filtering once any node has
         been killed)."""
-        if self._slab is not None:
-            missing_leaf, total_leaf, missing_prefix, total_prefix = (
-                self._slab.measure(check_live)
-            )
-        else:
-            ops = self._ops
-            reference = self._reference
-            live = self._live
-            packed_cache = self._packed
-            deficits = self._deficits
-            missing_leaf = 0
-            missing_prefix = 0
-            for state in self._states:
-                node_id = state.node_id
-                if state.stats_dirty or node_id not in deficits:
-                    packed = packed_cache.get(node_id)
-                    if packed is None:
-                        packed = packed_cache[node_id] = ops.pack_perfect(
-                            reference, node_id
-                        )
-                    deficits[node_id] = ops.node_missing(
-                        state, packed, live, check_live
-                    )
-                    state.stats_dirty = False
-                ml, mp = deficits[node_id]
-                missing_leaf += ml
-                missing_prefix += mp
-            total_leaf, total_prefix = reference.totals()
+        missing_leaf, total_leaf, missing_prefix, total_prefix = (
+            self._slab.measure(check_live)
+        )
         sample = ConvergenceSample(
             cycle=cycle,
             missing_leaf=missing_leaf,
@@ -1984,8 +1246,6 @@ class VectorBootstrapSimulation:
         sampler: str = "oracle",
         newscast_view_size: int = 30,
         wave: int | None = None,
-        absorb: str | None = None,
-        state: str | None = None,
     ) -> None:
         if sampler not in SAMPLER_KINDS:
             raise ValueError(
@@ -2003,27 +1263,13 @@ class VectorBootstrapSimulation:
         # Wave size: how many exchanges are message-built together
         # from wave-start state per batch (None = ``max(1, n // 16)``,
         # scaling with the population so the ``W/n`` staleness ratio
-        # stays size-independent); see ``create_wave``.
+        # stays size-independent); see ``create_wave_flat``.
         self._wave = wave
-        # Absorb dispatch: ``batch`` drains each wave through the
-        # segmented slab pass (bit-identical to ``single``).
-        self.absorb_mode = absorb_mode(absorb)
-        # State layout: ``arena`` binds the numpy leg to pool-resident
-        # slabs (bit-identical to ``pernode``); the fallback leg keeps
-        # its set state under either value.
-        self.state_mode = state_mode(state)
-        self.backend = vrng.backend()
-        if self.backend != "numpy":
-            self._ops = _PythonOps(config)
-        elif self.state_mode == "arena":
-            self._ops = _ArenaOps(
-                config,
-                capacity=len(ids) if ids is not None else int(size or 0),
-            )
-        else:
-            self._ops = _NumpyOps(config)
+        self._ops = _NumpyOps(
+            config, capacity=len(ids) if ids is not None else int(size or 0)
+        )
         self._source = RandomSource(seed)
-        self._draws = make_draw_source(derive_seed(seed, "vector-rng"))
+        self._draws = NumpyDrawSource(derive_seed(seed, "vector-rng"))
         space = config.space
         self._space = space
         self._c = config.leaf_set_size
@@ -2065,7 +1311,7 @@ class VectorBootstrapSimulation:
 
         self._reference: ReferenceTables | None = None
         self.tracker = VectorConvergenceTracker(
-            self._ops, lambda: self.reference, self.nodes.values()
+            self._ops, self.nodes.values()
         )
         self._membership_dirty = False
         self._ever_killed = False
@@ -2122,13 +1368,10 @@ class VectorBootstrapSimulation:
         state = self.nodes.pop(node_id, None)
         if state is None:
             return False
-        release = getattr(self._ops, "release_state", None)
-        if release is not None:
-            # Arena leg: recycle the dead node's rank and pool
-            # windows.  The tracker rebinds before its next
-            # measurement (membership is dirty), so no live consumer
-            # still resolves the stale handle.
-            release(state)
+        # Recycle the dead node's rank and pool windows.  The tracker
+        # rebinds before its next measurement (membership is dirty),
+        # so no live consumer still resolves the stale handle.
+        self._ops.release_state(state)
         self.registry.remove(node_id)
         self._unstarted.discard(node_id)
         self._boot.dirty = True
@@ -2167,10 +1410,7 @@ class VectorBootstrapSimulation:
         return [self.spawn_node(node_id) for node_id in ids]
 
     def _wave_universe(self):
-        """The sorted dense id universe for the wave absorb (numpy
-        leg; the fallback leg's wave loop ignores it)."""
-        if self.backend != "numpy":
-            return None
+        """The sorted dense id universe of the wave kernels."""
         universe = self._universe
         if universe is None:
             count = len(self._ids_ever)
@@ -2183,8 +1423,8 @@ class VectorBootstrapSimulation:
     def reference(self) -> ReferenceTables:
         """Perfect tables of the live identifier set (the object-level
         oracle), built on first access after a membership change.  The
-        per-node layout and the fallback leg measure against them; the
-        arena leg packs its own arrays and never builds them."""
+        engine's own measurement never builds them: its slab measurer
+        packs the same tables as arrays."""
         reference = self._reference
         if reference is None:
             reference = self._reference = ReferenceTables(
@@ -2218,7 +1458,7 @@ class VectorBootstrapSimulation:
         draws = self._draws
         if layer.dirty:
             layer.order = list(nodes)
-            self._pool = ops.live_pool(layer.order)
+            self._pool = _as_ids(layer.order)
             layer.dirty = False
         order = list(layer.order)
         draws.shuffle(order)
@@ -2237,15 +1477,14 @@ class VectorBootstrapSimulation:
         n_start = len(self._unstarted)
         if oracle:
             start_rows = (
-                ops.gather(self._pool, draws.index_matrix(n, n_start, self._c))
+                self._pool[draws.index_matrix(n, n_start, self._c)]
                 if n_start
                 else None
             )
-            universe_ = self._wave_universe()
             sample_buf = ops.oracle_samples(
                 self._pool,
                 draws.index_matrix(n, 2 * n, cr),
-                None if universe_ is None else universe_.searchsorted(self._pool),
+                self._wave_universe().searchsorted(self._pool),
             )
         else:
             start_f = draws.float_matrix(n_start, self._c) if n_start else None
@@ -2255,24 +1494,17 @@ class VectorBootstrapSimulation:
         get = nodes.get
         msg_row = ops.msg_row
         select_peer = ops.select_peer
-        select_wave = getattr(ops, "select_wave", None)
-        create_wave = ops.create_wave
-        absorb = ops.absorb
+        select_wave = ops.select_wave
+        create_wave_flat = ops.create_wave_flat
+        absorb_wave_flat = ops.absorb_wave_flat
         wave = self._wave or max(1, n // 16)
-        batch = self.absorb_mode == "batch"
         pending: list[tuple] = []
-        # Batched SELECTPEER bookkeeping (arena leg): picks are
-        # precomputed one wave-sized chunk at a time and invalidated
-        # whenever node state mutates across nodes (a flush); a
-        # ``None`` pick defers to the scalar path, which decides
-        # identically.
+        # Batched SELECTPEER bookkeeping: picks are precomputed one
+        # wave-sized chunk at a time and invalidated whenever node
+        # state mutates across nodes (a flush); a ``None`` pick defers
+        # to the scalar path, which decides identically.
         sel_buf: list = []
         sel_lo = sel_hi = 0
-
-        create_wave_flat = (
-            getattr(ops, "create_wave_flat", None) if batch else None
-        )
-        absorb_wave_flat = getattr(ops, "absorb_wave_flat", None)
 
         def flush() -> None:
             nonlocal sel_hi
@@ -2281,67 +1513,40 @@ class VectorBootstrapSimulation:
             for _, nid_, state_, peer_, target_, rq, rp in pending:
                 jobs.append((state_, peer_, rq))
                 jobs.append((target_, nid_, rp))
+            # The wave stays in its flat slab form end to end.  On the
+            # oracle leg the jobs' sample rows are handed over as
+            # (buffer, row index) so the union gathers them in one
+            # pass.
+            samples_w = None
+            if oracle:
+                req_idx = _np.fromiter(
+                    (p[0] for p in pending),
+                    dtype=_np.intp,
+                    count=len(pending),
+                )
+                row_idx = _np.empty(2 * req_idx.size, dtype=_np.intp)
+                row_idx[0::2] = req_idx
+                row_idx[1::2] = req_idx + n
+                samples_w = (sample_buf, row_idx)
+            wave_buf = create_wave_flat(jobs, universe_w, samples_w)
             # Drop coins decide which absorbs survive; the survivors
-            # are collected in arrival order and drained in one wave
-            # (the segmented slab pass, bit-identical to replaying
-            # ``absorb`` per survivor -- the ``single`` mode).
-            if create_wave_flat is not None and universe_w is not None:
-                # Fast lane (numpy batch leg): the wave stays in its
-                # flat slab form end to end -- no per-message tuple
-                # views, no re-concatenation inside the wave absorb.
-                # On the oracle leg the jobs' sample rows are handed
-                # over as (buffer, row index) so the union gathers
-                # them in one pass instead of re-stacking the views.
-                samples_w = None
-                if oracle:
-                    req_idx = _np.fromiter(
-                        (p[0] for p in pending),
-                        dtype=_np.intp,
-                        count=len(pending),
-                    )
-                    row_idx = _np.empty(
-                        2 * req_idx.size, dtype=_np.intp
-                    )
-                    row_idx[0::2] = req_idx
-                    row_idx[1::2] = req_idx + n
-                    samples_w = (sample_buf, row_idx)
-                wave_buf = create_wave_flat(jobs, universe_w, samples_w)
-                specs: list[tuple] = []
-                for j, (
-                    i_, nid_, state_, peer_, target_, _rq, _rp,
-                ) in enumerate(pending):
-                    if drop_p and req_coins[i_] < drop_p:
-                        stats.requests_dropped += 1
-                        stats.suppressed_replies += 1
-                        continue
-                    specs.append((target_, 2 * j, nid_))
-                    stats.replies_sent += 1
-                    if drop_p and rep_coins[i_] < drop_p:
-                        stats.replies_dropped += 1
-                        continue
-                    specs.append((state_, 2 * j + 1, peer_))
-                absorb_wave_flat(wave_buf, specs, universe_w)
-            else:
-                messages = create_wave(jobs, universe_w)
-                absorbs: list[tuple] = []
-                for j, (
-                    i_, nid_, state_, peer_, target_, _rq, _rp,
-                ) in enumerate(pending):
-                    if drop_p and req_coins[i_] < drop_p:
-                        stats.requests_dropped += 1
-                        stats.suppressed_replies += 1
-                        continue
-                    absorbs.append((target_, messages[2 * j], nid_))
-                    stats.replies_sent += 1
-                    if drop_p and rep_coins[i_] < drop_p:
-                        stats.replies_dropped += 1
-                        continue
-                    absorbs.append((state_, messages[2 * j + 1], peer_))
-                if batch and len(absorbs) > 1:
-                    ops.absorb_wave(absorbs, universe_w)
-                else:
-                    for state_, message_, sender_ in absorbs:
-                        absorb(state_, message_, sender_)
+            # are collected in arrival order and drained in one
+            # segmented slab pass.
+            specs: list[tuple] = []
+            for j, (
+                i_, nid_, state_, peer_, target_, _rq, _rp,
+            ) in enumerate(pending):
+                if drop_p and req_coins[i_] < drop_p:
+                    stats.requests_dropped += 1
+                    stats.suppressed_replies += 1
+                    continue
+                specs.append((target_, 2 * j, nid_))
+                stats.replies_sent += 1
+                if drop_p and rep_coins[i_] < drop_p:
+                    stats.replies_dropped += 1
+                    continue
+                specs.append((state_, 2 * j + 1, peer_))
+            absorb_wave_flat(wave_buf, specs, universe_w)
             pending.clear()
             # Absorbs may have reshaped leaf sets: any precomputed
             # peer picks past this point are stale.
@@ -2355,32 +1560,29 @@ class VectorBootstrapSimulation:
             if oracle:
                 req_row = msg_row(sample_buf, i)
             else:
-                req_row = ops.as_ids(newscast[nid].sample(cr, sample_f[i]))
+                req_row = _as_ids(newscast[nid].sample(cr, sample_f[i]))
             if not state.started:
                 if oracle:
                     seeds = start_rows[start_ptr]
                 else:
-                    seeds = ops.as_ids(
+                    seeds = _as_ids(
                         newscast[nid].sample(self._c, start_f[start_ptr])
                     )
                 start_ptr += 1
                 ops.start_node(state, seeds)
                 self._unstarted.discard(nid)
-            if select_wave is not None:
-                if i >= sel_hi:
-                    hi = min(i + wave, n)
-                    sel_buf = select_wave(
-                        [get(chunk_nid) for chunk_nid in order[i:hi]],
-                        peer_u[i:hi],
-                    )
-                    sel_lo = i
-                    sel_hi = hi
-                peer_id = sel_buf[i - sel_lo]
-                if peer_id is None:
-                    # Scalar fallback: the node started this chunk or
-                    # its leaf set is empty (fresh-sample fallback).
-                    peer_id = select_peer(state, peer_u[i], req_row)
-            else:
+            if i >= sel_hi:
+                hi = min(i + wave, n)
+                sel_buf = select_wave(
+                    [get(chunk_nid) for chunk_nid in order[i:hi]],
+                    peer_u[i:hi],
+                )
+                sel_lo = i
+                sel_hi = hi
+            peer_id = sel_buf[i - sel_lo]
+            if peer_id is None:
+                # Scalar fallback: the node started this chunk or its
+                # leaf set is empty (fresh-sample fallback).
                 peer_id = select_peer(state, peer_u[i], req_row)
             if peer_id is None:
                 continue
@@ -2398,9 +1600,10 @@ class VectorBootstrapSimulation:
                 stats.suppressed_replies += 1
                 continue
             if oracle:
-                rep_row = msg_row(sample_buf, n + i)
+                # The wave union gathers oracle rows from sample_buf.
+                rep_row = None
             else:
-                rep_row = ops.as_ids(
+                rep_row = _as_ids(
                     newscast[peer_id].sample(cr, sample_f[n + i])
                 )
             pending.append((i, nid, state, peer_id, target, req_row, rep_row))

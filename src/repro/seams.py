@@ -40,9 +40,7 @@ class Seam:
     (set-and-non-empty means on), or ``"int"`` (integer, at least
     :attr:`minimum` when one is declared).  ``default`` is the raw
     value an unset variable resolves to (``None`` means the call site
-    computes its own fallback, e.g. auto-detection).  ``normalize``
-    lowercases/strips the raw value before validation -- the
-    convention for operator-facing enums.
+    computes its own fallback, e.g. auto-detection).
     """
 
     name: str
@@ -51,7 +49,6 @@ class Seam:
     default: str | None = None
     choices: tuple[str, ...] = ()
     minimum: int | None = None
-    normalize: bool = False
     testing_only: bool = False
 
     def __post_init__(self) -> None:
@@ -81,42 +78,6 @@ SEAMS: dict[str, Seam] = _registry(
         doc=(
             "Kernel backend of the fast engine: numpy, pure python, or "
             "size-thresholded auto-selection (captured once at import)."
-        ),
-    ),
-    Seam(
-        name="REPRO_VECTOR_BACKEND",
-        kind="enum",
-        choices=("auto", "numpy", "python"),
-        default="auto",
-        doc=(
-            "Draw-source backend of the vector engine: one numpy "
-            "Generator per simulation, or the random.Random fallback."
-        ),
-    ),
-    Seam(
-        name="REPRO_VECTOR_ABSORB",
-        kind="enum",
-        choices=("batch", "single"),
-        default="batch",
-        normalize=True,
-        doc=(
-            "Vector-engine absorb dispatch: one segmented slab pass per "
-            "delivery wave, or the scalar per-exchange path "
-            "(bit-identical; the seam keeps the equivalence testable)."
-        ),
-    ),
-    Seam(
-        name="REPRO_VECTOR_STATE",
-        kind="enum",
-        choices=("arena", "pernode"),
-        default="arena",
-        normalize=True,
-        doc=(
-            "Vector-engine state layout on the numpy leg: one "
-            "pool-resident structure-of-arrays arena for the whole "
-            "population, or the per-node array objects (bit-identical; "
-            "the no-numpy fallback leg ignores the layout and keeps "
-            "its set state either way)."
         ),
     ),
     Seam(
@@ -165,14 +126,6 @@ SEAMS: dict[str, Seam] = _registry(
         ),
     ),
     Seam(
-        name="REPRO_BENCH_VECTOR_SMOKE",
-        kind="flag",
-        doc=(
-            "Shrink the vector-engine shoot-out to one small size with "
-            "the fallback speedup floor (the no-numpy CI leg)."
-        ),
-    ),
-    Seam(
         name="REPRO_CHAOS_SMOKE",
         kind="flag",
         doc=(
@@ -216,17 +169,11 @@ def get(name: str) -> str | None:
     """The raw value of a *declared* seam (``None`` when unset).
 
     Every environment read in the repo funnels through this line; the
-    static analyzer rejects any other ``os.environ`` access.  The
-    seam's ``normalize`` declaration is applied here so call sites
-    that keep their own validation still see canonical values.
+    static analyzer rejects any other ``os.environ`` access.
     """
-    seam = SEAMS.get(name)
-    if seam is None:
+    if name not in SEAMS:
         raise KeyError(f"{name} is not a declared seam (see repro.seams.SEAMS)")
-    value = os.environ.get(name)  # repro-check: ignore[env-read] -- the registry's single read site
-    if value is not None and seam.normalize:
-        value = value.strip().lower()
-    return value
+    return os.environ.get(name)  # repro-check: ignore[env-read] -- the registry's single read site
 
 
 def enum(name: str, override: str | None = None) -> str | None:

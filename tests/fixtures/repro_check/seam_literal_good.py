@@ -2,4 +2,4 @@
 REPRO_ANYTHING_AT_ALL are exempt, like this one)."""
 
 FLAG = "REPRO_FAST_BACKEND"
-OTHER = "REPRO_VECTOR_ABSORB"
+OTHER = "REPRO_BENCH_ENGINE"

@@ -33,6 +33,59 @@ def test_cli_start_up_imports_no_numpy():
     assert done.returncode == 0, done.stderr
 
 
+def test_bare_install_runs_reference_and_fast_but_not_vector():
+    """With numpy unimportable, the package, the CLI and the reference
+    and fast engines still work, and asking for the vector engine
+    raises a plain ``ImportError`` naming the ``fast`` extra."""
+    probe = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import repro, repro.cli\n"
+        "from repro.simulator import ExperimentSpec, build_simulation\n"
+        "for engine in ('reference', 'fast'):\n"
+        "    spec = ExperimentSpec(size=16, seed=3, engine=engine)\n"
+        "    build_simulation(spec).run(3, stop_when_perfect=False)\n"
+        "try:\n"
+        "    build_simulation(ExperimentSpec(size=16, engine='vector'))\n"
+        "except ImportError as exc:\n"
+        "    assert 'fast' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('vector engine built without numpy')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=cli_env(),
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_vector_package_import_names_fast_extra():
+    """Importing the vector engine package itself without numpy fails
+    with the plain ``ImportError``, not a numpy traceback."""
+    probe = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    import repro.engine_vector\n"
+        "except ImportError as exc:\n"
+        "    assert 'fast' in str(exc) and 'numpy' in str(exc), exc\n"
+        "    assert exc.__cause__ is None and exc.__suppress_context__\n"
+        "else:\n"
+        "    raise AssertionError('repro.engine_vector imported without numpy')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=cli_env(),
+    )
+    assert done.returncode == 0, done.stderr
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -212,14 +212,18 @@ def test_enum_returns_default_when_unset(monkeypatch):
 
 
 def test_enum_rejects_unknown_value_naming_the_seam(monkeypatch):
-    monkeypatch.setenv("REPRO_VECTOR_ABSORB", "carrier-pigeon")
-    with pytest.raises(ValueError, match="REPRO_VECTOR_ABSORB"):
-        seams.enum("REPRO_VECTOR_ABSORB")
+    monkeypatch.setenv("REPRO_FAST_BACKEND", "carrier-pigeon")
+    with pytest.raises(ValueError, match="REPRO_FAST_BACKEND"):
+        seams.enum("REPRO_FAST_BACKEND")
 
 
-def test_enum_normalizes_declared_seams(monkeypatch):
-    monkeypatch.setenv("REPRO_VECTOR_ABSORB", "  SINGLE ")
-    assert seams.enum("REPRO_VECTOR_ABSORB") == "single"
+def test_enum_override_wins_over_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_FAST_BACKEND", "carrier-pigeon")
+    assert seams.enum("REPRO_FAST_BACKEND", override="python") == "python"
+    with pytest.raises(ValueError, match="REPRO_FAST_BACKEND"):
+        seams.enum("REPRO_FAST_BACKEND", override="NUMPY")
+    monkeypatch.setenv("REPRO_FAST_BACKEND", "")
+    assert seams.enum("REPRO_FAST_BACKEND") == "auto"
 
 
 def test_flag_semantics(monkeypatch):
@@ -251,7 +255,7 @@ def test_undeclared_seam_rejected():
 
 def test_catalog_is_complete():
     names = [seam.name for seam in seams.catalog()]
-    assert len(names) == len(set(names)) == 14
+    assert len(names) == len(set(names)) == 10
     assert all(name.startswith("REPRO_") for name in names)
 
 

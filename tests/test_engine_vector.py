@@ -2,7 +2,7 @@
 reference.
 
 The vector engine's contract is weaker than the fast engine's: it is
-deterministic per ``(seed, backend)`` but runs a documented
+deterministic per seed but runs a documented
 seeded-but-different RNG stream (one generator per simulation, bulk
 draws, with-replacement oracle sampling, wave-batched message builds),
 so trajectories are *distributionally* -- not bit-level -- equivalent
@@ -10,16 +10,17 @@ to the reference engine.  These tests pin that contract:
 
 * mean convergence-cycle summaries, mean convergence curves, and
   transport loss fractions across sizes x drops x samplers x failure
-  schedules stay within documented tolerances of the reference engine,
-  on both the numpy leg and the pure-Python fallback leg;
-* the batched message construction is *exactly* equal to the fallback
-  leg's list-kernel construction for identical node state (the
-  fallback kernels are themselves pinned bit-level to the reference
+  schedules stay within documented tolerances of the reference engine;
+* the batched message construction is *exactly* equal to the fast
+  engine's list-kernel construction for identical node state (those
+  kernels are themselves pinned bit-level to the reference
   implementations by ``tests/test_engine_fast.py``), so the
   statistical tolerances only have to absorb RNG-stream differences,
-  never arithmetic ones;
-* determinism per seed, engine provenance, the engine seam, and
-  worker-count invariance through the sweep runner.
+  never arithmetic ones; the wave kernels equal their per-message
+  oracles (``create_message``, the scalar ``absorb``) exactly;
+* determinism per seed, engine provenance, the engine seam, the
+  convergence cache, and worker-count invariance through the sweep
+  runner.
 
 Tolerances: the per-config reference/vector deltas are deterministic
 for fixed seeds (``random.Random`` and numpy's PCG64 are stable across
@@ -35,14 +36,17 @@ import json
 
 import pytest
 
-from repro import engine_vector
-from repro.analysis import Series, mean_series
-from repro.analysis.series import _step_value
-from repro.core import BootstrapConfig, IDSpace
-from repro.engine_vector import VectorBootstrapSimulation
-from repro.engine_vector.rng import sample_distinct
-from repro.engine_vector.sim import VectorNewscastView, _PythonOps
-from repro.runtime import (
+np = pytest.importorskip("numpy")
+
+from repro.analysis import Series, mean_series  # noqa: E402
+from repro.analysis.series import _step_value  # noqa: E402
+from repro.core import BootstrapConfig, IDSpace  # noqa: E402
+from repro.engine_fast import kernels  # noqa: E402
+from repro.engine_vector import VectorBootstrapSimulation  # noqa: E402
+from repro.engine_vector.arena import SlabMeasure  # noqa: E402
+from repro.engine_vector.rng import sample_distinct  # noqa: E402
+from repro.engine_vector.sim import VectorNewscastView  # noqa: E402
+from repro.runtime import (  # noqa: E402
     RunSpec,
     ScheduleSpec,
     SweepGrid,
@@ -50,7 +54,7 @@ from repro.runtime import (
     execute_run,
     merge_columns,
 )
-from repro.simulator import (
+from repro.simulator import (  # noqa: E402
     ENGINE_KINDS,
     ExperimentSpec,
     NetworkModel,
@@ -64,16 +68,6 @@ CONV_TOL = 4.0      # |mean converged_at delta|, cycles
 CURVE_TOL = 0.10    # max |mean missing-leaf fraction delta| at any cycle
 LOSS_TOL = 0.025    # |mean overall loss fraction delta|
 CHURN_TOL = 0.06    # |mean steady-state missing fraction delta|
-
-
-@pytest.fixture(params=["python", "numpy"])
-def backend(request):
-    """Run the decorated test under each vector-engine leg."""
-    if request.param == "numpy" and engine_vector.backend() != "numpy":
-        pytest.skip("numpy not installed")
-    engine_vector.set_backend(request.param)
-    yield request.param
-    engine_vector.set_backend("auto")
 
 
 def run_batch(engine, *, size, drop=0.0, sampler="oracle", schedules=(),
@@ -97,8 +91,8 @@ def run_batch(engine, *, size, drop=0.0, sampler="oracle", schedules=(),
     return results
 
 
-#: Reference results are engine-leg independent; compute each config
-#: once per session, not once per backend parametrisation.
+#: Reference results are shared by several tests; compute each config
+#: once per session.
 _REFERENCE_CACHE = {}
 
 
@@ -155,7 +149,7 @@ class TestStatisticalEquivalence:
         "config", EQUIVALENCE_CONFIGS.values(),
         ids=list(EQUIVALENCE_CONFIGS),
     )
-    def test_convergence_and_curves_match_reference(self, config, backend):
+    def test_convergence_and_curves_match_reference(self, config):
         reference = reference_batch(**config)
         vector = run_batch("vector", **config)
         assert all(r.engine == "vector" for r in vector)
@@ -177,7 +171,7 @@ class TestStatisticalEquivalence:
             f"loss fraction drifted by {loss_delta:+.4f}"
         )
 
-    def test_churn_steady_state_quality(self, backend):
+    def test_churn_steady_state_quality(self):
         config = dict(
             size=48,
             schedules=(ScheduleSpec.of("churn", rate=0.05),),
@@ -198,7 +192,7 @@ class TestStatisticalEquivalence:
                 f"({ref_mean:.3f} -> {vec_mean:.3f})"
             )
 
-    def test_catastrophe_steady_state_quality(self, backend):
+    def test_catastrophe_steady_state_quality(self):
         """After losing 30% of the pool, no engine reaches *perfect*
         tables (dead entries are never evicted by the bootstrap alone),
         so equivalence is pinned on the steady-state deficit instead."""
@@ -224,7 +218,7 @@ class TestStatisticalEquivalence:
                 f"({ref_mean:.3f} -> {vec_mean:.3f})"
             )
 
-    def test_forced_wave_size_stays_equivalent(self, backend):
+    def test_forced_wave_size_stays_equivalent(self):
         """A deliberately large wave (heavier scheduling staleness
         than the n//16 default) must not change the statistics."""
         reference = reference_batch(size=64)
@@ -239,13 +233,13 @@ class TestStatisticalEquivalence:
         delta = sum(convs) / len(convs) - mean_conv(reference)
         assert abs(delta) <= CONV_TOL
 
-    def test_default_wave_scales_with_population(self, backend):
+    def test_default_wave_scales_with_population(self):
         """The default wave is ``max(1, n // 16)`` -- scaling with the
         population, with no flat cap -- pinned bit-identically: the
         default trajectory equals the explicit one at a size where the
         old ``min(64, n // 16)`` cap would have clamped it (1200 nodes
         -> wave 75, formerly 64)."""
-        size = 1200 if backend == "numpy" else 80
+        size = 1200
 
         def trajectory(wave):
             sim = VectorBootstrapSimulation(
@@ -262,7 +256,7 @@ class TestStatisticalEquivalence:
 
         assert trajectory(None) == trajectory(max(1, size // 16))
 
-    def test_population_identical_to_reference(self, backend):
+    def test_population_identical_to_reference(self):
         """Membership randomness shares the reference seed tree: the
         same seed simulates the same network on every engine, even
         through spawn-driven schedules."""
@@ -290,7 +284,7 @@ class TestStatisticalEquivalence:
 
 
 class TestDeterminism:
-    def test_same_seed_same_backend_identical(self, backend):
+    def test_same_seed_identical(self):
         spec = ExperimentSpec(
             size=48, seed=31, config=FAST, max_cycles=30, engine="vector"
         )
@@ -300,27 +294,22 @@ class TestDeterminism:
         assert first.transport == second.transport
         assert first.converged_at == second.converged_at
 
-    def test_backends_run_distinct_documented_streams(self):
-        if engine_vector.backend() != "numpy":
-            pytest.skip("numpy not installed")
+    @pytest.mark.parametrize("sampler", ["oracle", "newscast"])
+    def test_same_seed_identical_under_churn(self, sampler):
+        """Membership changes (rank recycling, measurer rebinds, the
+        growing id universe) replay identically per seed too."""
         spec = ExperimentSpec(
-            size=48, seed=31, config=FAST, max_cycles=30, engine="vector"
+            size=32, seed=13, config=FAST, max_cycles=12, sampler=sampler,
+            stop_when_perfect=False, engine="vector",
         )
-        engine_vector.set_backend("numpy")
-        try:
-            numpy_run = execute_run(RunSpec(experiment=spec)).result
-        finally:
-            engine_vector.set_backend("auto")
-        engine_vector.set_backend("python")
-        try:
-            python_run = execute_run(RunSpec(experiment=spec)).result
-        finally:
-            engine_vector.set_backend("auto")
-        # Different legs, different (equally valid) trajectories; the
-        # odds of a collision over a full run are negligible.
-        assert numpy_run.samples != python_run.samples
+        schedules = (ScheduleSpec.of("churn", rate=0.1),)
+        first = execute_run(RunSpec(experiment=spec, schedules=schedules))
+        second = execute_run(RunSpec(experiment=spec, schedules=schedules))
+        assert first.result.samples == second.result.samples
+        assert first.result.transport == second.result.transport
+        assert first.result.population == second.result.population
 
-    def test_workers_equivalent_through_sweep_runner(self, backend):
+    def test_workers_equivalent_through_sweep_runner(self):
         grid = SweepGrid(
             sizes=(24, 32),
             drop_rates=(0.0, 0.2),
@@ -373,103 +362,181 @@ class TestEngineSeam:
         with pytest.raises(ValueError, match="duplicates"):
             VectorBootstrapSimulation(ids=[1, 1, 2], config=FAST)
 
-    def test_set_backend_validation(self):
-        with pytest.raises(ValueError, match="auto"):
-            engine_vector.set_backend("fortran")
+
+class TestRetiredKnobs:
+    """The engine has one production path: no environment variable or
+    keyword selects another backend, state layout or absorb dispatch,
+    and a stale setting left in a shell changes nothing."""
+
+    RETIRED_SEAMS = (
+        "REPRO_VECTOR_BACKEND",
+        "REPRO_VECTOR_ABSORB",
+        "REPRO_VECTOR_STATE",
+        "REPRO_BENCH_VECTOR_SMOKE",
+    )
+
+    @staticmethod
+    def _run():
+        sim = VectorBootstrapSimulation(24, seed=5, config=FAST)
+        result = sim.run(10, stop_when_perfect=False)
+        return result.samples, result.transport
+
+    @pytest.mark.parametrize("name", RETIRED_SEAMS)
+    def test_seam_is_not_declared(self, name):
+        from repro import seams
+
+        assert name not in {seam.name for seam in seams.catalog()}
+        with pytest.raises(KeyError, match="not a declared seam"):
+            seams.get(name)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("REPRO_VECTOR_BACKEND", "python"),
+            ("REPRO_VECTOR_ABSORB", "single"),
+            ("REPRO_VECTOR_STATE", "pernode"),
+        ],
+    )
+    def test_stale_env_setting_is_inert(self, monkeypatch, name, value):
+        monkeypatch.delenv(name, raising=False)
+        expected = self._run()
+        monkeypatch.setenv(name, value)
+        assert self._run() == expected
+
+    @pytest.mark.parametrize(
+        "keyword, value", [("absorb", "single"), ("state", "pernode")]
+    )
+    def test_constructor_rejects_retired_keyword(self, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            VectorBootstrapSimulation(16, config=FAST, **{keyword: value})
+
+
+def converged_sim(seed, size=40):
+    """A converged oracle-sampler population to build messages from."""
+    sim = VectorBootstrapSimulation(size, seed=seed, config=FAST)
+    sim.run(30)
+    return sim
+
+
+def message_jobs(sim, count, seed):
+    """*count* ``(state, peer, sample row)`` jobs over *sim*'s nodes,
+    sampled like the oracle leg: a batch buffer of sorted rows with
+    duplicate masks and dense indices, plus each job's row index."""
+    ops = sim._ops
+    ids = list(sim.nodes)
+    pool = sim._pool
+    universe = sim._wave_universe()
+    rng = np.random.default_rng(seed)
+    buf = ops.oracle_samples(
+        pool,
+        rng.integers(0, pool.size, size=(count, FAST.random_samples)),
+        universe.searchsorted(pool),
+    )
+    jobs = []
+    for index in range(count):
+        state = sim.nodes[ids[(index * 3) % len(ids)]]
+        peer = ids[(index * 7 + 2) % len(ids)]
+        if peer == state.node_id:
+            peer = ids[(index * 7 + 3) % len(ids)]
+        jobs.append((state, peer, ops.msg_row(buf, index)))
+    return jobs, (buf, np.arange(count))
+
+
+def wave_messages(wave):
+    """Slice ``create_wave_flat``'s flat slabs into per-message
+    ``(ids, slots)`` pairs."""
+    ids_flat, slots_flat, _, bounds = wave
+    cuts = bounds.tolist()
+    return [
+        (ids_flat[lo:hi], slots_flat[lo:hi])
+        for lo, hi in zip(cuts[:-1], cuts[1:], strict=True)
+    ]
 
 
 class TestBatchedConstructionExactness:
-    """The numpy leg's wave-batched CREATEMESSAGE must equal the
-    fallback leg's list-kernel construction element for element --
-    both inspect identical node state, so any difference would be an
-    arithmetic bug, not stream noise."""
+    """The wave-batched CREATEMESSAGE must equal the per-message
+    construction, and that must equal the fast engine's list kernels
+    element for element -- all inspect identical node state, so any
+    difference would be an arithmetic bug, not stream noise."""
 
-    @staticmethod
-    def _twin_states(seed=5, size=40):
-        """The same converged node population materialised under both
-        legs (same master seed, so identical ids)."""
-        if engine_vector.backend() != "numpy":
-            pytest.skip("numpy not installed")
-        engine_vector.set_backend("numpy")
-        try:
-            numpy_sim = VectorBootstrapSimulation(
-                size, seed=seed, config=FAST
-            )
-            numpy_sim.run(30)
-        finally:
-            engine_vector.set_backend("auto")
-        return numpy_sim
-
-    def test_single_message_matches_list_kernels(self):
-        import numpy as np
-
-        numpy_sim = self._twin_states()
-        ops = numpy_sim._ops
+    @pytest.mark.parametrize("sampler", ["oracle", "newscast"])
+    def test_single_message_matches_list_kernels(self, sampler):
+        """Oracle-leg samples arrive as a sorted row with a duplicate
+        mask, NEWSCAST samples as a plain id array."""
+        sim = converged_sim(seed=5)
+        ops = sim._ops
         space = FAST.space
-        pops = _PythonOps(FAST)
-        ids = list(numpy_sim.nodes)
-        pool = numpy_sim._pool
-        rng = np.random.default_rng(7)
-        for index in range(20):
-            state = numpy_sim.nodes[ids[index % len(ids)]]
-            peer = ids[(index * 5 + 1) % len(ids)]
-            if peer == state.node_id:
-                peer = ids[(index * 5 + 2) % len(ids)]
-            samples = pool[rng.integers(0, pool.size, size=10)]
+        slot_tables = kernels.slot_tables(space.bits, space.digit_bits)
+        jobs, _ = message_jobs(sim, 20, seed=7)
+        for state, peer, row in jobs:
+            samples = row if sampler == "oracle" else row[0]
             msg_ids, msg_slots = ops.create_message(state, peer, samples)
-            # Rebuild the same state on the fallback leg.
-            twin = pops.new_state(state.node_id)
-            twin.leaf_members = set(state.leaf.tolist())
-            twin.prefix_ids = set(state.prefix_ids.tolist())
-            for nid, slot in zip(
-                state.prefix_ids.tolist(), state.prefix_slots.tolist(), strict=True
-            ):
-                twin.prefix_slots.setdefault(int(slot), []).append(nid)
-            close, tail, tail_slots = pops.create_message(
-                twin, peer, samples.tolist()
+            union = set(state.leaf.tolist()) | set(state.prefix_ids.tolist())
+            union |= set(row[0].tolist())
+            union.add(state.node_id)
+            union.discard(peer)
+            close, rest = kernels.close_and_rest(
+                union, peer, space.size - 1, space.half,
+                FAST.half_leaf_set,
+            )
+            tail, tail_slots = kernels.prefix_part(
+                rest, peer, space.bits, space.digit_bits,
+                space.digit_base - 1, FAST.entries_per_slot, slot_tables,
             )
             assert msg_ids.tolist() == close + tail
-            digit_bits = space.digit_bits
             expected_close_slots = [
-                (row << digit_bits) | col
-                for row, col in (
+                (row_ << space.digit_bits) | col
+                for row_, col in (
                     space.prefix_slot(peer, nid) for nid in close
                 )
             ]
             assert msg_slots.tolist() == expected_close_slots + tail_slots
 
-    def test_wave_equals_per_message_construction(self):
-        import numpy as np
-
-        numpy_sim = self._twin_states(seed=11)
-        ops = numpy_sim._ops
-        ids = list(numpy_sim.nodes)
-        pool = numpy_sim._pool
-        rng = np.random.default_rng(3)
-        jobs = []
-        for index in range(16):
-            state = numpy_sim.nodes[ids[(index * 3) % len(ids)]]
-            peer = ids[(index * 7 + 2) % len(ids)]
-            if peer == state.node_id:
-                peer = ids[(index * 7 + 3) % len(ids)]
-            jobs.append(
-                (state, peer, pool[rng.integers(0, pool.size, size=10)])
-            )
-        batched = ops.create_wave(jobs)
-        for (state, peer, samples), (wave_ids, wave_slots) in zip(
-            jobs, batched, strict=True
+    @pytest.mark.parametrize("sampler", ["oracle", "newscast"])
+    def test_wave_equals_per_message_construction(self, sampler):
+        """The oracle leg hands the wave its batch buffer; the NEWSCAST
+        leg hands each job its own sample array."""
+        sim = converged_sim(seed=11)
+        ops = sim._ops
+        jobs, samples = message_jobs(sim, 16, seed=3)
+        if sampler == "newscast":
+            jobs = [(state, peer, row[0]) for state, peer, row in jobs]
+            samples = None
+        wave = ops.create_wave_flat(jobs, sim._wave_universe(), samples)
+        for (state, peer, row), (wave_ids, wave_slots) in zip(
+            jobs, wave_messages(wave), strict=True
         ):
-            single_ids, single_slots = ops.create_message(
-                state, peer, samples
-            )
+            single_ids, single_slots = ops.create_message(state, peer, row)
+            assert wave_ids.tolist() == single_ids.tolist()
+            assert wave_slots.tolist() == single_slots.tolist()
+
+    @pytest.mark.parametrize("sampler", ["oracle", "newscast"])
+    def test_wave_equals_per_message_after_churn(self, sampler):
+        """After kills and joins the tables hold dead ids and the wave
+        universe holds every id ever admitted; the wave build must
+        still equal the per-message one."""
+        sim = converged_sim(seed=17)
+        for _ in range(6):
+            sim.kill_node(sim.live_ids[0])
+            sim.spawn_node()
+        for _ in range(3):
+            sim.run_cycle()
+        ops = sim._ops
+        jobs, samples = message_jobs(sim, 16, seed=9)
+        if sampler == "newscast":
+            jobs = [(state, peer, row[0]) for state, peer, row in jobs]
+            samples = None
+        wave = ops.create_wave_flat(jobs, sim._wave_universe(), samples)
+        for (state, peer, row), (wave_ids, wave_slots) in zip(
+            jobs, wave_messages(wave), strict=True
+        ):
+            single_ids, single_slots = ops.create_message(state, peer, row)
             assert wave_ids.tolist() == single_ids.tolist()
             assert wave_slots.tolist() == single_slots.tolist()
 
     def test_array_state_invariants_after_run(self):
-        import numpy as np
-
-        numpy_sim = self._twin_states(seed=13)
-        for state in numpy_sim.nodes.values():
+        sim = converged_sim(seed=13)
+        for state in sim.nodes.values():
             leaf = state.leaf
             prefix = state.prefix_ids
             assert np.all(leaf[1:] > leaf[:-1])
@@ -485,63 +552,79 @@ class TestBatchedConstructionExactness:
             )
 
 
+def scalar_absorb_wave(ops):
+    """An ``absorb_wave_flat`` stand-in that slices the flat wave and
+    replays the scalar ``absorb`` oracle per spec, in arrival order."""
+
+    def absorb_wave_flat(wave, specs, universe):
+        ids_flat, slots_flat, _, bounds = wave
+        for state, index, sender in specs:
+            lo, hi = bounds[index], bounds[index + 1]
+            ops.absorb(state, (ids_flat[lo:hi], slots_flat[lo:hi]), sender)
+
+    return absorb_wave_flat
+
+
 class TestBatchedAbsorbExactness:
-    """The segmented slab absorb (``absorb_wave``) must be
+    """The segmented slab absorb (``absorb_wave_flat``) must be
     *bit-identical* to draining the same wave through the scalar
-    absorb loop, on both legs.
+    ``absorb`` oracle.
 
     The comparison is over observable content -- leaf members, the
     resident ``(id, slot)`` prefix pairs, measurements, and transport
     counters -- never over internal cache flags: the no-change leaf
-    short-circuit means batch and single may legitimately disagree
-    about ``stats_dirty`` while every table and every statistic is
-    equal."""
+    short-circuit means the two may legitimately disagree about
+    ``stats_dirty`` while every table and every statistic is equal."""
 
     CONFIGS = [
-        dict(size=48, drop=0.0, sampler="oracle", churn=False),
-        dict(size=40, drop=0.2, sampler="oracle", churn=True),
-        dict(size=40, drop=0.1, sampler="newscast", churn=True),
+        dict(size=48, drop=0.0, sampler="oracle", events="none"),
+        dict(size=40, drop=0.2, sampler="oracle", events="churn"),
+        dict(size=40, drop=0.1, sampler="newscast", events="churn"),
+        dict(size=48, drop=0.0, sampler="oracle", events="churn"),
+        dict(size=32, drop=0.0, sampler="oracle", events="growth"),
+        dict(size=32, drop=0.1, sampler="newscast", events="growth"),
+        dict(size=64, drop=0.0, sampler="oracle", events="none", wave=8),
     ]
 
     @staticmethod
     def _snapshot(sim):
-        """Normalised table content per node (backend-agnostic)."""
-        nodes = {}
-        for node_id, state in sim.nodes.items():
-            if sim.backend == "numpy":
-                leaf = state.leaf.tolist()
-                pairs = sorted(
+        """Normalised table content per node."""
+        return {
+            node_id: (
+                state.leaf.tolist(),
+                sorted(
                     zip(
                         state.prefix_ids.tolist(),
                         state.prefix_slots.tolist(), strict=True
                     )
-                )
-            else:
-                leaf = sorted(state.leaf_members)
-                pairs = sorted(
-                    (nid, slot)
-                    for slot, members in state.prefix_slots.items()
-                    for nid in members
-                )
-            nodes[node_id] = (leaf, pairs)
-        return nodes
+                ),
+            )
+            for node_id, state in sim.nodes.items()
+        }
 
-    def _trace(self, mode, *, size, drop, sampler, churn, seed=21,
-               cycles=25):
+    def _trace(self, scalar, *, size, drop, sampler, events, wave=None,
+               seed=21, cycles=25):
         sim = VectorBootstrapSimulation(
             size,
             seed=seed,
             config=FAST,
             network=NetworkModel(drop_probability=drop),
             sampler=sampler,
-            absorb=mode,
+            wave=wave,
         )
-        assert sim.absorb_mode == mode
+        if scalar:
+            sim._ops.absorb_wave_flat = scalar_absorb_wave(sim._ops)
         snaps = []
         for cycle in range(cycles):
-            if churn and cycle == 8:
+            if events == "churn" and cycle == 8:
                 sim.kill_node(sim.live_ids[0])
                 sim.spawn_node()
+            if events == "growth" and cycle == 6:
+                # Outgrow the initial arena capacity (== the starting
+                # population), forcing a slab doubling mid-run.
+                sim.kill_node(sim.live_ids[0])
+                for _ in range(size // 2):
+                    sim.spawn_node()
             sim.run_cycle()
             if cycle % 5 == 4:
                 snaps.append((self._snapshot(sim), sim.measure()))
@@ -551,43 +634,11 @@ class TestBatchedAbsorbExactness:
     @pytest.mark.parametrize(
         "config", CONFIGS,
         ids=lambda c: f"n{c['size']}-d{c['drop']}-{c['sampler']}"
-            + ("-churn" if c["churn"] else ""),
+            + ("" if c["events"] == "none" else f"-{c['events']}")
+            + (f"-w{c['wave']}" if c.get("wave") else ""),
     )
-    def test_batch_equals_single(self, config, backend):
-        assert self._trace("batch", **config) == (
-            self._trace("single", **config)
-        )
-
-
-class TestAbsorbSeam:
-    def test_default_is_batch(self, monkeypatch):
-        from repro.engine_vector.sim import absorb_mode
-
-        monkeypatch.delenv("REPRO_VECTOR_ABSORB", raising=False)
-        assert absorb_mode() == "batch"
-
-    def test_env_selects_single(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_ABSORB", "single")
-        sim = VectorBootstrapSimulation(16, seed=3, config=FAST)
-        assert sim.absorb_mode == "single"
-
-    def test_constructor_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_ABSORB", "single")
-        sim = VectorBootstrapSimulation(
-            16, seed=3, config=FAST, absorb="batch"
-        )
-        assert sim.absorb_mode == "batch"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        from repro.engine_vector.sim import absorb_mode
-
-        monkeypatch.setenv("REPRO_VECTOR_ABSORB", "vectorised")
-        with pytest.raises(ValueError, match="absorb mode"):
-            absorb_mode()
-        with pytest.raises(ValueError, match="absorb mode"):
-            VectorBootstrapSimulation(
-                16, seed=3, config=FAST, absorb="slab"
-            )
+    def test_batch_equals_single(self, config):
+        assert self._trace(False, **config) == self._trace(True, **config)
 
 
 class TestTrackerRecomputationRegression:
@@ -599,29 +650,50 @@ class TestTrackerRecomputationRegression:
     recomputed ~all per-node deficits even though no table had
     changed.  Now a steady-state cycle (perfect tables, reliable
     network: every admission is a duplicate, every leaf reselect is a
-    no-op) must recompute exactly zero."""
+    no-op) must recompute exactly zero ranks -- and a membership
+    change, which changes every node's perfect tables, must recompute
+    every bound rank."""
 
-    def test_steady_state_measures_hit_the_cache(self, backend):
+    @staticmethod
+    def _count_recomputed(monkeypatch):
+        touched = []
+        original = SlabMeasure._recompute
+
+        def counting(self, d, check_live):
+            touched.append(int(d.size))
+            return original(self, d, check_live)
+
+        monkeypatch.setattr(SlabMeasure, "_recompute", counting)
+        return touched
+
+    def test_steady_state_measures_hit_the_cache(self, monkeypatch):
         sim = VectorBootstrapSimulation(32, seed=9, config=FAST)
         result = sim.run(40)
         assert result.converged_at is not None
-        ops = sim._ops
-        calls = []
-        original = ops.node_missing
+        touched = self._count_recomputed(monkeypatch)
+        for _ in range(5):
+            sim.run_cycle()
+            sample = sim.measure()
+            assert sample.is_perfect
+        assert sum(touched) == 0
+        # Positive control: a kill rebinds the measurer, whose first
+        # measurement recomputes every bound rank.
+        sim.kill_node(sim.live_ids[0])
+        sim.measure()
+        assert touched == [sim.population]
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        ops.node_missing = counting
-        try:
-            for _ in range(5):
-                sim.run_cycle()
-                sample = sim.measure()
-                assert sample.is_perfect
-        finally:
-            del ops.node_missing
-        assert calls == []
+    def test_join_recomputes_every_bound_rank(self, monkeypatch):
+        """A join changes every node's perfect tables as well: the next
+        measurement recomputes every bound rank, newcomer included,
+        and the one after that hits the cache again."""
+        sim = VectorBootstrapSimulation(32, seed=9, config=FAST)
+        assert sim.run(40).converged_at is not None
+        touched = self._count_recomputed(monkeypatch)
+        sim.spawn_node()
+        sim.measure()
+        assert touched == [sim.population] == [33]
+        sim.measure()
+        assert touched == [33]
 
 
 class TestVectorNewscastView:
@@ -661,12 +733,6 @@ class TestDrawHelpers:
 
     def test_prefix_slot_packing_matches_idspace(self):
         space = IDSpace()
-        import numpy as np
-
-        from repro.engine_fast import kernels
-
-        if kernels.backend() != "numpy":
-            pytest.skip("numpy not installed")
         rng = np.random.default_rng(5)
         origin = int(rng.integers(0, 2**63))
         ids = rng.integers(0, 2**63, size=64, dtype=np.uint64)

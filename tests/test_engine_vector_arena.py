@@ -1,59 +1,47 @@
-"""The pool-resident arena state layout: bit-identity and lifecycle.
+"""The vector engine's arena: pinned trajectories, a measure oracle,
+and the slab lifecycle.
 
-The arena (``repro.engine_vector.arena``) re-homes the numpy leg's
-per-node ``_ArrayState`` arrays into population-wide SoA slabs; the
-``ArenaState`` handle exposes the identical attribute surface, so every
-transition kernel runs unchanged on either layout.  That construction
-makes bit-identity a *testable* claim rather than a hope, and this
-module pins it:
+The whole population lives in one pool-resident structure-of-arrays
+arena (``repro.engine_vector.arena``); this module pins it three ways:
 
-* the differential suite runs the same seeds under
-  ``state="arena"`` and ``state="pernode"`` across sizes x drops x
-  samplers x churn/growth schedules x absorb modes and requires the
-  full observable trajectory -- every table, every measurement, the
-  final transport counters -- to be **equal**, not statistically close;
-* the sample suite runs churn, catastrophe, massive join and
-  spawn-only growth on both samplers and requires every
-  ``ConvergenceSample`` to be equal -- the arena leg's perfect tables
-  come from the array packer, the pernode leg's from
-  ``ReferenceTables``, so this is an end-to-end oracle test of the
-  packer -- and pins that the arena leg never builds
-  ``ReferenceTables`` at all;
-* the lifecycle suite exercises the arena's memory management edges:
-  freed-rank recycling under churn, slab doubling when the population
-  outgrows the initial capacity, variable-length window relocation and
-  pool compaction, and empty-population cycles;
-* the seam suite pins ``REPRO_VECTOR_STATE`` resolution (default,
-  environment, constructor override, rejection) and the fallback leg's
-  indifference to the layout choice.
+* **digest rows** -- one sha256 per (sampler, drop rate, schedule) run
+  over every ``ConvergenceSample``, the transport snapshot and every
+  node's final tables, recorded while the engine still carried a
+  per-node layout and a scalar absorb dispatch beside the arena and the
+  wave absorb (all four combinations read the same rows);
+* **the measure oracle** -- under churn, catastrophe, massive join and
+  spawn-only growth on both samplers, every sample the slab measurer
+  reports equals one recomputed from ``ReferenceTables(live ids)`` and
+  each node's arena-resident leaf and prefix arrays, while the engine
+  itself never builds ``ReferenceTables``;
+* **the lifecycle** -- freed-rank recycling under churn, slab doubling
+  when the population outgrows the initial capacity, variable-length
+  window relocation and pool compaction, and empty-population cycles.
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
+
 import pytest
 
-from repro import engine_vector
-from repro.core import BootstrapConfig, ReferenceTables
-from repro.engine_vector import STATE_MODES, VectorBootstrapSimulation, state_mode
-from repro.engine_vector.sim import _ArenaOps, _PythonOps
-from repro.simulator import NetworkModel
-from repro.simulator.failures import CatastrophicFailure, Churn, MassiveJoin
+np = pytest.importorskip("numpy")
+
+from repro.core import BootstrapConfig, ConvergenceSample, ReferenceTables  # noqa: E402
+from repro.engine_vector import VectorBootstrapSimulation  # noqa: E402
+from repro.simulator import NetworkModel  # noqa: E402
+from repro.simulator.failures import (  # noqa: E402
+    CatastrophicFailure,
+    Churn,
+    MassiveJoin,
+)
 
 FAST = BootstrapConfig(leaf_set_size=8, entries_per_slot=2, random_samples=10)
 
 
-@pytest.fixture
-def numpy_backend():
-    """Pin the numpy leg (the arena is numpy-only)."""
-    if engine_vector.backend() != "numpy":
-        pytest.skip("numpy not installed")
-    engine_vector.set_backend("numpy")
-    yield
-    engine_vector.set_backend("auto")
-
-
 def snapshot(sim):
-    """Normalised table content per node (layout-agnostic)."""
+    """Normalised table content per node."""
     nodes = {}
     for node_id, state in sim.nodes.items():
         nodes[node_id] = (
@@ -69,71 +57,6 @@ def snapshot(sim):
     return nodes
 
 
-class TestArenaPernodeBitIdentity:
-    """The tentpole contract: same seed, same trajectory, to the bit.
-
-    Both layouts drive the same kernels over the same RNG stream; the
-    only thing allowed to differ is where the bytes live.  Any
-    divergence in a table, a measurement, or a transport counter is an
-    arena bug by definition."""
-
-    CONFIGS = [
-        dict(size=48, drop=0.0, sampler="oracle", events="none",
-             absorb="batch"),
-        dict(size=40, drop=0.2, sampler="oracle", events="churn",
-             absorb="batch"),
-        dict(size=40, drop=0.1, sampler="newscast", events="churn",
-             absorb="batch"),
-        dict(size=48, drop=0.0, sampler="oracle", events="churn",
-             absorb="single"),
-        dict(size=32, drop=0.0, sampler="oracle", events="growth",
-             absorb="batch"),
-        dict(size=64, drop=0.0, sampler="oracle", events="none",
-             absorb="batch", wave=8),
-    ]
-
-    def _trace(self, state, *, size, drop, sampler, events, absorb,
-               wave=None, seed=21, cycles=25):
-        sim = VectorBootstrapSimulation(
-            size,
-            seed=seed,
-            config=FAST,
-            network=NetworkModel(drop_probability=drop),
-            sampler=sampler,
-            wave=wave,
-            absorb=absorb,
-            state=state,
-        )
-        assert sim.state_mode == state
-        snaps = []
-        for cycle in range(cycles):
-            if events == "churn" and cycle == 8:
-                sim.kill_node(sim.live_ids[0])
-                sim.spawn_node()
-            if events == "growth" and cycle == 6:
-                # Outgrow the initial arena capacity (== the starting
-                # population), forcing a slab doubling mid-run.
-                sim.kill_node(sim.live_ids[0])
-                for _ in range(size // 2):
-                    sim.spawn_node()
-            sim.run_cycle()
-            if cycle % 5 == 4:
-                snaps.append((snapshot(sim), sim.measure()))
-        snaps.append(sim._boot.stats.snapshot())
-        return snaps
-
-    @pytest.mark.parametrize(
-        "config", CONFIGS,
-        ids=lambda c: f"n{c['size']}-d{c['drop']}-{c['sampler']}"
-            f"-{c['events']}-{c['absorb']}"
-            + (f"-w{c['wave']}" if c.get("wave") else ""),
-    )
-    def test_arena_equals_pernode(self, config, numpy_backend):
-        assert self._trace("arena", **config) == (
-            self._trace("pernode", **config)
-        )
-
-
 class _SpawnOnly:
     """Spawn-only growth: *count* joins every cycle, nobody leaves."""
 
@@ -145,14 +68,136 @@ class _SpawnOnly:
             sim.spawn_node()
 
 
-class TestSamplesUnderMembershipChange:
-    """Sample-level oracle for the arena leg's perfect-table packer.
+#: Digest-row schedules, each with the starting population it runs at:
+#: every kind of membership change, from below the paper leaf-set
+#: window (n - 1 <= 2c) to a population past two slab doublings.
+DIGEST_SCHEDULES = {
+    "churn": (96, lambda: [Churn(rate=0.05)]),
+    "catastrophe": (256, lambda: [CatastrophicFailure(at_cycle=4, fraction=0.3)]),
+    "massive-join": (30, lambda: [MassiveJoin(at_cycle=3, count=30)]),
+    "spawn-only": (48, lambda: [_SpawnOnly(count=4)]),
+}
 
-    The arena leg derives perfect tables and totals from one array
-    pass over the sorted live ids; the pernode leg still asks
-    ``ReferenceTables`` per node.  Under every kind of membership
-    change, on both samplers, every ``ConvergenceSample`` must be
-    equal."""
+#: sha256 of one paper-config run per (sampler, drop, schedule) row:
+#: every ``ConvergenceSample``, the final transport snapshot and every
+#: live node's final leaf set and ``(id, slot)`` prefix entries.  The
+#: rows were recorded when the engine still carried a per-node state
+#: layout and a scalar absorb dispatch beside the arena and the wave
+#: absorb, and read the same under all four combinations; a change
+#: that moves any row changes the engine's trajectories.
+DIGESTS = {
+    "newscast/0.0/catastrophe": (
+        "8d979e4963f92cbddf5ee2ef04894fb3fdf22c6660db4f9b1facee478e8e61e5"
+    ),
+    "newscast/0.0/churn": (
+        "1d0325f4fcc106ea828ed43c468de341c886e299902484e1c75877835fd00468"
+    ),
+    "newscast/0.0/massive-join": (
+        "52da1e7fa8bb1fc6a9e1d725504e8efc0ed8b276efb91ab913fdb4ad936a3a6b"
+    ),
+    "newscast/0.0/spawn-only": (
+        "d3af1c86624876389c75b089f7137fbc9972b3ce75092553bde613734504f823"
+    ),
+    "newscast/0.2/catastrophe": (
+        "b8ce71fc72ce6ac57a8e0cc97d2debfa1bff9207bcbdcee5b15466826d2ab28e"
+    ),
+    "newscast/0.2/churn": (
+        "8eb7283ad5afb6c48c48453044c687be8f6b920c0c8d6aab3a067f95b5753d66"
+    ),
+    "newscast/0.2/massive-join": (
+        "5f90b5f59f4a6b485a67e572477efa27e94a26470bd33efb0b617a7ff62c964e"
+    ),
+    "newscast/0.2/spawn-only": (
+        "bfca3383c2c983a9190739dc439caff8e71251dba80cb404b82cc16ac4b1b944"
+    ),
+    "oracle/0.0/catastrophe": (
+        "d18e210227ecade9fb801ba998352312e664780804f27c1cf27d93122e26d7bd"
+    ),
+    "oracle/0.0/churn": (
+        "a84b054e6c62f90505e9bd2c65bf0b48b98801b43af384bedc6ad01822ccf9b0"
+    ),
+    "oracle/0.0/massive-join": (
+        "c1a93e3c0fccd654b18e06763dd913e785d47bf9a2b5d37a427874cc031f8ee5"
+    ),
+    "oracle/0.0/spawn-only": (
+        "201650b4877d93818ec9fed232136eba046acd059b33a015dfbfc45da6fa5aaf"
+    ),
+    "oracle/0.2/catastrophe": (
+        "4f440c721718b45013ed0ee2f7545aef77f3f3ff938764e46452950ff6d0a6c2"
+    ),
+    "oracle/0.2/churn": (
+        "ea30350187c5ea16a8eb6cf7f84842e66128dbd6d6463366bfb06ef3ef9d6018"
+    ),
+    "oracle/0.2/massive-join": (
+        "5ee6d1508c500267049610ed4018efbc6a01ecede64cac120b8fb3463b8352d3"
+    ),
+    "oracle/0.2/spawn-only": (
+        "a17e38c8ab7db9ef131d2e5c8cdb6a5437baefbc40fe0d9f5fae807465d33236"
+    ),
+}
+
+
+def trajectory_digest(sampler: str, drop: float, schedule: str) -> str:
+    size, schedules = DIGEST_SCHEDULES[schedule]
+    sim = VectorBootstrapSimulation(
+        size,
+        seed=29,
+        network=NetworkModel(drop_probability=drop),
+        sampler=sampler,
+    )
+    result = sim.run(14, stop_when_perfect=False, schedules=schedules())
+    tables = sorted(
+        (node_id, leaf, prefix) for node_id, (leaf, prefix) in snapshot(sim).items()
+    )
+    payload = repr(([s.as_row() for s in result.samples], result.transport, tables))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestTrajectoryDigests:
+    @pytest.mark.parametrize("row", sorted(DIGESTS))
+    def test_row_unchanged(self, row):
+        sampler, drop, schedule = row.split("/")
+        assert trajectory_digest(sampler, float(drop), schedule) == DIGESTS[row]
+
+
+def oracle_sample(sim) -> ConvergenceSample:
+    """*sim*'s current sample recomputed the object-level way: perfect
+    tables from ``ReferenceTables`` over the live ids, deficits from
+    each node's leaf and prefix arrays.  Dead ids never match a perfect
+    leaf id and are filtered out of the prefix occupancy."""
+    config = sim.config
+    reference = ReferenceTables(
+        config.space, sim.nodes.keys(), config.leaf_set_size, config.entries_per_slot
+    )
+    digit_bits = config.space.digit_bits
+    missing_leaf = missing_prefix = 0
+    for node_id, state in sim.nodes.items():
+        perfect_leaf = set(reference.perfect_leaf_ids(node_id))
+        missing_leaf += len(perfect_leaf - set(state.leaf.tolist()))
+        held = Counter(
+            slot
+            for nid, slot in zip(
+                state.prefix_ids.tolist(), state.prefix_slots.tolist(), strict=True
+            )
+            if nid in sim.nodes
+        )
+        for (row, digit), need in reference.perfect_prefix_counts(node_id).items():
+            missing_prefix += max(0, need - held[(row << digit_bits) | digit])
+    total_leaf, total_prefix = reference.totals()
+    return ConvergenceSample(
+        cycle=float(sim.cycle),
+        missing_leaf=missing_leaf,
+        total_leaf=total_leaf,
+        missing_prefix=missing_prefix,
+        total_prefix=total_prefix,
+    )
+
+
+class TestMeasureOracle:
+    """The slab measurer packs its perfect tables in array passes over
+    the sorted live ids and recomputes only dirty ranks; every sample
+    it reports must equal the object-level recomputation, under every
+    kind of membership change, on both samplers."""
 
     SCHEDULES = {
         "churn": lambda: [Churn(rate=0.05)],
@@ -163,32 +208,33 @@ class TestSamplesUnderMembershipChange:
 
     @pytest.mark.parametrize("sampler", ["oracle", "newscast"])
     @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
-    def test_arena_samples_equal_pernode(self, schedule, sampler,
-                                         numpy_backend):
-        def samples(state):
-            sim = VectorBootstrapSimulation(
-                40,
-                seed=17,
-                config=FAST,
-                network=NetworkModel(drop_probability=0.1),
-                sampler=sampler,
-                state=state,
-            )
-            result = sim.run(
-                16,
-                stop_when_perfect=False,
-                schedules=self.SCHEDULES[schedule](),
-            )
-            return result.samples
+    def test_every_sample_matches_reference_tables(self, schedule, sampler):
+        sim = VectorBootstrapSimulation(
+            40,
+            seed=17,
+            config=FAST,
+            network=NetworkModel(drop_probability=0.1),
+            sampler=sampler,
+        )
+        schedules = self.SCHEDULES[schedule]()
+        for cycle in range(16):
+            for entry in schedules:
+                entry.apply(sim, cycle)
+            sim.run_cycle()
+            assert sim.measure() == oracle_sample(sim), f"cycle {cycle}"
 
-        arena_samples = samples("arena")
-        assert len(arena_samples) == 16
-        assert arena_samples == samples("pernode")
+    def test_forced_wave_samples_match_reference_tables(self):
+        """A wave far above the ``n // 16`` default, under churn on a
+        reliable network."""
+        sim = VectorBootstrapSimulation(48, seed=23, config=FAST, wave=12)
+        churn = Churn(rate=0.1)
+        for cycle in range(14):
+            churn.apply(sim, cycle)
+            sim.run_cycle()
+            assert sim.measure() == oracle_sample(sim), f"cycle {cycle}"
 
-    @pytest.mark.parametrize("state", STATE_MODES)
-    def test_measure_after_mutation_rebuilds_reference(self, state,
-                                                       numpy_backend):
-        sim = VectorBootstrapSimulation(16, config=FAST, seed=3, state=state)
+    def test_measure_after_mutation_rebuilds_reference(self):
+        sim = VectorBootstrapSimulation(16, config=FAST, seed=3)
         sim.run_cycle()
         victim = sim.live_ids[0]
         sim.kill_node(victim)
@@ -198,10 +244,9 @@ class TestSamplesUnderMembershipChange:
             sim.reference.totals()
         )
 
-    def test_arena_leg_never_builds_reference_tables(self, monkeypatch,
-                                                     numpy_backend):
+    def test_engine_never_builds_reference_tables(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the arena leg built ReferenceTables")
+            raise AssertionError("the vector engine built ReferenceTables")
 
         monkeypatch.setattr(ReferenceTables, "__init__", refuse)
         sim = VectorBootstrapSimulation(24, seed=5, config=FAST)
@@ -211,47 +256,8 @@ class TestSamplesUnderMembershipChange:
         assert len(result.samples) == 8
 
 
-class TestStateSeam:
-    def test_state_modes_catalogued(self):
-        assert STATE_MODES == ("arena", "pernode")
-
-    def test_default_is_arena(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_STATE", raising=False)
-        assert state_mode() == "arena"
-
-    def test_env_selects_pernode(self, monkeypatch, numpy_backend):
-        monkeypatch.setenv("REPRO_VECTOR_STATE", "pernode")
-        sim = VectorBootstrapSimulation(16, seed=3, config=FAST)
-        assert sim.state_mode == "pernode"
-        assert not isinstance(sim._ops, _ArenaOps)
-
-    def test_constructor_overrides_env(self, monkeypatch, numpy_backend):
-        monkeypatch.setenv("REPRO_VECTOR_STATE", "pernode")
-        sim = VectorBootstrapSimulation(16, seed=3, config=FAST, state="arena")
-        assert sim.state_mode == "arena"
-        assert isinstance(sim._ops, _ArenaOps)
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_STATE", "slab")
-        with pytest.raises(ValueError, match="state mode"):
-            state_mode()
-        with pytest.raises(ValueError, match="state mode"):
-            VectorBootstrapSimulation(16, seed=3, config=FAST, state="soa")
-
-    def test_python_leg_records_but_ignores_layout(self):
-        engine_vector.set_backend("python")
-        try:
-            sim = VectorBootstrapSimulation(
-                16, seed=3, config=FAST, state="arena"
-            )
-            assert sim.state_mode == "arena"
-            assert isinstance(sim._ops, _PythonOps)
-        finally:
-            engine_vector.set_backend("auto")
-
-
 class TestArenaLifecycle:
-    def test_churn_recycles_freed_ranks(self, numpy_backend):
+    def test_churn_recycles_freed_ranks(self):
         """Sustained kill/spawn churn must not leak ranks: the arena's
         rank count stays pinned at the live population, dead ranks
         cycling through the free list instead of growing the slabs."""
@@ -267,8 +273,6 @@ class TestArenaLifecycle:
         assert arena.free == []
         assert len(sim.nodes) == 24
         # The recycled ranks' tables are live, consistent state.
-        import numpy as np
-
         for state in sim.nodes.values():
             leaf = state.leaf
             assert np.all(leaf[1:] > leaf[:-1])
@@ -278,7 +282,7 @@ class TestArenaLifecycle:
             assert np.array_equal(counts, state.slot_count)
         sim.measure()
 
-    def test_population_growth_doubles_slabs(self, numpy_backend):
+    def test_population_growth_doubles_slabs(self):
         """Spawning past the initial capacity doubles every slab while
         preserving existing node state bit-for-bit."""
         sim = VectorBootstrapSimulation(16, seed=7, config=FAST)
@@ -296,11 +300,9 @@ class TestArenaLifecycle:
         assert len(sim.nodes) == 56
         sim.measure()
 
-    def test_varpool_relocation_and_compaction(self, numpy_backend):
+    def test_varpool_relocation_and_compaction(self):
         """Window rewrites relocate with headroom; a full buffer
         compacts without corrupting any other rank's window."""
-        import numpy as np
-
         from repro.engine_vector.arena import _VarPool
 
         pool = _VarPool(4, np.uint64, 2)
@@ -334,7 +336,7 @@ class TestArenaLifecycle:
         assert pool.view(2).tolist() == rows[2].tolist()
         assert pool.view(0).tolist() == rows[0].tolist()
 
-    def test_empty_population_cycles(self, numpy_backend):
+    def test_empty_population_cycles(self):
         """Killing every node leaves a recoverable arena: cycles over
         the empty population are no-ops, every rank sits on the free
         list, and a respawned population runs normally.  (Measuring an

@@ -47,6 +47,20 @@ REQUIRED_SCENARIOS = (
 )
 
 
+#: Scenarios whose engine axis includes ``vector``, which needs numpy
+#: (the ``fast`` extra); on a bare install they are skipped.
+NEEDS_NUMPY = ("engines_shootout", "paper_scale")
+try:
+    import numpy  # noqa: F401
+except ImportError:
+    HAVE_NUMPY = False
+else:
+    HAVE_NUMPY = True
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="the vector engine needs numpy"
+)
+
+
 def tiny(name: str) -> ScenarioSpec:
     """A seconds-scale variant of a registry scenario for this suite."""
     return get_scenario(name).smoke(max_size=32, max_cycles=12)
@@ -86,6 +100,8 @@ class TestRegistry:
         "spec", all_scenarios(), ids=[s.name for s in all_scenarios()]
     )
     def test_every_scenario_smoke_runs(self, spec):
+        if spec.name in NEEDS_NUMPY and not HAVE_NUMPY:
+            pytest.skip("the vector engine needs numpy")
         smoke = spec.smoke(max_size=32, max_cycles=12)
         # The rescaling preserves every axis...
         assert smoke.grid.sampler_axis == spec.grid.sampler_axis
@@ -138,6 +154,7 @@ class TestScenarioSpec:
 
 
 class TestRunScenario:
+    @needs_numpy
     def test_accepts_name_and_spec(self):
         by_name = run_scenario("engines_shootout", smoke=True)
         by_spec = run_scenario(get_scenario("engines_shootout").smoke())
@@ -167,6 +184,7 @@ class TestRunScenario:
             sequential.aggregate.to_dict(), sort_keys=True
         ) == json.dumps(parallel.aggregate.to_dict(), sort_keys=True)
 
+    @needs_numpy
     def test_columns_for_filters(self):
         result = run_scenario(tiny("engines_shootout"))
         fast = result.columns_for(engine="fast")
@@ -174,6 +192,7 @@ class TestRunScenario:
         assert result.columns_for(engine="fast", size=32) == fast
         assert result.columns_for(engine="event") == []
 
+    @needs_numpy
     def test_report_sections_follow_analyses(self):
         result = run_scenario(tiny("churn"))
         report = render_scenario_report(result)
