@@ -10,15 +10,20 @@ population in one **arena** per simulation instead:
 * fixed-width per-node fields (own id, leaf table + length, ranked
   cache, occupancy counts, admission windows, flags) live in
   preallocated contiguous slabs indexed by a dense node *rank*;
-* variable-length per-node tables (prefix ids/slots) live as windows
-  over shared growable buffers (:class:`_VarPool`), with per-rank
-  offset/length/capacity cursors; the derived known-union cache stays
-  an exact-size array on the handle (it churns too fast to pool);
+* variable-length per-node tables (prefix ids/slots and their dense
+  id-universe indices) live as windows over shared growable buffers
+  (:class:`_VarPool`), with per-rank offset/length/capacity cursors;
+  the derived known-union cache stays an exact-size array on the
+  handle (it churns too fast to pool);
+* the wave kernels read and write these slabs for a whole wave at
+  once: the wave absorb installs every receiver's prefix admissions
+  through one batched pool write (:meth:`_VarPool.write_many`) and
+  reselects every touched leaf row in one padded frame, so no Python
+  step runs per receiver;
 * :class:`ArenaState` is a two-word handle ``(arena, rank)`` exposing
-  one node's fields as properties over the slabs, so the per-node
-  transitions (a node's start, the scalar SELECTPEER fallback, the
-  leaf reselect and the prefix admissions) read and write the slabs
-  directly;
+  one node's fields as properties over the slabs, for the transitions
+  that stay per node (a node's start, the scalar SELECTPEER fallback,
+  and the scalar ``absorb`` test oracle);
 * :class:`SlabMeasure` recomputes convergence deficits for all dirty
   ranks in one slab scan instead of a Python loop per node, against
   perfect tables that :func:`perfect_tables` derives for the whole
@@ -53,27 +58,19 @@ class _VarPool:
     fit the capacity are in-place, larger writes relocate the window to
     the buffer tail with geometric headroom, and a full buffer is
     compacted into a fresh one sized at 1.25x the in-use capacity.
-    Relocation never invalidates data already handed out: views into
-    the old buffer keep it alive and are, by construction, only read
-    before the write that moved the window.  After a compaction the
-    pool tells its owner (*on_compact*) so cached window views can be
-    dropped -- otherwise every handle still holding a view would pin
-    the superseded buffer, and the resident footprint would grow by a
-    whole pool generation per compaction (values are copied, so a
-    re-taken view is identical).
+    Nothing outside the pool holds a window across a write: readers
+    slice (:meth:`view`) or gather (``kernels.segment_take``) afresh,
+    so relocation and compaction never leave a stale alias behind.
     """
 
-    __slots__ = ("buf", "off", "len", "cap", "tail", "on_compact")
+    __slots__ = ("buf", "off", "len", "cap", "tail")
 
-    def __init__(
-        self, capacity: int, dtype, item_hint: int, on_compact=None
-    ) -> None:
+    def __init__(self, capacity: int, dtype, item_hint: int) -> None:
         self.off = _np.zeros(capacity, dtype=_np.intp)
         self.len = _np.zeros(capacity, dtype=_np.intp)
         self.cap = _np.zeros(capacity, dtype=_np.intp)
         self.buf = _np.empty(max(64, capacity * item_hint), dtype=dtype)
         self.tail = 0
-        self.on_compact = on_compact
 
     def grow_ranks(self, capacity: int) -> None:
         """Extend the per-rank cursor arrays (new ranks own nothing)."""
@@ -101,7 +98,7 @@ class _VarPool:
             return
         newcap = max(8, n + (n >> 2))
         if self.tail + newcap > self.buf.size:
-            self._compact(rank, n_ranks, newcap)
+            self._compact(_np.array([rank]), n_ranks, newcap)
         o = self.tail
         self.buf[o:o + n] = arr
         self.off[rank] = o
@@ -109,37 +106,61 @@ class _VarPool:
         self.cap[rank] = newcap
         self.tail = o + newcap
 
-    def _compact(self, rank: int, n_ranks: int, extra: int) -> None:
-        """Copy every in-use window (except *rank*'s abandoned one)
-        into a fresh buffer with 1.25x headroom.  Windows stabilise
-        once the protocol converges, so modest headroom costs a few
-        extra warm-up compactions while keeping the pool's resident
-        slack (the bytes-per-node gate's biggest term) small."""
-        caps = self.cap
-        offs = self.off
-        lens = self.len
-        total = extra
-        for r in range(n_ranks):
-            if r != rank:
-                total += int(caps[r])
+    def write_many(self, ranks, flat, lens, n_ranks: int) -> None:
+        """:meth:`write` for many distinct *ranks* at once: rank
+        ``ranks[i]``'s new window is the next ``lens[i]`` entries of
+        *flat*.  Windows that fit are scattered in place; the rest are
+        relocated together to the tail (one compaction first if the
+        buffer cannot hold them), then one scatter fills every
+        window."""
+        grow = lens > self.cap[ranks]
+        if grow.any():
+            g_ranks = ranks[grow]
+            g_lens = lens[grow]
+            newcaps = _np.maximum(8, g_lens + (g_lens >> 2))
+            need = int(newcaps.sum())
+            if self.tail + need > self.buf.size:
+                self._compact(g_ranks, n_ranks, need)
+            ends = self.tail + _np.cumsum(newcaps)
+            self.off[g_ranks] = ends - newcaps
+            self.cap[g_ranks] = newcaps
+            self.tail = int(ends[-1])
+        self.len[ranks] = lens
+        offs = _np.cumsum(lens) - lens
+        within = kernels._arange(flat.size) - _np.repeat(offs, lens)
+        self.buf[_np.repeat(self.off[ranks], lens) + within] = flat
+
+    def _compact(self, abandoned, n_ranks: int, extra: int) -> None:
+        """Copy every in-use window (except the *abandoned* ranks',
+        which their caller is about to relocate) into a fresh buffer
+        with 1.25x headroom over the kept capacities plus *extra*.
+        Windows stabilise once the protocol converges, so modest
+        headroom costs a few extra warm-up compactions while keeping
+        the pool's resident slack (the bytes-per-node gate's biggest
+        term) small.  Windows keep their rank order: one cumsum over
+        the kept capacities places them, one gather moves them."""
+        caps = self.cap[:n_ranks].copy()
+        caps[abandoned] = 0
+        kept = _np.flatnonzero(caps)
+        k_caps = caps[kept]
+        ends = _np.cumsum(k_caps)
+        used = int(ends[-1]) if kept.size else 0
+        total = used + extra
         old = self.buf
         buf = _np.empty(max(64, total + (total >> 2)), dtype=old.dtype)
-        tail = 0
-        for r in range(n_ranks):
-            if r == rank:
-                continue
-            c = int(caps[r])
-            if c == 0:
-                continue
-            ln = int(lens[r])
-            o = int(offs[r])
-            buf[tail:tail + ln] = old[o:o + ln]
-            offs[r] = tail
-            tail += c
+        k_lens = self.len[kept]
+        new_offs = ends - k_caps
+        # A fresh ramp, not ``kernels._arange``: that cache would stay
+        # pinned at the whole pool's size.
+        within = _np.arange(int(k_lens.sum())) - _np.repeat(
+            _np.cumsum(k_lens) - k_lens, k_lens
+        )
+        buf[_np.repeat(new_offs, k_lens) + within] = old[
+            _np.repeat(self.off[kept], k_lens) + within
+        ]
+        self.off[kept] = new_offs
         self.buf = buf
-        self.tail = tail
-        if self.on_compact is not None:
-            self.on_compact()
+        self.tail = used
 
 
 class Arena:
@@ -174,7 +195,6 @@ class Arena:
         "def_valid",
         "free",
         "n_ranks",
-        "handles",
     )
 
     def __init__(self, n_slots: int, leaf_width: int, capacity: int) -> None:
@@ -200,21 +220,13 @@ class Arena:
         # is the widest fixed-cost field, so the narrow dtype halves
         # the dominant flat per-node footprint.
         self.slot_count = _np.zeros((cap, n_slots), dtype=_np.int16)
-        # Live handles by rank, so pool compactions can drop the
-        # superseded cached window views (see _VarPool.on_compact).
-        self.handles: dict[int, ArenaState] = {}
-        self.p_ids = _VarPool(
-            cap, _np.uint64, 16, self._drop_cached_views("p_ids")
-        )
-        self.p_slots = _VarPool(
-            cap, _np.int16, 16, self._drop_cached_views("p_slots")
-        )
+        self.p_ids = _VarPool(cap, _np.uint64, 16)
+        self.p_slots = _VarPool(cap, _np.int16, 16)
         # Pool-resident dense-index caches: each rank's
         # ``universe.searchsorted`` of its prefix/leaf table, refreshed
         # only when the table or the universe changes, so the wave
-        # absorb's novelty keys are pure ragged gathers (no handle ever
-        # holds a view of these, hence no compaction callback).  int32:
-        # dense indices are bounded by the universe size.
+        # absorb's novelty keys are pure ragged gathers.  int32: dense
+        # indices are bounded by the universe size.
         self.p_dense = _VarPool(cap, _np.int32, 16)
         self.p_dense_valid = _np.zeros(cap, dtype=bool)
         self.leaf_dense = _np.empty((cap, leaf_width), dtype=_np.int32)
@@ -224,22 +236,6 @@ class Arena:
         self.def_leaf = _np.zeros(cap, dtype=_np.int64)
         self.def_prefix = _np.zeros(cap, dtype=_np.int64)
         self.def_valid = _np.zeros(cap, dtype=bool)
-
-    def _drop_cached_views(self, key: str):
-        """Compaction callback: pop every live handle's cached view of
-        the compacted pool -- and the dense-index cache entry keyed on
-        that view -- so the superseded buffer can be freed (the next
-        property access re-takes an identical view of the fresh
-        buffer)."""
-        dense_field = {"p_ids": "prefix"}.get(key)
-
-        def drop() -> None:
-            for handle in self.handles.values():
-                handle._views.pop(key, None)
-                if dense_field is not None:
-                    handle.dense_cache.pop(dense_field, None)
-
-        return drop
 
     @property
     def capacity(self) -> int:
@@ -320,7 +316,6 @@ class Arena:
         self.p_dense.release(rank)
         self.p_dense_valid[rank] = False
         self.leaf_dense_valid[rank] = False
-        self.handles.pop(rank, None)
 
 
 class ArenaState:
@@ -332,30 +327,26 @@ class ArenaState:
     ``int64`` -- while array-valued fields return slab views
     (``slot_count`` is the one the kernels write in place).
 
-    The id-table views (``leaf``/``prefix_ids``/``prefix_slots``/
-    ``known``) are cached between writes: every mutation routes
-    through the matching setter (the engine rebinds, it never writes
-    these arrays in place), so a cached view stays value-correct until
-    its setter drops it -- even across slab growth, which copies the
-    old values -- and a *stable object identity* between writes is what
-    lets the wave kernels key their dense-index caches on the view
-    itself.  Pool compaction is the one event that drops cached pool
-    views early (via the arena's handle registry): holding them would
-    pin the superseded buffer, and the re-taken view carries identical
-    values, so the only cost is one dense-cache refresh per handle.
-    ``slot_count`` is deliberately not cached: the kernels mutate that
-    row in place, so it must always resolve against the current slab.
+    The id-table getters (``leaf``/``prefix_ids``/``prefix_slots``)
+    slice the slabs afresh on every access, so a handle never pins a
+    superseded pool buffer and the batched wave writers can rewrite
+    whole slab rows and pool windows without telling any handle.  The
+    one per-handle cache is the derived ``known`` union (with its dense
+    universe indices in ``known_dense``): whoever changes the leaf set
+    or the prefix table drops it, and the wave kernels rebuild the
+    stale ones together.
     """
 
-    __slots__ = ("arena", "rank", "node_id", "_views", "dense_cache")
+    __slots__ = ("arena", "rank", "node_id", "_known", "known_dense")
 
     def __init__(self, arena: Arena, rank: int, node_id: int) -> None:
         self.arena = arena
         self.rank = rank
         self.node_id = node_id
-        self._views: dict = {}
-        self.dense_cache: dict = {}
-        arena.handles[rank] = self
+        self._known = None
+        #: ``(universe, dense)`` -- ``known``'s int32 indices into the
+        #: sorted id universe they were taken against -- or ``None``.
+        self.known_dense = None
 
     @property
     def own_u64(self):
@@ -366,12 +357,9 @@ class ArenaState:
     @property
     def leaf(self):
         """Sorted leaf-set ids: a view into the arena's leaf slab."""
-        view = self._views.get("leaf")
-        if view is None:
-            a = self.arena
-            r = self.rank
-            view = self._views["leaf"] = a.leaf[r, : a.leaf_len[r]]
-        return view
+        a = self.arena
+        r = self.rank
+        return a.leaf[r, : a.leaf_len[r]]
 
     @leaf.setter
     def leaf(self, arr) -> None:
@@ -380,7 +368,6 @@ class ArenaState:
         a.leaf[r, : arr.size] = arr
         a.leaf_len[r] = arr.size
         a.leaf_dense_valid[r] = False
-        self._views.pop("leaf", None)
 
     @property
     def leaf_ranked(self):
@@ -485,33 +472,23 @@ class ArenaState:
     @property
     def prefix_ids(self):
         """Sorted resident prefix-table ids (pooled-slab view)."""
-        view = self._views.get("p_ids")
-        if view is None:
-            view = self._views["p_ids"] = self.arena.p_ids.view(self.rank)
-        return view
+        return self.arena.p_ids.view(self.rank)
 
     @prefix_ids.setter
     def prefix_ids(self, arr) -> None:
         a = self.arena
         a.p_ids.write(self.rank, arr, a.n_ranks)
         a.p_dense_valid[self.rank] = False
-        self._views.pop("p_ids", None)
 
     @property
     def prefix_slots(self):
         """Slot index of each resident id, aligned with prefix_ids."""
-        view = self._views.get("p_slots")
-        if view is None:
-            view = self._views["p_slots"] = self.arena.p_slots.view(
-                self.rank
-            )
-        return view
+        return self.arena.p_slots.view(self.rank)
 
     @prefix_slots.setter
     def prefix_slots(self, arr) -> None:
         a = self.arena
         a.p_slots.write(self.rank, arr, a.n_ranks)
-        self._views.pop("p_slots", None)
 
     @property
     def slot_count(self):
@@ -527,15 +504,15 @@ class ArenaState:
         pool: the cache is rebuilt wholesale whenever leaf or prefix
         state changes, and pooling that churn costs compaction copies
         plus resident headroom (the bytes-per-node gate's worst term)
-        for a derived value no slab pass ever reads."""
-        return self._views.get("known")
+        for a derived value the wave kernels rebuild from the slabs
+        whenever it is stale.  Setting it drops ``known_dense``, which
+        describes the previous array."""
+        return self._known
 
     @known.setter
     def known(self, arr) -> None:
-        if arr is None:
-            self._views.pop("known", None)
-        else:
-            self._views["known"] = arr
+        self._known = arr
+        self.known_dense = None
 
 
 def perfect_tables(ids, space, c: int, k: int):

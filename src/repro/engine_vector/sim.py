@@ -337,29 +337,53 @@ class _NumpyOps:
             return _np.concatenate((known, fresh))
         return known
 
-    @staticmethod
-    def _dense(state, field, values, universe):
-        """Cached ``universe.searchsorted(values)`` for a node's
-        slowly-changing id table.  Keyed on the identity of both the
-        universe (rebuilt on membership change) and the table array
-        (rebound on every mutation: the arena handle's setters drop
-        their cached view), so a stale entry can never be returned;
-        in the converged steady state every wave hits, turning the
-        wave kernels' biggest ``searchsorted`` slabs into pure
-        gathers.  Stored as int32 --
-        dense indices are bounded by the universe size (< 2^31 at any
-        reachable population), and the narrow dtype halves what is
-        otherwise the largest per-node cache."""
-        hit = state.dense_cache.get(field)
-        if (
-            hit is not None
-            and hit[0] is universe
-            and hit[1] is values
+    def _known_wave(self, states, universe) -> None:
+        """Rebuild every stale known union among *states* -- with its
+        dense ``universe`` indices -- in one segmented pass.
+
+        A union is stale when a leaf or prefix write dropped it, or when
+        its dense indices were taken against an older universe.  The
+        stale ranks' leaf rows, prefix windows and own ids become
+        composite ``segment * len(universe) + dense`` keys (the
+        pool-resident dense caches make the first two pure gathers);
+        one ``np.unique`` over them is every stale union, sorted and
+        deduplicated, and the ids are the universe at those dense
+        indices.  In the converged steady state nothing is stale and
+        this is one attribute probe per state."""
+        stale: dict[int, ArenaState] = {}
+        for state in states:
+            cached = state.known_dense
+            if cached is None or cached[0] is not universe:
+                stale[state.rank] = state
+        if not stale:
+            return
+        m = len(stale)
+        ranks = _np.fromiter(stale, dtype=_np.intp, count=m)
+        u_size = universe.size
+        parts = [
+            kernels._arange(m) * u_size
+            + universe.searchsorted(self.arena.node_ids[ranks])
+        ]
+        for keys in (
+            self._leaf_keys(ranks, universe, u_size),
+            self._resident_keys(ranks, universe, u_size),
         ):
-            return hit[2]
-        dense = universe.searchsorted(values).astype(_np.int32)
-        state.dense_cache[field] = (universe, values, dense)
-        return dense
+            if keys is not None:
+                parts.append(keys)
+        keys = _np.unique(_np.concatenate(parts))
+        seg = keys // u_size
+        dense = keys - seg * u_size
+        ids = universe[dense]
+        dense = dense.astype(_np.int32)
+        lo = 0
+        for state, hi in zip(
+            stale.values(),
+            _np.cumsum(_np.bincount(seg, minlength=m)).tolist(),
+            strict=True,
+        ):
+            state.known = ids[lo:hi].copy()
+            state.known_dense = (universe, dense[lo:hi].copy())
+            lo = hi
 
     def _union_wave(self, jobs, universe, samples):
         """Every job's CREATEMESSAGE union in one slab pass.
@@ -377,8 +401,10 @@ class _NumpyOps:
         ``segment * len(universe) + dense`` exactly like the wave
         absorb.  On the NEWSCAST leg (*samples* is ``None``; each job
         carries its own sample array) the scalar :meth:`_union` folds
-        each job.
+        each job.  Either way the stale known unions are rebuilt first,
+        together (:meth:`_known_wave`).
         """
+        self._known_wave([state for state, _, _ in jobs], universe)
         if samples is None:
             unions = [
                 self._union(state, samples) for state, _, samples in jobs
@@ -388,11 +414,9 @@ class _NumpyOps:
         m_count = len(jobs)
         knowns = []
         denses = []
-        dense = self._dense
         for state, _, _ in jobs:
-            known = self._known(state)
-            knowns.append(known)
-            denses.append(dense(state, "known", known, universe))
+            knowns.append(state.known)
+            denses.append(state.known_dense[1])
         k_lens = _np.array([k.size for k in knowns], dtype=_np.intp)
         kn = _np.concatenate(knowns)
         kn_dense = _np.concatenate(denses)
@@ -659,16 +683,14 @@ class _NumpyOps:
         self._absorb_single(state, sender_id)
 
     def _absorb_candidates(
-        self, states, cand_ids, cand_slots, cand_dense, cand_seg, universe
+        self, states, ranks, cand_ids, cand_slots, cand_dense, cand_seg,
+        universe,
     ) -> None:
         """The core of the wave absorb: gate, dedup, cap and apply one
         assembled candidate slab (see :meth:`absorb_wave_flat` for the
         semantics argument).  *states* are the receivers, one per
-        segment."""
+        segment, and *ranks* their arena ranks."""
         n_seg = len(states)
-        ranks = _np.fromiter(
-            (state.rank for state in states), dtype=_np.intp, count=n_seg
-        )
         u_size = universe.size
         ckey = cand_seg * u_size + cand_dense
         if n_seg * u_size <= 0x7FFFFFFF:
@@ -720,21 +742,18 @@ class _NumpyOps:
             keep_sorted = (idx - group_start) < (self._k - occ_slab[ss])
             if keep_sorted.any():
                 adm_idx = o_idx[_np.sort(order2[keep_sorted])]
-                a_seg = cand_seg[adm_idx]
-                bounds = _np.searchsorted(
-                    a_seg, kernels._arange(n_seg + 1)
+                self._install_admitted(
+                    states,
+                    ranks,
+                    cand_seg[adm_idx],
+                    cand_slots[adm_idx],
+                    cand_dense[adm_idx],
+                    universe,
                 )
-                segs = _np.nonzero(bounds[1:] > bounds[:-1])[0]
-                a_ids = cand_ids[adm_idx]
-                a_slots = cand_slots[adm_idx]
-                for s in segs.tolist():
-                    lo, hi = bounds[s], bounds[s + 1]
-                    self._apply_admitted(
-                        states[s], a_ids[lo:hi], a_slots[lo:hi]
-                    )
         # UPDATELEAFSET: the wave-start admission windows gate first,
         # then dedup + one leaf-slab novelty scan over the gated
-        # subset, one balanced reselect per touched segment.
+        # subset, then one batched balanced reselect over every touched
+        # segment.
         fw = (cand_ids - own_arr[cand_seg]) & self._mu
         leaf_cand = ~full_arr[cand_seg] | (fw < lo_arr[cand_seg]) | (
             fw > hi_arr[cand_seg]
@@ -752,15 +771,173 @@ class _NumpyOps:
             f_idx = l_idx[lf_key[pos] != q]
         else:
             f_idx = l_idx
-        if not f_idx.size:
+        if f_idx.size:
+            self._reselect_leaves(
+                states, ranks, cand_seg[f_idx], cand_ids[f_idx]
+            )
+
+    def _install_admitted(
+        self, states, ranks, a_seg, a_slots, a_dense, universe
+    ) -> None:
+        """UPDATEPREFIXTABLE's install for every admitting receiver of a
+        wave as one slab pass: :meth:`_apply_admitted` for all of them
+        at once.
+
+        The admissions arrive capped and grouped by segment (*a_seg*
+        non-decreasing), each with its slot and dense ``universe``
+        index.  Occupancy takes one ``np.add.at``.  Each touched rank's
+        sorted prefix window merges with its admissions in one sort of
+        composite ``segment * len(universe) + dense`` keys -- admitted
+        ids are novel, so the keys are distinct -- and the merged ids,
+        slots and dense indices go back through one batched pool write
+        each, leaving the touched ranks' dense caches valid."""
+        a = self.arena
+        u_size = universe.size
+        t_seg, counts = _np.unique(a_seg, return_counts=True)
+        t_ranks = ranks[t_seg]
+        _np.add.at(a.slot_count, (ranks[a_seg], a_slots), 1)
+        self._sync_dense_universe(universe)
+        self._refresh_prefix_dense(t_ranks, universe)
+        old_lens = a.p_ids.len[t_ranks]
+        old_dense = kernels.segment_take(
+            a.p_dense.buf, a.p_dense.off[t_ranks], old_lens
+        )
+        old_slots = kernels.segment_take(
+            a.p_slots.buf, a.p_slots.off[t_ranks], old_lens
+        )
+        local = kernels._arange(t_seg.size)
+        order = _np.argsort(
+            _np.concatenate(
+                (
+                    _np.repeat(local, old_lens) * u_size + old_dense,
+                    _np.repeat(local, counts) * u_size + a_dense,
+                )
+            )
+        )
+        dense = _np.concatenate((old_dense, a_dense))[order]
+        slots = _np.concatenate((old_slots, a_slots))[order]
+        lens = old_lens + counts
+        n_ranks = a.n_ranks
+        a.p_ids.write_many(t_ranks, universe[dense], lens, n_ranks)
+        a.p_slots.write_many(t_ranks, slots, lens, n_ranks)
+        a.p_dense.write_many(t_ranks, dense, lens, n_ranks)
+        a.p_dense_valid[t_ranks] = True
+        a.stats_dirty[t_ranks] = True
+        for s in t_seg.tolist():
+            states[s].known = None
+
+    def _reselect_leaves(self, states, ranks, f_seg, f_ids) -> None:
+        """UPDATELEAFSET's balanced reselect for every touched receiver
+        of a wave as one padded frame: :meth:`_merge_fresh` for all of
+        them at once.
+
+        Row ``i`` holds a touched rank's leaf row followed by its fresh
+        candidates (*f_seg* non-decreasing).  One row-wise sort by ring
+        distance (padding at a sentinel above any real distance) puts
+        each side's candidates nearest first, so running successor /
+        predecessor counts against the balanced take-counts mark the
+        kept columns -- the selection :func:`select_balanced_arrays`
+        makes per node (distances within a side are distinct; a row of
+        at most ``c`` candidates keeps them all).  A second row-wise
+        sort restores id order.  Only rows whose leaf actually changed
+        are written, with their side counts, worst kept distances,
+        fullness and admission windows, and only they drop their
+        ranked, dense and known caches and dirty their deficit: a
+        rejected-everything reselect leaves the rank untouched, exactly
+        like :meth:`_set_leaf`'s short-circuit."""
+        a = self.arena
+        c = self._c
+        mu = self._mu
+        t_seg, counts = _np.unique(f_seg, return_counts=True)
+        t_ranks = ranks[t_seg]
+        m = t_seg.size
+        old_len = a.leaf_len[t_ranks]
+        old = a.leaf[t_ranks]
+        width = c + int(counts.max())
+        frame = _np.empty((m, width), dtype=_np.uint64)
+        frame[:, :c] = old
+        within = kernels._arange(f_ids.size) - _np.repeat(
+            _np.cumsum(counts) - counts, counts
+        )
+        frame.reshape(-1)[
+            _np.repeat(kernels._arange(m) * width + c, counts) + within
+        ] = f_ids
+        col = kernels._arange(width)[None, :]
+        valid = (col < old_len[:, None]) | (
+            (col >= c) & (col < (c + counts)[:, None])
+        )
+        own = a.node_ids[t_ranks][:, None]
+        if self._mask == 0xFFFFFFFFFFFFFFFF:
+            fw = frame - own
+            bw = -fw
+        else:
+            fw = (frame - own) & mu
+            bw = (-fw) & mu
+        sentinel = _np.uint64(0xFFFFFFFFFFFFFFFF)
+        order = _np.argsort(
+            _np.where(valid, _np.minimum(fw, bw), sentinel),
+            axis=1,
+            kind="stable",
+        )
+        ranked = _np.take_along_axis(frame, order, axis=1)
+        fw = _np.take_along_axis(fw, order, axis=1)
+        bw = _np.take_along_axis(bw, order, axis=1)
+        n_valid = old_len + counts
+        in_row = col < n_valid[:, None]
+        succ = (fw <= self._half_u) & in_row
+        cs = _np.cumsum(succ, axis=1)
+        ts, tp = kernels.balanced_counts_arrays(
+            cs[:, -1], n_valid - cs[:, -1], self._half_c
+        )
+        keep = _np.where(
+            succ, cs <= ts[:, None], (col + 1 - cs) <= tp[:, None]
+        )
+        keep &= in_row
+        new = _np.sort(_np.where(keep, ranked, sentinel), axis=1)[:, :c]
+        new_len = keep.sum(axis=1)
+        changed = (new_len != old_len) | (
+            (new != old) & (col[:, :c] < new_len[:, None])
+        ).any(axis=1)
+        if not changed.any():
             return
-        f_seg = cand_seg[f_idx]
-        fbounds = _np.searchsorted(f_seg, kernels._arange(n_seg + 1))
-        fsegs = _np.nonzero(fbounds[1:] > fbounds[:-1])[0]
-        f_ids = cand_ids[f_idx]
-        for s in fsegs.tolist():
-            lo, hi = fbounds[s], fbounds[s + 1]
-            self._merge_fresh(states[s], f_ids[lo:hi])
+        keep = keep[changed]
+        succ = succ[changed]
+        kept_succ = keep & succ
+        kept_pred = keep & ~succ
+        n_succ = kept_succ.sum(axis=1)
+        n_pred = kept_pred.sum(axis=1)
+        succ_max = _np.where(kept_succ, fw[changed], 0).max(axis=1)
+        pred_max = _np.where(kept_pred, bw[changed], 0).max(axis=1)
+        new_len = new_len[changed]
+        cr = t_ranks[changed]
+        a.leaf[cr] = new[changed]
+        a.leaf_len[cr] = new_len
+        a.succ_count[cr] = n_succ
+        a.pred_count[cr] = n_pred
+        a.succ_max[cr] = _np.where(n_succ > 0, succ_max.astype(_np.int64), -1)
+        a.pred_max[cr] = _np.where(n_pred > 0, pred_max.astype(_np.int64), -1)
+        full = new_len >= c
+        a.leaf_full[cr] = full
+        # Admission window of the full rows: a short side accepts its
+        # whole half-ring, a full side only below/above its worst kept
+        # distance (pred_max >= 1 on a full side, so the upper edge fits
+        # the ring's unsigned width).
+        fr = cr[full]
+        a.accept_lo[fr] = _np.where(
+            n_succ[full] < self._half_c,
+            _np.uint64(self._half_ring + 1),
+            succ_max[full],
+        )
+        a.accept_hi[fr] = _np.where(
+            n_pred[full] < self._half_c,
+            self._half_u,
+            mu - pred_max[full] + _np.uint64(1),
+        )
+        a.ranked_valid[cr] = False
+        a.leaf_dense_valid[cr] = False
+        a.stats_dirty[cr] = True
+        for s in t_seg[changed].tolist():
+            states[s].known = None
 
     def absorb_wave_flat(self, wave, specs, universe) -> None:
         """One wave's surviving absorbs as a segmented slab pass.
@@ -792,15 +969,21 @@ class _NumpyOps:
         * slot capping is the same stable grouped rank as the scalar
           fill, keyed by ``segment * n_slots + slot`` against a
           concatenated occupancy slab, so first-come order within a
-          receiver is preserved across its messages;
+          receiver is preserved across its messages; the capped
+          admissions of every receiver are installed together
+          (:meth:`_install_admitted`: one occupancy ``add.at``, one
+          composite-key merge with the resident windows, one batched
+          pool write);
         * UPDATELEAFSET applies the wave-start admission windows and
           folds each segment's surviving candidates through one
-          balanced reselect.  This is bit-identical to the sequential
-          merges because balanced selection is an associative fold:
-          take-counts are monotone in the candidate set, so an id a
-          sequential intermediate window would have dropped is dropped
-          by the final reselect too (and ids the stale wave-start
-          window over-admits are exactly those, see :meth:`_set_leaf`).
+          balanced reselect, every touched segment's in one padded
+          frame (:meth:`_reselect_leaves`).  This is bit-identical to
+          the sequential merges because balanced selection is an
+          associative fold: take-counts are monotone in the candidate
+          set, so an id a sequential intermediate window would have
+          dropped is dropped by the final reselect too (and ids the
+          stale wave-start window over-admits are exactly those, see
+          :meth:`_set_leaf`).
 
         The result is bit-identical to replaying the scalar
         :meth:`absorb` per spec in arrival order (pinned by the engine
@@ -810,48 +993,42 @@ class _NumpyOps:
             return
         ids_flat, slots_flat, dense_flat, bounds = wave
         # Group by receiver, first-appearance segment order; each
-        # receiver's messages stay in wave order.
-        seg_of: dict[int, int] = {}
-        states: list[ArenaState] = []
-        seg_msgs: list[list[tuple[int, int]]] = []
-        for state, mi_, sender in specs:
-            s = seg_of.get(id(state))
-            if s is None:
-                s = seg_of[id(state)] = len(states)
-                states.append(state)
-                seg_msgs.append([])
-            seg_msgs[s].append(
-                (mi_, sender if sender != state.node_id else -1)
-            )
-        mi_list: list[int] = []
-        aseg: list[int] = []
-        sender_ids: list[int] = []
-        sender_owner: list[int] = []
-        has_s: list[bool] = []
-        for s, msgs in enumerate(seg_msgs):
-            own = states[s].node_id
-            for mi_, sender in msgs:
-                mi_list.append(mi_)
-                aseg.append(s)
-                if sender >= 0:
-                    has_s.append(True)
-                    sender_ids.append(sender)
-                    sender_owner.append(own)
-                else:
-                    has_s.append(False)
-        s_ids = _np.array(sender_ids, dtype=_np.uint64)
+        # receiver's messages stay in wave order (live handles and
+        # ranks are one-to-one, so the rank is the receiver's key).
+        count = len(specs)
+        rk = _np.fromiter(
+            (spec[0].rank for spec in specs), dtype=_np.intp, count=count
+        )
+        _, first, inverse = _np.unique(
+            rk, return_index=True, return_inverse=True
+        )
+        appearance = _np.argsort(first)
+        seg_of = _np.empty(first.size, dtype=_np.intp)
+        seg_of[appearance] = kernels._arange(first.size)
+        seg = seg_of[inverse]
+        order = _np.argsort(seg, kind="stable")
+        states = [specs[i][0] for i in first[appearance].tolist()]
+        ranks = rk[first[appearance]]
+        aseg = seg[order]
+        mi_arr = _np.fromiter(
+            (spec[1] for spec in specs), dtype=_np.intp, count=count
+        )[order]
+        senders = _np.fromiter(
+            (spec[2] for spec in specs), dtype=_np.uint64, count=count
+        )[order]
+        owners = self.arena.node_ids[rk[order]]
+        sflag = senders != owners
+        s_ids = senders[sflag]
         s_slots = kernels.prefix_slots_arrays(
             s_ids,
-            _np.array(sender_owner, dtype=_np.uint64),
+            owners[sflag],
             self._bits,
             self._digit_bits,
             self._base_mask,
         )
         s_dense = universe.searchsorted(s_ids).astype(_np.intp)
-        mi_arr = _np.array(mi_list, dtype=_np.intp)
         b0 = bounds[mi_arr]
         mlen = bounds[mi_arr + 1] - b0
-        sflag = _np.array(has_s)
         plen = mlen + sflag
         cum = _np.cumsum(plen)
         total = int(cum[-1])
@@ -874,9 +1051,14 @@ class _NumpyOps:
             cand_dense = _np.concatenate((dense_flat, s_dense))[src]
         else:
             cand_dense = universe.searchsorted(cand_ids).astype(_np.intp)
-        cand_seg = _np.repeat(_np.array(aseg, dtype=_np.intp), plen)
         self._absorb_candidates(
-            states, cand_ids, cand_slots, cand_dense, cand_seg, universe
+            states,
+            ranks,
+            cand_ids,
+            cand_slots,
+            cand_dense,
+            _np.repeat(aseg, plen),
+            universe,
         )
 
     def _fill_slots(self, state: ArenaState, nids, nslots) -> None:
@@ -899,7 +1081,8 @@ class _NumpyOps:
 
     def _apply_admitted(self, state: ArenaState, kids, kslots) -> None:
         """Install already-capped admissions into the resident arrays
-        (shared by the scalar fill and the segmented wave absorb)."""
+        (the scalar fill's; the wave absorb installs a whole wave's
+        through :meth:`_install_admitted`)."""
         _np.add.at(state.slot_count, kslots, 1)
         # Sorted-insert instead of re-sorting the whole table: kids is
         # small, the resident arrays stay id-sorted.
@@ -911,24 +1094,12 @@ class _NumpyOps:
             state.prefix_slots, pos, kslots[ksort_order]
         )
         state.stats_dirty = True
-        known = state.known
-        if known is not None:
-            # Admitted ids are novel to the prefix table but may
-            # already sit in the known union via the leaf set.
-            kpos = _np.minimum(known.searchsorted(ksort), known.size - 1)
-            add = known[kpos] != ksort
-            if add.all():
-                state.known = _np.insert(
-                    known, known.searchsorted(ksort), ksort
-                )
-            elif add.any():
-                sub = ksort[add]
-                state.known = _np.insert(
-                    known, known.searchsorted(sub), sub
-                )
+        state.known = None
 
     def _merge_fresh(self, state: ArenaState, fresh) -> None:
-        """Reselect the leaf membership after novel candidates."""
+        """Reselect the leaf membership after novel candidates (per
+        node: :meth:`start_node` and the scalar :meth:`absorb` oracle;
+        the wave absorb reselects through :meth:`_reselect_leaves`)."""
         candidates = _np.concatenate((state.leaf, fresh))
         if candidates.size <= self._c:
             self._set_leaf(state, _np.sort(candidates))
@@ -1006,11 +1177,7 @@ class _NumpyOps:
                     state.prefix_slots, pos, slot
                 )
                 state.stats_dirty = True
-                known = state.known
-                if known is not None:
-                    kpos = int(known.searchsorted(value))
-                    if kpos == known.size or int(known[kpos]) != nid:
-                        state.known = _np.insert(known, kpos, value)
+                state.known = None
         fw = (nid - own) & self._mask
         if state.leaf_full:
             if not (fw < int(state.accept_lo) or fw > int(state.accept_hi)):
@@ -1038,8 +1205,8 @@ class _NumpyOps:
     def _sync_dense_universe(self, universe) -> None:
         """Invalidate every pooled dense-index cache when the
         membership universe was rebuilt (identity-keyed exactly like
-        :meth:`_dense`; holding the reference also keeps the old object
-        alive, so its id cannot be recycled)."""
+        ``ArenaState.known_dense``; holding the reference also keeps the
+        old object alive, so its id cannot be recycled)."""
         a = self.arena
         if a.dense_universe is not universe:
             a.p_dense_valid[:] = False
@@ -1062,25 +1229,28 @@ class _NumpyOps:
         if not int(lens.sum()):
             return None
         self._sync_dense_universe(universe)
-        stale = _np.unique(ranks[~a.p_dense_valid[ranks]])
-        if stale.size:
-            s_lens = pool.len[stale]
-            flat = kernels.segment_take(pool.buf, pool.off[stale], s_lens)
-            dense_flat = universe.searchsorted(flat).astype(_np.int32)
-            offs = _np.cumsum(s_lens) - s_lens
-            n_ranks = a.n_ranks
-            for j, r in enumerate(stale.tolist()):
-                o = int(offs[j])
-                a.p_dense.write(
-                    r, dense_flat[o:o + int(s_lens[j])], n_ranks
-                )
-            a.p_dense_valid[stale] = True
+        self._refresh_prefix_dense(ranks, universe)
         dense = kernels.segment_take(
             a.p_dense.buf, a.p_dense.off[ranks], lens
         )
         return _np.repeat(
             kernels._arange(ranks.size), lens
         ) * u_size + dense
+
+    def _refresh_prefix_dense(self, ranks, universe) -> None:
+        """Re-derive the dense prefix windows of the stale ranks among
+        the distinct *ranks* in one batched ``searchsorted`` and one
+        pool write (the universe is already synced)."""
+        a = self.arena
+        stale = ranks[~a.p_dense_valid[ranks]]
+        if stale.size:
+            pool = a.p_ids
+            s_lens = pool.len[stale]
+            flat = kernels.segment_take(pool.buf, pool.off[stale], s_lens)
+            a.p_dense.write_many(
+                stale, universe.searchsorted(flat), s_lens, a.n_ranks
+            )
+            a.p_dense_valid[stale] = True
 
     def _leaf_keys(self, ranks, universe, u_size):
         """Composite leaf keys via the fixed-width ``leaf_dense`` slab

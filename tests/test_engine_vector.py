@@ -45,7 +45,7 @@ from repro.engine_fast import kernels  # noqa: E402
 from repro.engine_vector import VectorBootstrapSimulation  # noqa: E402
 from repro.engine_vector.arena import SlabMeasure  # noqa: E402
 from repro.engine_vector.rng import sample_distinct  # noqa: E402
-from repro.engine_vector.sim import VectorNewscastView  # noqa: E402
+from repro.engine_vector.sim import VectorNewscastView, _NumpyOps  # noqa: E402
 from repro.runtime import (  # noqa: E402
     RunSpec,
     ScheduleSpec,
@@ -60,8 +60,12 @@ from repro.simulator import (  # noqa: E402
     NetworkModel,
     build_simulation,
 )
+from repro.simulator.failures import Churn  # noqa: E402
 
 FAST = BootstrapConfig(leaf_set_size=8, entries_per_slot=2, random_samples=10)
+NARROW = BootstrapConfig(
+    id_bits=32, leaf_set_size=8, entries_per_slot=2, random_samples=10
+)
 
 #: Equivalence bands (see the module docstring for how they are set).
 CONV_TOL = 4.0      # |mean converged_at delta|, cycles
@@ -535,20 +539,80 @@ class TestBatchedConstructionExactness:
             assert wave_slots.tolist() == single_slots.tolist()
 
     def test_array_state_invariants_after_run(self):
-        sim = converged_sim(seed=13)
-        for state in sim.nodes.values():
-            leaf = state.leaf
-            prefix = state.prefix_ids
-            assert np.all(leaf[1:] > leaf[:-1])
-            assert np.all(prefix[1:] > prefix[:-1])
-            assert leaf.size <= FAST.leaf_set_size
-            # Occupancy bookkeeping agrees with the resident slots.
-            counts = np.bincount(
-                state.prefix_slots, minlength=state.slot_count.size
+        """Every arena column the wave absorb writes is recomputed here
+        from each rank's leaf row and prefix window."""
+        assert_arena_invariants(converged_sim(seed=13))
+
+    def test_array_state_invariants_after_churn(self):
+        """The same recomputation after kills, joins, drops and rank
+        recycling on the NEWSCAST leg."""
+        sim = VectorBootstrapSimulation(
+            48,
+            seed=13,
+            config=FAST,
+            network=NetworkModel(drop_probability=0.1),
+            sampler="newscast",
+        )
+        churn = Churn(rate=0.05)
+        sim.run(12, stop_when_perfect=False, schedules=[churn])
+        assert churn.departures and churn.arrivals
+        assert_arena_invariants(sim)
+
+
+def assert_arena_invariants(sim):
+    """Recompute the arena's derived columns per live rank: leaf side
+    counts, worst kept distances, fullness and admission window from
+    the leaf row; slot occupancy and slot keys from the prefix window;
+    the dense-index caches wherever their valid flag is set."""
+    space = sim.config.space
+    mask = space.size - 1
+    half = space.half
+    half_c = sim.config.half_leaf_set
+    c = sim.config.leaf_set_size
+    arena = sim._ops.arena
+    universe = arena.dense_universe
+    for node_id, state in sim.nodes.items():
+        rank = state.rank
+        leaf = state.leaf
+        prefix = state.prefix_ids
+        assert np.all(leaf[1:] > leaf[:-1])
+        assert np.all(prefix[1:] > prefix[:-1])
+        assert leaf.size <= c
+        forward = [(nid - node_id) & mask for nid in leaf.tolist()]
+        succ = [fw for fw in forward if fw <= half]
+        pred = [(-fw) & mask for fw in forward if fw > half]
+        assert state.succ_count == len(succ)
+        assert state.pred_count == len(pred)
+        assert state.succ_max == max(succ, default=-1)
+        assert state.pred_max == max(pred, default=-1)
+        assert state.leaf_full == (leaf.size >= c)
+        if state.leaf_full:
+            lo = half + 1 if len(succ) < half_c else max(succ)
+            hi = half if len(pred) < half_c else mask - max(pred) + 1
+            assert int(state.accept_lo) == lo
+            assert int(state.accept_hi) == hi
+        # Occupancy agrees with the resident slots, and each slot is
+        # the id's (common prefix, next digit) key in this table.
+        counts = np.bincount(
+            state.prefix_slots, minlength=state.slot_count.size
+        )
+        assert np.array_equal(counts, state.slot_count)
+        assert int(state.slot_count.max(initial=0)) <= (
+            sim.config.entries_per_slot
+        )
+        assert state.prefix_slots.tolist() == [
+            (row << space.digit_bits) | col
+            for row, col in (
+                space.prefix_slot(node_id, nid) for nid in prefix.tolist()
             )
-            assert np.array_equal(counts, state.slot_count)
-            assert int(state.slot_count.max(initial=0)) <= (
-                FAST.entries_per_slot
+        ]
+        if arena.p_dense_valid[rank]:
+            assert arena.p_dense.view(rank).tolist() == (
+                universe.searchsorted(prefix).tolist()
+            )
+        if arena.leaf_dense_valid[rank]:
+            assert arena.leaf_dense[rank, : leaf.size].tolist() == (
+                universe.searchsorted(leaf).tolist()
             )
 
 
@@ -584,6 +648,15 @@ class TestBatchedAbsorbExactness:
         dict(size=32, drop=0.0, sampler="oracle", events="growth"),
         dict(size=32, drop=0.1, sampler="newscast", events="growth"),
         dict(size=64, drop=0.0, sampler="oracle", events="none", wave=8),
+        # 32-bit ids: the ring arithmetic runs under a real mask
+        # instead of uint64 wraparound.
+        dict(size=40, drop=0.2, sampler="oracle", events="churn",
+             config=NARROW),
+        dict(size=32, drop=0.1, sampler="newscast", events="growth",
+             config=NARROW),
+        # Six nodes, c = 8: no leaf set ever fills, so every candidate
+        # bypasses the admission window.
+        dict(size=6, drop=0.0, sampler="oracle", events="none"),
     ]
 
     @staticmethod
@@ -603,11 +676,11 @@ class TestBatchedAbsorbExactness:
         }
 
     def _trace(self, scalar, *, size, drop, sampler, events, wave=None,
-               seed=21, cycles=25):
+               config=FAST, seed=21, cycles=25):
         sim = VectorBootstrapSimulation(
             size,
             seed=seed,
-            config=FAST,
+            config=config,
             network=NetworkModel(drop_probability=drop),
             sampler=sampler,
             wave=wave,
@@ -635,7 +708,8 @@ class TestBatchedAbsorbExactness:
         "config", CONFIGS,
         ids=lambda c: f"n{c['size']}-d{c['drop']}-{c['sampler']}"
             + ("" if c["events"] == "none" else f"-{c['events']}")
-            + (f"-w{c['wave']}" if c.get("wave") else ""),
+            + (f"-w{c['wave']}" if c.get("wave") else "")
+            + (f"-{c['config'].id_bits}bit" if c.get("config") else ""),
     )
     def test_batch_equals_single(self, config):
         assert self._trace(False, **config) == self._trace(True, **config)
@@ -694,6 +768,126 @@ class TestTrackerRecomputationRegression:
         assert touched == [sim.population] == [33]
         sim.measure()
         assert touched == [33]
+
+
+class TestWaveAbsorbIsBatched:
+    """The wave absorb lands a whole wave's prefix admissions and leaf
+    reselects in the arena as slab passes: the per-node transitions
+    (``_apply_admitted``, ``_merge_fresh``, ``_set_leaf``) run only
+    inside ``start_node`` and the scalar ``absorb`` oracle.  Warm
+    cycles are where tables change most, so that is where a per-node
+    fallback would show."""
+
+    TRANSITIONS = ("_apply_admitted", "_merge_fresh", "_set_leaf")
+
+    def _count(self, monkeypatch):
+        """Count each transition's calls made outside ``start_node``."""
+        calls = dict.fromkeys(self.TRANSITIONS, 0)
+        starting = []
+
+        def counted(name, original):
+            def wrapper(self, *args):
+                if not starting:
+                    calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in self.TRANSITIONS:
+            monkeypatch.setattr(
+                _NumpyOps, name, counted(name, getattr(_NumpyOps, name))
+            )
+        start_node = _NumpyOps.start_node
+
+        def start(self, *args):
+            starting.append(True)
+            try:
+                return start_node(self, *args)
+            finally:
+                starting.pop()
+
+        monkeypatch.setattr(_NumpyOps, "start_node", start)
+        return calls
+
+    def _warm_run(self, monkeypatch, scalar):
+        sim = VectorBootstrapSimulation(64, seed=5, config=FAST)
+        if scalar:
+            sim._ops.absorb_wave_flat = scalar_absorb_wave(sim._ops)
+        calls = self._count(monkeypatch)
+        before = TestBatchedAbsorbExactness._snapshot(sim)
+        for _ in range(3):
+            sim.run_cycle()
+        # Warm indeed: every node started and tables are still filling.
+        assert not sim.measure().is_perfect
+        assert TestBatchedAbsorbExactness._snapshot(sim) != before
+        return calls
+
+    def test_wave_absorb_calls_no_per_node_transition(self, monkeypatch):
+        calls = self._warm_run(monkeypatch, scalar=False)
+        assert calls == dict.fromkeys(self.TRANSITIONS, 0)
+
+    def test_scalar_oracle_calls_them(self, monkeypatch):
+        """Positive control: the same run drained through the scalar
+        ``absorb`` oracle reaches every transition."""
+        calls = self._warm_run(monkeypatch, scalar=True)
+        assert all(calls[name] > 0 for name in self.TRANSITIONS), calls
+
+
+    def test_reselect_that_rejects_everything_keeps_caches(self):
+        """In one batched reselect, a row whose candidates all lose is
+        left untouched -- leaf, ranked order, known union, clean
+        deficit -- the short-circuit ``_set_leaf`` takes per node,
+        while a row given a closer candidate is rewritten and drops
+        exactly those caches."""
+        sim = converged_sim(seed=19)
+        ops = sim._ops
+        arena = ops.arena
+        sim.measure()
+        space = FAST.space
+        kept, moved = list(sim.nodes.values())[:2]
+        ranks = np.array([kept.rank, moved.rank])
+        ops._rank_rows(ranks)
+        before = {}
+        for state in (kept, moved):
+            ops._known(state)
+            before[state.rank] = (state.leaf.copy(), state.known)
+
+        def ring(a, b):
+            return min((a - b) % space.size, (b - a) % space.size)
+
+        # The live id farthest from *kept*, and an id right next to
+        # *moved* that is not in the network.
+        far = max(
+            (nid for nid in sim.nodes if nid not in kept.leaf.tolist()),
+            key=lambda nid: ring(nid, kept.node_id),
+        )
+        closer = (moved.node_id + 1) % space.size
+        assert closer not in sim.nodes
+        ops._reselect_leaves(
+            [kept, moved],
+            ranks,
+            np.array([0, 1], dtype=np.intp),
+            np.array([far, closer], dtype=np.uint64),
+        )
+        leaf, known = before[kept.rank]
+        assert kept.leaf.tolist() == leaf.tolist()
+        assert not arena.stats_dirty[kept.rank]
+        assert arena.ranked_valid[kept.rank]
+        assert kept.known is known
+        leaf, _ = before[moved.rank]
+        expected = np.sort(
+            kernels.select_balanced_arrays(
+                np.append(leaf, np.uint64(closer)),
+                moved.node_id,
+                space.size - 1,
+                space.half,
+                FAST.half_leaf_set,
+            )
+        )
+        assert moved.leaf.tolist() == expected.tolist() != leaf.tolist()
+        assert arena.stats_dirty[moved.rank]
+        assert not arena.ranked_valid[moved.rank]
+        assert moved.known is None
 
 
 class TestVectorNewscastView:

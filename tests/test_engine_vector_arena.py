@@ -336,6 +336,57 @@ class TestArenaLifecycle:
         assert pool.view(2).tolist() == rows[2].tolist()
         assert pool.view(0).tolist() == rows[0].tolist()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_varpool_random_ops_keep_every_window(self, seed):
+        """Random single and batched writes (fitting, growing,
+        shrinking, empty) and releases, on a pool small enough to
+        compact every few steps: after each step every rank reads back
+        its last write, and the in-use windows stay disjoint inside
+        the buffer."""
+        from repro.engine_vector.arena import _VarPool
+
+        rng = np.random.default_rng(seed)
+        n_ranks = 12
+        pool = _VarPool(n_ranks, np.uint64, 1)
+        model = {rank: [] for rank in range(n_ranks)}
+        compactions = 0
+        for step in range(400):
+            before = pool.buf
+            op = rng.integers(3)
+            if op == 0:
+                rank = int(rng.integers(n_ranks))
+                row = rng.integers(0, 1 << 63, size=rng.integers(0, 40))
+                pool.write(rank, row.astype(np.uint64), n_ranks)
+                model[rank] = row.tolist()
+            elif op == 1:
+                ranks = rng.permutation(n_ranks)[: rng.integers(1, n_ranks)]
+                lens = rng.integers(0, 40, size=ranks.size)
+                flat = rng.integers(0, 1 << 63, size=int(lens.sum()))
+                pool.write_many(ranks, flat.astype(np.uint64), lens, n_ranks)
+                lo = 0
+                for rank, length in zip(ranks.tolist(), lens.tolist(), strict=True):
+                    model[rank] = flat[lo:lo + length].tolist()
+                    lo += length
+            else:
+                rank = int(rng.integers(n_ranks))
+                pool.release(rank)
+                model[rank] = []
+            compactions += pool.buf is not before
+            spans = []
+            for rank, row in model.items():
+                assert pool.view(rank).tolist() == row, (step, rank)
+                assert int(pool.len[rank]) == len(row)
+                assert len(row) <= int(pool.cap[rank])
+                if pool.cap[rank]:
+                    spans.append((int(pool.off[rank]), int(pool.cap[rank])))
+            spans.sort()
+            for (o1, c1), (o2, _) in zip(spans, spans[1:], strict=False):
+                assert o1 + c1 <= o2
+            assert not spans or spans[-1][0] + spans[-1][1] <= pool.tail
+            assert pool.tail <= pool.buf.size
+        # The walk really compacted, many times over.
+        assert compactions > 10
+
     def test_empty_population_cycles(self):
         """Killing every node leaves a recoverable arena: cycles over
         the empty population are no-ops, every rank sits on the free
