@@ -56,9 +56,9 @@ SUSTAIN_CYCLES = 10
 
 #: Memory-profile population and bytes-per-node ceiling (tracemalloc
 #: peak over simulation build plus warm-up, divided by the population).
-#: Measured ~10.1 KiB/node at 2048 nodes (the peak mixes per-node state
+#: Measured ~9.7 KiB/node at 2048 nodes (the peak mixes per-node state
 #: with shared structures such as the wave buffers); the ceiling sits
-#: ~50% above, so it catches a layout regression -- a pool that stops
+#: ~60% above, so it catches a layout regression -- a pool that stops
 #: compacting, a cache pinning superseded buffers -- not allocator
 #: noise.
 MEM_PROFILE_SIZE = 2048

@@ -7,9 +7,9 @@ allocator traffic for tiny arrays, pointer-chasing gathers, and a
 Python attribute hop per touched field.  This module keeps the whole
 population in one **arena** per simulation instead:
 
-* fixed-width per-node fields (own id, leaf table + length, ranked
-  cache, occupancy counts, admission windows, flags) live in
-  preallocated contiguous slabs indexed by a dense node *rank*;
+* fixed-width per-node fields (own id, leaf table + length,
+  occupancy counts, admission windows, flags) live in preallocated
+  contiguous slabs indexed by a dense node *rank*;
 * variable-length per-node tables (prefix ids/slots and their dense
   id-universe indices) live as windows over shared growable buffers
   (:class:`_VarPool`), with per-rank offset/length/capacity cursors;
@@ -171,8 +171,6 @@ class Arena:
         "node_ids",
         "leaf",
         "leaf_len",
-        "ranked",
-        "ranked_valid",
         "leaf_full",
         "started",
         "stats_dirty",
@@ -205,8 +203,6 @@ class Arena:
         self.node_ids = _np.empty(cap, dtype=_np.uint64)
         self.leaf = _np.empty((cap, leaf_width), dtype=_np.uint64)
         self.leaf_len = _np.zeros(cap, dtype=_np.intp)
-        self.ranked = _np.empty((cap, leaf_width), dtype=_np.uint64)
-        self.ranked_valid = _np.zeros(cap, dtype=bool)
         self.leaf_full = _np.zeros(cap, dtype=bool)
         self.started = _np.zeros(cap, dtype=bool)
         self.stats_dirty = _np.zeros(cap, dtype=bool)
@@ -247,7 +243,6 @@ class Arena:
         for name in (
             "node_ids",
             "leaf_len",
-            "ranked_valid",
             "leaf_full",
             "started",
             "stats_dirty",
@@ -267,7 +262,7 @@ class Arena:
             arr = _np.zeros(cap, dtype=old.dtype)
             arr[: old.size] = old
             setattr(self, name, arr)
-        for name in ("leaf", "ranked", "slot_count", "leaf_dense"):
+        for name in ("leaf", "slot_count", "leaf_dense"):
             old = getattr(self, name)
             arr = _np.zeros((cap, old.shape[1]), dtype=old.dtype)
             arr[: old.shape[0]] = old
@@ -288,7 +283,6 @@ class Arena:
             self.n_ranks += 1
         self.node_ids[rank] = node_id
         self.leaf_len[rank] = 0
-        self.ranked_valid[rank] = False
         self.leaf_full[rank] = False
         self.started[rank] = False
         self.stats_dirty[rank] = True
@@ -368,25 +362,6 @@ class ArenaState:
         a.leaf[r, : arr.size] = arr
         a.leaf_len[r] = arr.size
         a.leaf_dense_valid[r] = False
-
-    @property
-    def leaf_ranked(self):
-        """Distance-ranked leaf cache, or ``None`` when invalidated."""
-        a = self.arena
-        r = self.rank
-        if not a.ranked_valid[r]:
-            return None
-        return a.ranked[r, : a.leaf_len[r]]
-
-    @leaf_ranked.setter
-    def leaf_ranked(self, arr) -> None:
-        a = self.arena
-        r = self.rank
-        if arr is None:
-            a.ranked_valid[r] = False
-            return
-        a.ranked[r, : arr.size] = arr
-        a.ranked_valid[r] = True
 
     @property
     def leaf_full(self) -> bool:

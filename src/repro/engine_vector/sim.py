@@ -207,13 +207,14 @@ class _NumpyOps:
         return SlabMeasure(self.arena, states, self._config)
 
     def oracle_samples(self, pool, index_matrix, pool_dense):
-        """Message-sample rows, batch-sorted with duplicate masks so
-        per-message union folding needs no ``np.unique``.  The rows'
-        dense indices (gathered from *pool_dense*, the live pool's
-        universe-dense indices) ride along, sorted by the same order --
-        the dense map is strictly monotone in the id, so sorting each
-        independently yields parallel arrays -- and the wave union
-        needs no per-wave ``searchsorted`` against the universe."""
+        """The oracle leg's batch of sample rows ``(rows, dup, dense)``:
+        each row id-sorted with its duplicate mask, and the rows' dense
+        indices (gathered from *pool_dense*, the live pool's
+        universe-dense indices) sorted by the same order -- the dense
+        map is strictly monotone in the id, so sorting each
+        independently yields parallel arrays.  A wave gathers its jobs'
+        rows from here straight into its sample slab (see
+        :meth:`create_wave_flat`)."""
         rows = pool[index_matrix]
         dup = _np.zeros(rows.shape, dtype=bool)
         dense = pool_dense[index_matrix]
@@ -223,9 +224,27 @@ class _NumpyOps:
             dense.sort(axis=1)
         return rows, dup, dense
 
-    def msg_row(self, buf, i: int):
-        rows, dup, dense = buf
-        return rows[i], dup[i], dense[i]
+    @staticmethod
+    def sample_slab(samples, universe):
+        """Per-job sample arrays (the NEWSCAST leg) as one ragged sample
+        slab ``(ids, dense, lens, dup)``: job ``j``'s ``lens[j]``
+        samples, id-sorted, with their dense *universe* indices and a
+        mask of repeats.  One ``searchsorted`` and one sort of the
+        composite ``job * len(universe) + dense`` keys; a repeat is an
+        entry equal to its predecessor, exactly what ``np.unique``
+        would drop."""
+        lens = _np.fromiter(
+            (s.size for s in samples), dtype=_np.intp, count=len(samples)
+        )
+        ids = _np.concatenate(samples)
+        u_size = universe.size
+        key = _np.repeat(kernels._arange(lens.size), lens) * u_size
+        key += universe.searchsorted(ids)
+        order = _np.argsort(key)
+        key = key[order]
+        dup = _np.zeros(key.size, dtype=bool)
+        _np.equal(key[1:], key[:-1], out=dup[1:])
+        return ids[order], key % u_size, lens, dup
 
     # -- protocol transitions ------------------------------------------
 
@@ -245,24 +264,19 @@ class _NumpyOps:
 
     def select_peer(self, state: ArenaState, u: float, fallback):
         """SELECTPEER: uniform over the closest half of the ranked
-        leaf set; an empty leaf set falls back to the first fresh
-        sample that is not the node itself."""
-        ranked = state.leaf_ranked
-        if ranked is None:
-            leaf = state.leaf
-            if leaf.size:
-                fw = (leaf - state.own_u64[0]) & self._mu
-                dist = _np.minimum(fw, (-fw) & self._mu)
-                ranked = leaf[_np.lexsort((leaf, dist))]
-            else:
-                ranked = leaf
-            state.leaf_ranked = ranked
-        if ranked.size:
+        leaf set; an empty leaf set falls back to the first id of the
+        *fallback* sample row that is not the node itself."""
+        leaf = state.leaf
+        if leaf.size:
+            fw = (leaf - state.own_u64[0]) & self._mu
+            # The leaf row is id-sorted, so a stable sort by ring
+            # distance is the ``(distance, id)`` ranking.
+            ranked = leaf[
+                _np.argsort(_np.minimum(fw, (-fw) & self._mu), kind="stable")
+            ]
             half = (ranked.size + 1) // 2
             return int(ranked[min(int(u * half), half - 1)])
         own = state.node_id
-        if type(fallback) is tuple:
-            fallback = fallback[0]
         for nid in fallback.tolist():
             if nid != own:
                 return nid
@@ -317,22 +331,11 @@ class _NumpyOps:
         fresh samples (unsorted tail; uniqueness is all the kernels
         need)."""
         known = self._known(state)
-        if type(samples) is tuple:
-            # Oracle leg: a pre-sorted row plus its duplicate mask
-            # (both produced once per cycle for the whole batch; a
-            # third element, the dense universe indices, is only used
-            # by the wave path).
-            row, dup = samples[0], samples[1]
-            pos = _np.minimum(
-                known.searchsorted(row), known.size - 1
-            )
-            fresh = row[(known[pos] != row) & ~dup]
-        elif samples.size:
-            s = _np.unique(samples)
-            pos = _np.minimum(known.searchsorted(s), known.size - 1)
-            fresh = s[known[pos] != s]
-        else:
+        if not samples.size:
             return known
+        s = _np.unique(samples)
+        pos = _np.minimum(known.searchsorted(s), known.size - 1)
+        fresh = s[known[pos] != s]
         if fresh.size:
             return _np.concatenate((known, fresh))
         return known
@@ -390,71 +393,40 @@ class _NumpyOps:
 
         Returns ``(u, lens, u_dense)``: the concatenated per-job
         unions, their lengths, and the unions' dense ``universe``
-        indices (``None`` on the NEWSCAST leg).  On the oracle leg
-        *samples* is ``(sample_buf, row_indices)`` from
-        :meth:`create_wave_flat`: equal-length pre-sorted sample rows,
-        all ids drawn from the live pool and therefore present in
-        *universe*, gathered straight from the cycle's batch buffer
-        with their duplicate masks and dense indices.  The per-job
-        novelty scans then collapse into one membership pass of the
-        wave's sample slab against the concatenated known slab, keyed
-        ``segment * len(universe) + dense`` exactly like the wave
-        absorb.  On the NEWSCAST leg (*samples* is ``None``; each job
-        carries its own sample array) the scalar :meth:`_union` folds
-        each job.  Either way the stale known unions are rebuilt first,
-        together (:meth:`_known_wave`).
+        indices.  *samples* is the wave's ragged sample slab (see
+        :meth:`create_wave_flat`).  The stale known unions are rebuilt
+        first, together (:meth:`_known_wave`); then the per-job novelty
+        scans collapse into one membership pass of the sample slab
+        against the concatenated known slab, keyed ``segment *
+        len(universe) + dense`` exactly like the wave absorb.  A job's
+        novel samples follow its known union in id order, as the
+        scalar :meth:`_union` appends them.
         """
-        self._known_wave([state for state, _, _ in jobs], universe)
-        if samples is None:
-            unions = [
-                self._union(state, samples) for state, _, samples in jobs
-            ]
-            lens = _np.array([u.size for u in unions], dtype=_np.intp)
-            return _np.concatenate(unions), lens, None
+        self._known_wave([state for state, _ in jobs], universe)
         m_count = len(jobs)
         knowns = []
         denses = []
-        for state, _, _ in jobs:
+        for state, _ in jobs:
             knowns.append(state.known)
             denses.append(state.known_dense[1])
         k_lens = _np.array([k.size for k in knowns], dtype=_np.intp)
         kn = _np.concatenate(knowns)
         kn_dense = _np.concatenate(denses)
-        buf, row_idx = samples
-        rows = buf[0][row_idx]
-        dups = buf[1][row_idx]
-        cr = rows.shape[1]
-        if not cr:
+        s_ids, s_dense, s_lens, dup = samples
+        if not s_ids.size:
             return kn, k_lens, kn_dense
         u_size = universe.size
-        row_flat = rows.ravel()
-        row_dense = buf[2][row_idx].reshape(-1)
-        seg_of_kn = _np.repeat(kernels._arange(m_count), k_lens)
-        seg_of_row = _np.repeat(kernels._arange(m_count), cr)
-        if m_count * u_size <= (1 << 23):
-            # Small frames (the bench sizes): one boolean membership
-            # plane per job beats the composite-key binary search --
-            # scatter the knowns, gather the samples.  Same booleans,
-            # ~5x cheaper in the converged steady state where the
-            # whole pass exists only to discover nothing is novel.
-            # Past ~8 MB of plane the zeroing and cache misses eat the
-            # win and the binary search takes over (identical output).
-            plane = _np.zeros(m_count * u_size, dtype=bool)
-            plane[seg_of_kn * u_size + kn_dense] = True
-            novel = ~plane[seg_of_row * u_size + row_dense]
-            novel &= ~dups.ravel()
-        else:
-            kn_key = seg_of_kn * u_size + kn_dense
-            row_key = seg_of_row * u_size + row_dense
-            pos = _np.minimum(
-                kn_key.searchsorted(row_key), kn_key.size - 1
-            )
-            novel = (kn_key[pos] != row_key) & ~dups.ravel()
+        kn_key = _np.repeat(kernels._arange(m_count), k_lens) * u_size
+        kn_key += kn_dense
+        s_seg = _np.repeat(kernels._arange(m_count), s_lens)
+        s_key = s_seg * u_size + s_dense
+        pos = _np.minimum(kn_key.searchsorted(s_key), kn_key.size - 1)
+        novel = (kn_key[pos] != s_key) & ~dup
         if not novel.any():
             # Converged steady state: every sample is already known,
             # so the unions are exactly the cached known slab.
             return kn, k_lens, kn_dense
-        fresh_counts = novel.reshape(m_count, cr).sum(axis=1)
+        fresh_counts = _np.bincount(s_seg[novel], minlength=m_count)
         lens = k_lens + fresh_counts
         offs = _np.cumsum(lens) - lens
         u = _np.empty(int(lens.sum()), dtype=_np.uint64)
@@ -465,36 +437,38 @@ class _NumpyOps:
         k_dest = _np.repeat(offs, k_lens) + k_within
         u[k_dest] = kn
         u_dense[k_dest] = kn_dense
-        fresh_ids = row_flat[novel]
+        fresh_ids = s_ids[novel]
         f_within = kernels._arange(fresh_ids.size) - _np.repeat(
             _np.cumsum(fresh_counts) - fresh_counts, fresh_counts
         )
         f_dest = _np.repeat(offs + k_lens, fresh_counts) + f_within
         u[f_dest] = fresh_ids
-        u_dense[f_dest] = row_dense[novel]
+        u_dense[f_dest] = s_dense[novel]
         return u, lens, u_dense
 
-    def create_wave_flat(self, jobs, universe, samples=None):
+    def create_wave_flat(self, jobs, universe, samples):
         """CREATEMESSAGE for a whole wave of exchanges in one
         segmented batch, returned in flat slab form.
 
-        *jobs* is a list of ``(state, peer_id, samples)`` message
-        specifications and *universe* the sorted id universe (see
-        :meth:`absorb_wave_flat`); the result is ``(ids_flat,
-        slots_flat, dense_flat, bounds)`` -- message ``m`` of the wave
-        is rows ``bounds[m]:bounds[m + 1]`` of each slab (``dense_flat``
-        is ``None`` on the NEWSCAST leg).  On the oracle leg *samples*
-        is ``(sample_buf, row_indices)`` -- the cycle's batch sample
-        buffer plus each job's row in it -- letting the union gather
-        the wave's sample rows in three fancy-index ops; the jobs'
-        own sample entries are then unused.  All messages are built from
-        wave-start state (the cycle loop applies the wave's absorbs
-        afterwards), which is the vector engine's scheduling
-        relaxation: a message cannot see updates applied earlier
-        *within the same wave* -- with wave size ``W`` of ``n``
-        nodes, the probability that this hides a same-cycle update
-        that the strictly sequential engines would have exposed is
-        about ``W/n`` per exchange.  The payoff is that ranking,
+        *jobs* is a list of ``(state, peer_id)`` message specifications,
+        *universe* the sorted id universe (see :meth:`absorb_wave_flat`)
+        and *samples* the jobs' fresh samples as one ragged slab
+        ``(ids, dense, lens, dup)``: job ``j``'s ``lens[j]`` sample ids,
+        id-sorted, with their dense *universe* indices and a mask of
+        repeats.  Whichever peer-sampling service drew them, the build
+        is the same: the oracle leg gathers the slab from the cycle's
+        batch buffer (:meth:`oracle_samples`), the NEWSCAST leg packs
+        the views' samples with :meth:`sample_slab`.  The result is
+        ``(ids_flat, slots_flat, dense_flat, bounds)`` -- message ``m``
+        of the wave is rows ``bounds[m]:bounds[m + 1]`` of each slab.
+
+        All messages are built from wave-start state (the cycle loop
+        applies the wave's absorbs afterwards), which is the vector
+        engine's scheduling relaxation: a message cannot see updates
+        applied earlier *within the same wave* -- with wave size ``W``
+        of ``n`` nodes, the probability that this hides a same-cycle
+        update that the strictly sequential engines would have exposed
+        is about ``W/n`` per exchange.  The payoff is that ranking,
         balanced selection, slot geometry and the prefix cap each run
         as one segmented numpy pass over every message of the wave,
         amortising per-call dispatch that otherwise dominates the
@@ -509,9 +483,7 @@ class _NumpyOps:
         """
         m_count = len(jobs)
         u, lens, u_dense = self._union_wave(jobs, universe, samples)
-        peer_list = _np.array(
-            [peer for _, peer, _ in jobs], dtype=_np.uint64
-        )
+        peer_list = _np.array([peer for _, peer in jobs], dtype=_np.uint64)
         seg_base = kernels._arange(m_count) * self._n_slots
         # Rank every union at once, natively in a padded 2-D frame
         # (row = message, columns = union in segment order).  The
@@ -573,21 +545,12 @@ class _NumpyOps:
         shifted = slots + seg_base[:, None]
         if m_count * self._n_slots <= 0x7FFFFFFF:
             shifted = shifted.astype(_np.int32)
-        rest_ids = ranked[rest2]
-        rest_keys = shifted[rest2]
-        if u_dense is not None:
-            pad_dense = _np.empty((m_count, l_max), dtype=_np.intp)
-            pad_dense[valid] = u_dense
-            ranked_dense = _np.take_along_axis(
-                pad_dense, order2d, axis=1
-            )
-            tail_all, tail_keys, tail_dense = kernels.prefix_part_with_slots(
-                rest_ids, rest_keys, self._k, ranked_dense[rest2]
-            )
-        else:
-            tail_all, tail_keys = kernels.prefix_part_with_slots(
-                rest_ids, rest_keys, self._k
-            )
+        pad_dense = _np.empty((m_count, l_max), dtype=_np.intp)
+        pad_dense[valid] = u_dense
+        ranked_dense = _np.take_along_axis(pad_dense, order2d, axis=1)
+        tail_all, tail_keys, tail_dense = kernels.prefix_part_with_slots(
+            ranked[rest2], shifted[rest2], self._k, ranked_dense[rest2]
+        )
         tail_seg = tail_keys // self._n_slots
         tail_slots = tail_keys - tail_seg * self._n_slots
         tail_counts = _np.bincount(tail_seg, minlength=m_count)
@@ -620,8 +583,6 @@ class _NumpyOps:
         ids_flat[t_dest] = tail_all
         slots_flat[c_dest] = close_slots_all
         slots_flat[t_dest] = tail_slots
-        if u_dense is None:
-            return ids_flat, slots_flat, None, bounds
         # Thread each id's dense universe index through to the wave
         # absorb: its candidate slab then keys straight off the
         # message payloads instead of re-searching the universe.
@@ -842,7 +803,7 @@ class _NumpyOps:
         sort restores id order.  Only rows whose leaf actually changed
         are written, with their side counts, worst kept distances,
         fullness and admission windows, and only they drop their
-        ranked, dense and known caches and dirty their deficit: a
+        dense and known caches and dirty their deficit: a
         rejected-everything reselect leaves the rank untouched, exactly
         like :meth:`_set_leaf`'s short-circuit."""
         a = self.arena
@@ -933,7 +894,6 @@ class _NumpyOps:
             self._half_u,
             mu - pred_max[full] + _np.uint64(1),
         )
-        a.ranked_valid[cr] = False
         a.leaf_dense_valid[cr] = False
         a.stats_dirty[cr] = True
         for s in t_seg[changed].tolist():
@@ -1047,10 +1007,7 @@ class _NumpyOps:
         )
         cand_ids = _np.concatenate((ids_flat, s_ids))[src]
         cand_slots = _np.concatenate((slots_flat, s_slots))[src]
-        if dense_flat is not None:
-            cand_dense = _np.concatenate((dense_flat, s_dense))[src]
-        else:
-            cand_dense = universe.searchsorted(cand_ids).astype(_np.intp)
+        cand_dense = _np.concatenate((dense_flat, s_dense))[src]
         self._absorb_candidates(
             states,
             ranks,
@@ -1120,11 +1077,10 @@ class _NumpyOps:
     def _set_leaf(self, state: ArenaState, arr) -> None:
         if arr.size == state.leaf.size and _np.array_equal(arr, state.leaf):
             # The balanced reselect rejected every candidate: nothing
-            # changed, so the ranked/known caches and the tracker's
-            # cached deficit all stay valid.
+            # changed, so the known cache and the tracker's cached
+            # deficit both stay valid.
             return
         state.leaf = arr
-        state.leaf_ranked = None
         state.known = None
         state.stats_dirty = True
         fw = (arr - state.own_u64[0]) & self._mu
@@ -1285,32 +1241,6 @@ class _NumpyOps:
             kernels._arange(ranks.size), lens
         ) * u_size + dense
 
-    def _rank_rows(self, rows) -> None:
-        """Recompute the ranked-leaf cache of every rank in *rows* as
-        one segmented lexsort (the same ``(distance, id)`` keys as the
-        scalar path; slab padding ranks last via a sentinel distance
-        no real entry can reach -- ring distances never exceed the
-        half ring)."""
-        a = self.arena
-        leaf = a.leaf[rows]
-        lens = a.leaf_len[rows]
-        own = a.node_ids[rows]
-        if self._mask == 0xFFFFFFFFFFFFFFFF:
-            fw = leaf - own[:, None]
-            bw = -fw
-        else:
-            fw = (leaf - own[:, None]) & self._mu
-            bw = (-fw) & self._mu
-        dist = _np.minimum(fw, bw)
-        width = leaf.shape[1]
-        pad = kernels._arange(width)[None, :] >= lens[:, None]
-        dist[pad] = _np.uint64(0xFFFFFFFFFFFFFFFF)
-        count = rows.size
-        seg = _np.repeat(kernels._arange(count), width)
-        order = _np.lexsort((leaf.ravel(), dist.ravel(), seg))
-        a.ranked[rows] = leaf.ravel()[order].reshape(count, width)
-        a.ranked_valid[rows] = True
-
     def select_wave(self, states, u):
         """SELECTPEER for one chunk of the shuffled order in a single
         kernel pass.
@@ -1339,12 +1269,27 @@ class _NumpyOps:
         if not idx:
             return out
         ranks = _np.array(rks, dtype=_np.intp)
-        stale = ranks[~a.ranked_valid[ranks]]
-        if stale.size:
-            self._rank_rows(stale)
-        half = (a.leaf_len[ranks] + 1) // 2
+        # Rank the chunk's leaf rows in one row-wise stable sort by ring
+        # distance: the rows are id-sorted, so ties keep id order -- the
+        # ``(distance, id)`` ranking -- and padding, at a sentinel
+        # distance no real entry reaches, ranks last.
+        leaf = a.leaf[ranks]
+        lens = a.leaf_len[ranks]
+        if self._mask == 0xFFFFFFFFFFFFFFFF:
+            fw = leaf - a.node_ids[ranks][:, None]
+            bw = -fw
+        else:
+            fw = (leaf - a.node_ids[ranks][:, None]) & self._mu
+            bw = (-fw) & self._mu
+        dist = _np.minimum(fw, bw)
+        dist[kernels._arange(leaf.shape[1])[None, :] >= lens[:, None]] = (
+            _np.uint64(0xFFFFFFFFFFFFFFFF)
+        )
+        order = _np.argsort(dist, axis=1, kind="stable")
+        half = (lens + 1) // 2
         pick = _np.minimum((u[idx] * half).astype(_np.intp), half - 1)
-        peers = a.ranked[ranks, pick]
+        rows = kernels._arange(ranks.size)
+        peers = leaf[rows, order[rows, pick]]
         for j, peer in zip(idx, peers.tolist()):
             out[j] = peer
         return out
@@ -1584,7 +1529,8 @@ class VectorBootstrapSimulation:
         universe = self._universe
         if universe is None:
             count = len(self._ids_ever)
-            universe = self._universe = _np.sort(
+            # ``unique``, not ``sort``: a killed id may be re-admitted.
+            universe = self._universe = _np.unique(
                 _np.fromiter(self._ids_ever, dtype=_np.uint64, count=count)
             )
         return universe
@@ -1662,7 +1608,6 @@ class VectorBootstrapSimulation:
         newscast = self.newscast
         stats = layer.stats
         get = nodes.get
-        msg_row = ops.msg_row
         select_peer = ops.select_peer
         select_wave = ops.select_wave
         create_wave_flat = ops.create_wave_flat
@@ -1680,14 +1625,12 @@ class VectorBootstrapSimulation:
             nonlocal sel_hi
             universe_w = self._wave_universe()
             jobs = []
-            for _, nid_, state_, peer_, target_, rq, rp in pending:
-                jobs.append((state_, peer_, rq))
-                jobs.append((target_, nid_, rp))
-            # The wave stays in its flat slab form end to end.  On the
-            # oracle leg the jobs' sample rows are handed over as
-            # (buffer, row index) so the union gathers them in one
-            # pass.
-            samples_w = None
+            for _, nid_, state_, peer_, target_, _rq, _rp in pending:
+                jobs.append((state_, peer_))
+                jobs.append((target_, nid_))
+            # The wave's samples travel as one ragged slab: oracle rows
+            # are gathered from the batch buffer (request row ``i``,
+            # reply row ``n + i``), NEWSCAST samples packed per job.
             if oracle:
                 req_idx = _np.fromiter(
                     (p[0] for p in pending),
@@ -1697,7 +1640,19 @@ class VectorBootstrapSimulation:
                 row_idx = _np.empty(2 * req_idx.size, dtype=_np.intp)
                 row_idx[0::2] = req_idx
                 row_idx[1::2] = req_idx + n
-                samples_w = (sample_buf, row_idx)
+                rows, dup, dense = sample_buf
+                samples_w = (
+                    rows[row_idx].reshape(-1),
+                    dense[row_idx].reshape(-1),
+                    _np.full(row_idx.size, cr, dtype=_np.intp),
+                    dup[row_idx].reshape(-1),
+                )
+            else:
+                rows = []
+                for p in pending:
+                    rows.append(p[5])
+                    rows.append(p[6])
+                samples_w = ops.sample_slab(rows, universe_w)
             wave_buf = create_wave_flat(jobs, universe_w, samples_w)
             # Drop coins decide which absorbs survive; the survivors
             # are collected in arrival order and drained in one
@@ -1728,7 +1683,7 @@ class VectorBootstrapSimulation:
             if state is None:
                 continue
             if oracle:
-                req_row = msg_row(sample_buf, i)
+                req_row = sample_buf[0][i]
             else:
                 req_row = _as_ids(newscast[nid].sample(cr, sample_f[i]))
             if not state.started:
@@ -1770,7 +1725,7 @@ class VectorBootstrapSimulation:
                 stats.suppressed_replies += 1
                 continue
             if oracle:
-                # The wave union gathers oracle rows from sample_buf.
+                # The flush gathers oracle rows from sample_buf.
                 rep_row = None
             else:
                 rep_row = _as_ids(

@@ -422,28 +422,55 @@ def converged_sim(seed, size=40):
     return sim
 
 
-def message_jobs(sim, count, seed):
-    """*count* ``(state, peer, sample row)`` jobs over *sim*'s nodes,
-    sampled like the oracle leg: a batch buffer of sorted rows with
-    duplicate masks and dense indices, plus each job's row index."""
+def message_jobs(sim, count, seed, sampler="oracle", messy=False):
+    """*count* ``(state, peer, sample row)`` jobs over *sim*'s nodes plus
+    the wave's sample slab for *sampler*'s leg.
+
+    The oracle leg samples like the engine: a batch buffer of sorted
+    rows, its slab gathered from the buffer.  The NEWSCAST leg hands
+    each job a plain id array, packed by ``sample_slab``.  A *messy*
+    set pairs the jobs like a real wave -- request ``(a, b)`` then reply
+    ``(b, a)``, each pair's requester the previous pair's target, so a
+    state is a requester in one job and a target in another -- and, on
+    the NEWSCAST leg, gives each job an unsorted sample array that
+    repeats an id and holds the job's own id and its peer."""
     ops = sim._ops
     ids = list(sim.nodes)
     pool = sim._pool
     universe = sim._wave_universe()
     rng = np.random.default_rng(seed)
-    buf = ops.oracle_samples(
+    rows, dup, dense = ops.oracle_samples(
         pool,
         rng.integers(0, pool.size, size=(count, FAST.random_samples)),
         universe.searchsorted(pool),
     )
     jobs = []
     for index in range(count):
-        state = sim.nodes[ids[(index * 3) % len(ids)]]
-        peer = ids[(index * 7 + 2) % len(ids)]
-        if peer == state.node_id:
-            peer = ids[(index * 7 + 3) % len(ids)]
-        jobs.append((state, peer, ops.msg_row(buf, index)))
-    return jobs, (buf, np.arange(count))
+        if messy and index % 2:
+            requester, target = jobs[-1][:2]
+            state, peer = sim.nodes[target], requester.node_id
+        else:
+            state = sim.nodes[ids[(index * 3) % len(ids)]]
+            if messy and index:
+                state = jobs[-1][0]
+            peer = ids[(index * 7 + 2) % len(ids)]
+            if peer == state.node_id:
+                peer = ids[(index * 7 + 3) % len(ids)]
+        row = rows[index]
+        if sampler == "newscast" and messy:
+            extra = np.array([row[0], state.node_id, peer], dtype=np.uint64)
+            row = np.concatenate((row[::-1], extra))
+        jobs.append((state, peer, row))
+    if sampler == "newscast":
+        samples = ops.sample_slab([row for _, _, row in jobs], universe)
+    else:
+        samples = (
+            rows.reshape(-1),
+            dense.reshape(-1),
+            np.full(count, FAST.random_samples, dtype=np.intp),
+            dup.reshape(-1),
+        )
+    return jobs, samples
 
 
 def wave_messages(wave):
@@ -463,20 +490,16 @@ class TestBatchedConstructionExactness:
     element for element -- all inspect identical node state, so any
     difference would be an arithmetic bug, not stream noise."""
 
-    @pytest.mark.parametrize("sampler", ["oracle", "newscast"])
-    def test_single_message_matches_list_kernels(self, sampler):
-        """Oracle-leg samples arrive as a sorted row with a duplicate
-        mask, NEWSCAST samples as a plain id array."""
+    def test_single_message_matches_list_kernels(self):
         sim = converged_sim(seed=5)
         ops = sim._ops
         space = FAST.space
         slot_tables = kernels.slot_tables(space.bits, space.digit_bits)
         jobs, _ = message_jobs(sim, 20, seed=7)
         for state, peer, row in jobs:
-            samples = row if sampler == "oracle" else row[0]
-            msg_ids, msg_slots = ops.create_message(state, peer, samples)
+            msg_ids, msg_slots = ops.create_message(state, peer, row)
             union = set(state.leaf.tolist()) | set(state.prefix_ids.tolist())
-            union |= set(row[0].tolist())
+            union |= set(row.tolist())
             union.add(state.node_id)
             union.discard(peer)
             close, rest = kernels.close_and_rest(
@@ -496,17 +519,30 @@ class TestBatchedConstructionExactness:
             ]
             assert msg_slots.tolist() == expected_close_slots + tail_slots
 
-    @pytest.mark.parametrize("sampler", ["oracle", "newscast"])
-    def test_wave_equals_per_message_construction(self, sampler):
-        """The oracle leg hands the wave its batch buffer; the NEWSCAST
-        leg hands each job its own sample array."""
-        sim = converged_sim(seed=11)
+    #: Both samplers, each with plain jobs and with a messy set (see
+    #: ``message_jobs``).
+    WAVE_CASES = pytest.mark.parametrize(
+        "sampler, messy",
+        [
+            ("oracle", False),
+            ("newscast", False),
+            ("oracle", True),
+            ("newscast", True),
+        ],
+        ids=["oracle", "newscast", "oracle-messy", "newscast-messy"],
+    )
+
+    @staticmethod
+    def _assert_wave_equals_per_message(sim, seed, sampler, messy):
+        """The wave build from the sample slab equals ``create_message``
+        per job from the job's own sample row."""
         ops = sim._ops
-        jobs, samples = message_jobs(sim, 16, seed=3)
-        if sampler == "newscast":
-            jobs = [(state, peer, row[0]) for state, peer, row in jobs]
-            samples = None
-        wave = ops.create_wave_flat(jobs, sim._wave_universe(), samples)
+        jobs, samples = message_jobs(sim, 16, seed, sampler, messy)
+        wave = ops.create_wave_flat(
+            [(state, peer) for state, peer, _ in jobs],
+            sim._wave_universe(),
+            samples,
+        )
         for (state, peer, row), (wave_ids, wave_slots) in zip(
             jobs, wave_messages(wave), strict=True
         ):
@@ -514,8 +550,14 @@ class TestBatchedConstructionExactness:
             assert wave_ids.tolist() == single_ids.tolist()
             assert wave_slots.tolist() == single_slots.tolist()
 
-    @pytest.mark.parametrize("sampler", ["oracle", "newscast"])
-    def test_wave_equals_per_message_after_churn(self, sampler):
+    @WAVE_CASES
+    def test_wave_equals_per_message_construction(self, sampler, messy):
+        self._assert_wave_equals_per_message(
+            converged_sim(seed=11), 3, sampler, messy
+        )
+
+    @WAVE_CASES
+    def test_wave_equals_per_message_after_churn(self, sampler, messy):
         """After kills and joins the tables hold dead ids and the wave
         universe holds every id ever admitted; the wave build must
         still equal the per-message one."""
@@ -525,18 +567,7 @@ class TestBatchedConstructionExactness:
             sim.spawn_node()
         for _ in range(3):
             sim.run_cycle()
-        ops = sim._ops
-        jobs, samples = message_jobs(sim, 16, seed=9)
-        if sampler == "newscast":
-            jobs = [(state, peer, row[0]) for state, peer, row in jobs]
-            samples = None
-        wave = ops.create_wave_flat(jobs, sim._wave_universe(), samples)
-        for (state, peer, row), (wave_ids, wave_slots) in zip(
-            jobs, wave_messages(wave), strict=True
-        ):
-            single_ids, single_slots = ops.create_message(state, peer, row)
-            assert wave_ids.tolist() == single_ids.tolist()
-            assert wave_slots.tolist() == single_slots.tolist()
+        self._assert_wave_equals_per_message(sim, 9, sampler, messy)
 
     def test_array_state_invariants_after_run(self):
         """Every arena column the wave absorb writes is recomputed here
@@ -545,7 +576,8 @@ class TestBatchedConstructionExactness:
 
     def test_array_state_invariants_after_churn(self):
         """The same recomputation after kills, joins, drops and rank
-        recycling on the NEWSCAST leg."""
+        recycling on the NEWSCAST leg, and after a killed id is
+        re-admitted (it must not enter the id universe twice)."""
         sim = VectorBootstrapSimulation(
             48,
             seed=13,
@@ -556,6 +588,12 @@ class TestBatchedConstructionExactness:
         churn = Churn(rate=0.05)
         sim.run(12, stop_when_perfect=False, schedules=[churn])
         assert churn.departures and churn.arrivals
+        victim = sim.live_ids[0]
+        sim.kill_node(victim)
+        sim.run_cycle()
+        sim.spawn_node(victim)
+        for _ in range(2):
+            sim.run_cycle()
         assert_arena_invariants(sim)
 
 
@@ -563,7 +601,10 @@ def assert_arena_invariants(sim):
     """Recompute the arena's derived columns per live rank: leaf side
     counts, worst kept distances, fullness and admission window from
     the leaf row; slot occupancy and slot keys from the prefix window;
-    the dense-index caches wherever their valid flag is set."""
+    the dense-index caches wherever their valid flag is set.  The id
+    universe itself must be strictly increasing."""
+    universe = sim._wave_universe()
+    assert np.all(universe[1:] > universe[:-1])
     space = sim.config.space
     mask = space.size - 1
     half = space.half
@@ -832,25 +873,21 @@ class TestWaveAbsorbIsBatched:
         calls = self._warm_run(monkeypatch, scalar=True)
         assert all(calls[name] > 0 for name in self.TRANSITIONS), calls
 
-
     def test_reselect_that_rejects_everything_keeps_caches(self):
         """In one batched reselect, a row whose candidates all lose is
-        left untouched -- leaf, ranked order, known union, clean
-        deficit -- the short-circuit ``_set_leaf`` takes per node,
-        while a row given a closer candidate is rewritten and drops
-        exactly those caches."""
+        left untouched -- leaf, clean deficit, the very same known
+        union -- the short-circuit ``_set_leaf`` takes per node, while
+        a row given a closer candidate is rewritten, dirty, and drops
+        its known union."""
         sim = converged_sim(seed=19)
         ops = sim._ops
         arena = ops.arena
         sim.measure()
         space = FAST.space
         kept, moved = list(sim.nodes.values())[:2]
-        ranks = np.array([kept.rank, moved.rank])
-        ops._rank_rows(ranks)
         before = {}
         for state in (kept, moved):
-            ops._known(state)
-            before[state.rank] = (state.leaf.copy(), state.known)
+            before[state.rank] = (state.leaf.copy(), ops._known(state))
 
         def ring(a, b):
             return min((a - b) % space.size, (b - a) % space.size)
@@ -865,14 +902,13 @@ class TestWaveAbsorbIsBatched:
         assert closer not in sim.nodes
         ops._reselect_leaves(
             [kept, moved],
-            ranks,
+            np.array([kept.rank, moved.rank]),
             np.array([0, 1], dtype=np.intp),
             np.array([far, closer], dtype=np.uint64),
         )
         leaf, known = before[kept.rank]
         assert kept.leaf.tolist() == leaf.tolist()
         assert not arena.stats_dirty[kept.rank]
-        assert arena.ranked_valid[kept.rank]
         assert kept.known is known
         leaf, _ = before[moved.rank]
         expected = np.sort(
@@ -886,7 +922,6 @@ class TestWaveAbsorbIsBatched:
         )
         assert moved.leaf.tolist() == expected.tolist() != leaf.tolist()
         assert arena.stats_dirty[moved.rank]
-        assert not arena.ranked_valid[moved.rank]
         assert moved.known is None
 
 
