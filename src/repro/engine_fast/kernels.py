@@ -54,7 +54,6 @@ __all__ = [
     "select_balanced_arrays",
     "close_and_rest",
     "close_and_rest_arrays",
-    "close_and_rest_with_aux",
     "slot_tables",
     "prefix_slots",
     "prefix_slots_arrays",
@@ -328,66 +327,6 @@ def _arange(n: int):  # pragma: no cover - numpy-only helper
     if _ARANGE is None or _ARANGE.size < n:
         _ARANGE = _np.arange(max(n, 256))
     return _ARANGE[:n]
-
-
-def close_and_rest_with_aux(arr, aux, peer: int, mask: int, half_ring: int,
-                            half_capacity: int, drop_peer: bool):
-    """:func:`close_and_rest_arrays` that carries a parallel *aux*
-    array (packed slots) through the same ranking and split, and can
-    drop *peer* itself from the ranking instead of requiring the
-    caller to pre-filter it.
-
-    When ``drop_peer`` is true and *peer* is present in *arr* it ranks
-    first (ring distance zero is unique), so it is excluded by masking
-    rank 0 -- cheaper than an equality scan over the whole union.
-    Returns ``(close, rest, close_aux, rest_aux)``.
-
-    Unlike :func:`close_and_rest_arrays` this ranks by distance alone
-    with a *positional* (stable-sort) tie break instead of the id tie
-    break: exact cross-side distance ties are measure-zero for random
-    64-bit identifiers, and the vector engine -- this variant's only
-    caller -- promises distributional rather than bit-level identity,
-    so the cheaper single-key sort is safe.
-    """
-    n = len(arr)
-    if mask == 0xFFFFFFFFFFFFFFFF:
-        fw = arr - _np.uint64(peer)
-        bw = -fw
-    else:
-        mu = _np.uint64(mask)
-        fw = (arr - _np.uint64(peer)) & mu
-        bw = (-fw) & mu
-    order = _np.argsort(_np.minimum(fw, bw), kind="stable")
-    ranked = arr[order]
-    succ_ranked = (fw <= _np.uint64(half_ring))[order]
-    succ_seen = _np.cumsum(succ_ranked)
-    has_peer = 1 if (drop_peer and n and int(ranked[0]) == peer) else 0
-    n_succ = (int(succ_seen[-1]) if n else 0) - has_peer
-    take_succ, take_pred = _balanced_counts(
-        n_succ, n - has_peer - n_succ, half_capacity
-    )
-    # The peer (when present) is the zero-distance "successor" at rank
-    # 0: discounting it from the running successor count and masking
-    # rank 0 out of both halves removes it from the message.
-    pred_seen = _arange(n + 1)[1:] - succ_seen
-    keep = _np.where(
-        succ_ranked,
-        succ_seen - has_peer <= take_succ,
-        pred_seen <= take_pred,
-    )
-    aux_ranked = aux[order]
-    if has_peer:
-        keep[0] = False
-        rest_mask = ~keep
-        rest_mask[0] = False
-    else:
-        rest_mask = ~keep
-    return (
-        ranked[keep],
-        ranked[rest_mask],
-        aux_ranked[keep],
-        aux_ranked[rest_mask],
-    )
 
 
 # ----------------------------------------------------------------------

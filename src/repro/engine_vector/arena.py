@@ -21,9 +21,11 @@ population in one **arena** per simulation instead:
   reselects every touched leaf row in one padded frame, so no Python
   step runs per receiver;
 * :class:`ArenaState` is a two-word handle ``(arena, rank)`` exposing
-  one node's fields as properties over the slabs, for the transitions
-  that stay per node (a node's start, the scalar SELECTPEER fallback,
-  and the scalar ``absorb`` test oracle);
+  one node's fields as properties over the slabs, for the two
+  transitions that stay per node (a node's start and the SELECTPEER
+  fallback) and for reading one node's tables -- the engine suite
+  replays every exchange through ``BootstrapNode`` and compares its
+  tables with these rows after every wave;
 * :class:`SlabMeasure` recomputes convergence deficits for all dirty
   ranks in one slab scan instead of a Python loop per node, against
   perfect tables that :func:`perfect_tables` derives for the whole

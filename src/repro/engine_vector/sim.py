@@ -3,17 +3,15 @@
 :class:`VectorBootstrapSimulation` is the third engine behind the
 engine seam.  It exposes the same constructor, membership-mutation
 surface (``kill_node``/``spawn_node``/``absorb_pool``) and
-``run``/``measure`` API as the reference and fast engines, but it
-deliberately **breaks the bit-identity contract** those two share:
+``run``/``measure`` API as the reference and fast engines, and runs the
+paper's protocol (Figure 2) under **wave-synchronous activation**:
 
-* All exchange randomness comes from **one generator per simulation**
-  (:mod:`repro.engine_vector.rng`): the activation permutation, peer
-  picks, drop coins, and peer-sampling draws of a cycle are bulk
-  draws, not per-node stream consumption.
-* The idealised oracle's ``cr`` fresh samples per message are drawn
-  **with replacement** from the live pool (and may include the
-  sender); duplicates vanish in the message union, so for ``cr << N``
-  the effect is a vanishing reduction of effective fresh samples.
+* A cycle activates the nodes in a uniformly random order, in waves.
+  Every message of a wave is built (CREATEMESSAGE) from wave-start
+  state, then the wave's surviving messages are absorbed
+  (UPDATELEAFSET + UPDATEPREFIXTABLE) in arrival order.  With wave size
+  ``W`` of ``n`` nodes, a message misses a same-wave update with
+  probability about ``W/n`` per exchange.
 * Node state lives in one pool-resident arena of sorted ``uint64`` id
   slabs (:mod:`repro.engine_vector.arena`), and every per-exchange
   operation -- message-union dedup, ring ranking, balanced selection,
@@ -21,22 +19,29 @@ deliberately **breaks the bit-identity contract** those two share:
   measurement -- is an array operation over a whole wave (the
   geometry kernels are shared with :mod:`repro.engine_fast.kernels`).
 
-What is preserved -- and what the statistical-equivalence harness
-(``tests/test_engine_vector.py``) pins against the reference engine --
-is the *distribution* of trajectories: exchanges stay sequential
-within a cycle in a uniformly random activation order, message
-construction follows the paper's CREATEMESSAGE exactly, UPDATELEAFSET
-and UPDATEPREFIXTABLE semantics are unchanged, and message-drop coins
-are i.i.d. per transmission.  Mean convergence curves,
-convergence-cycle summaries, and transport loss fractions match the
-reference engine within tight tolerances; individual trajectories do
-not (each seed's trajectory is deterministic on its own).
+Under that activation the engine *is* the protocol: replayed exchange
+by exchange through one :class:`~repro.core.protocol.BootstrapNode` per
+id, every SELECTPEER pick, every message payload (ids, order and prefix
+slots) and every receiver's leaf set and prefix table come out equal
+(``tests/replay.py``; the engine suite runs it on every pinned
+trajectory).  What differs from the reference engine is only which
+exchanges run when and with which randomness:
 
-Membership randomness (initial identifier draw, spawn identifiers,
-NEWSCAST view seeding) still uses the reference seed tree, so a given
-seed simulates the *same network* on all three engines -- differences
-between engines are purely exchange randomness, which is what makes
-the statistical comparison well-conditioned.
+* activation order -- waves instead of strictly sequential exchanges;
+* RNG streams -- all exchange randomness comes from **one generator
+  per simulation** (:mod:`repro.engine_vector.rng`): the activation
+  permutation, peer picks, drop coins, and peer-sampling draws of a
+  cycle are bulk draws, and the idealised oracle's ``cr`` fresh samples
+  per message are drawn **with replacement** from the live pool (and
+  may include the sender; duplicates vanish in the message union).
+
+So trajectories match the reference engine in distribution, not bit
+for bit (each seed's trajectory is deterministic on its own); the
+tolerance bands of ``tests/test_engine_vector.py`` measure exactly
+that relaxation.  Membership randomness (initial identifier draw,
+spawn identifiers, NEWSCAST view seeding) still uses the reference
+seed tree, so a given seed simulates the *same network* on all three
+engines.
 """
 
 from __future__ import annotations
@@ -167,9 +172,11 @@ class _NumpyOps:
     :meth:`absorb_wave_flat` per wave, and the tracker measures through
     :meth:`slab_measurer`.  Node handles are
     :class:`~repro.engine_vector.arena.ArenaState` views over the
-    arena's slabs; the per-message :meth:`create_message` and the
-    scalar :meth:`absorb` stay beside the wave kernels as their test
-    oracles, never on the cycle path.
+    arena's slabs.  The only per-node transitions are a node's start
+    (:meth:`start_node`) and the SELECTPEER fallback
+    (:meth:`select_peer`).  Each transition equals the paper's
+    protocol applied to the same state: the engine suite replays every
+    exchange through ``BootstrapNode`` and compares.
     """
 
     def __init__(self, config: BootstrapConfig, capacity: int = 64) -> None:
@@ -185,9 +192,6 @@ class _NumpyOps:
         self._c = config.leaf_set_size
         self._half_c = config.half_leaf_set
         self._n_slots = space.num_digits * space.digit_base
-        self._row_of, self._shift_of = kernels.slot_tables(
-            space.bits, space.digit_bits
-        )
         self._config = config
         self.arena = Arena(self._n_slots, self._c, capacity)
 
@@ -282,64 +286,6 @@ class _NumpyOps:
                 return nid
         return None
 
-    def create_message(self, state: ArenaState, peer_id: int, samples):
-        """CREATEMESSAGE of one message -- the test oracle of
-        :meth:`create_wave_flat`, which builds every message of a wave
-        in one segmented pass.  The cached known-id union plus the
-        novel fresh samples go through the shared close/rest and
-        prefix-cap kernels.  Returns ``(ids, slots)`` arrays, close part
-        first; the slots are the receiver's UPDATEPREFIXTABLE keys (a
-        message is only absorbed by the peer it was created for)."""
-        union = self._union(state, samples)
-        # One slot pass for the whole union: the tail's capping keys
-        # and the absorb side's close-part keys fall out together.
-        slots = kernels.prefix_slots_arrays(
-            union, peer_id, self._bits, self._digit_bits, self._base_mask
-        )
-        close, rest, close_slots, rest_slots = kernels.close_and_rest_with_aux(
-            union,
-            slots,
-            peer_id,
-            self._mask,
-            self._half_ring,
-            self._half_c,
-            True,
-        )
-        tail, tail_slots = kernels.prefix_part_with_slots(
-            rest, rest_slots, self._k
-        )
-        return (
-            _np.concatenate((close, tail)),
-            _np.concatenate((close_slots, tail_slots)),
-        )
-
-    @staticmethod
-    def _known(state: ArenaState):
-        """The cached sorted ``leaf + prefix + own`` union of a node,
-        rebuilt after any table change."""
-        known = state.known
-        if known is None:
-            known = state.known = _np.unique(
-                _np.concatenate(
-                    (state.leaf, state.prefix_ids, state.own_u64)
-                )
-            )
-        return known
-
-    def _union(self, state: ArenaState, samples):
-        """The CREATEMESSAGE base: the cached known union plus any
-        fresh samples (unsorted tail; uniqueness is all the kernels
-        need)."""
-        known = self._known(state)
-        if not samples.size:
-            return known
-        s = _np.unique(samples)
-        pos = _np.minimum(known.searchsorted(s), known.size - 1)
-        fresh = s[known[pos] != s]
-        if fresh.size:
-            return _np.concatenate((known, fresh))
-        return known
-
     def _known_wave(self, states, universe) -> None:
         """Rebuild every stale known union among *states* -- with its
         dense ``universe`` indices -- in one segmented pass.
@@ -399,8 +345,7 @@ class _NumpyOps:
         scans collapse into one membership pass of the sample slab
         against the concatenated known slab, keyed ``segment *
         len(universe) + dense`` exactly like the wave absorb.  A job's
-        novel samples follow its known union in id order, as the
-        scalar :meth:`_union` appends them.
+        novel samples follow its known union in id order.
         """
         self._known_wave([state for state, _ in jobs], universe)
         m_count = len(jobs)
@@ -479,7 +424,11 @@ class _NumpyOps:
         union at once, the balanced-close thresholds become per-row
         broadcasts, and the first-``k``-per-slot cap runs once with
         segment-shifted slot keys so equal slots never group across
-        messages.
+        messages.  Equal ring distances keep union position; the known
+        union is id-sorted, so only an exact cross-side tie between a
+        known id and a fresh sample could order differently from
+        CREATEMESSAGE's ``(distance, id)`` -- measure-zero for random
+        identifiers.
         """
         m_count = len(jobs)
         u, lens, u_dense = self._union_wave(jobs, universe, samples)
@@ -591,58 +540,6 @@ class _NumpyOps:
         dense_flat[t_dest] = tail_dense
         return ids_flat, slots_flat, dense_flat, bounds
 
-    def absorb(self, state: ArenaState, message, sender_id: int) -> None:
-        """UPDATELEAFSET + UPDATEPREFIXTABLE of one message -- the test
-        oracle of :meth:`absorb_wave_flat`, which must equal this
-        replayed per surviving absorb in arrival order.  All in array
-        ops: novelty via ``searchsorted`` on the sorted resident
-        arrays, slot capping via a stable grouped rank against current
-        occupancy (first-come in message order, exactly the reference's
-        sequential fill), then one balanced reselect when a novel id
-        lands inside the admission window (ids outside it provably
-        cannot change the balanced selection).  The envelope sender is
-        processed last on a scalar path (it may duplicate a payload
-        id)."""
-        ids, slots = message[0], message[1]
-        if ids.size:
-            prefix_ids = state.prefix_ids
-            if prefix_ids.size:
-                pos = _np.minimum(
-                    prefix_ids.searchsorted(ids), prefix_ids.size - 1
-                )
-                novel = prefix_ids[pos] != ids
-                nids = ids[novel]
-                nslots = slots[novel]
-            else:
-                nids, nslots = ids, slots
-            if nids.size:
-                # Slots already at capacity cannot admit; in the
-                # converged steady state this empties the candidate
-                # set and skips the grouped-rank machinery entirely.
-                open_slot = state.slot_count[nslots] < self._k
-                if open_slot.any():
-                    self._fill_slots(
-                        state, nids[open_slot], nslots[open_slot]
-                    )
-            if state.leaf_full:
-                fw = (ids - state.own_u64[0]) & self._mu
-                cand = ids[
-                    (fw < state.accept_lo) | (fw > state.accept_hi)
-                ]
-                if cand.size:
-                    leaf = state.leaf
-                    pos = _np.minimum(
-                        leaf.searchsorted(cand), leaf.size - 1
-                    )
-                    fresh = cand[leaf[pos] != cand]
-                    if fresh.size:
-                        self._merge_fresh(state, fresh)
-            else:
-                fresh = ids[_not_in_sorted(state.leaf, ids)]
-                if fresh.size:
-                    self._merge_fresh(state, fresh)
-        self._absorb_single(state, sender_id)
-
     def _absorb_candidates(
         self, states, ranks, cand_ids, cand_slots, cand_dense, cand_seg,
         universe,
@@ -662,8 +559,8 @@ class _NumpyOps:
         # admission window are functions of (receiver, id) alone --
         # so the first-occurrence dedup commutes with the gate masks
         # and runs on the small gated subsets instead of the whole
-        # candidate slab (the scalar replay's "repeated id is a
-        # no-op" shows up here as: only the first copy survives the
+        # candidate slab (a repeated id is a no-op in the protocol's
+        # in-order updates; here only the first copy survives the
         # subset dedup, and every copy carries the same verdict).
         own_arr, full_arr, lo_arr, hi_arr, occ_slab = self._seg_columns(
             ranks
@@ -741,8 +638,7 @@ class _NumpyOps:
         self, states, ranks, a_seg, a_slots, a_dense, universe
     ) -> None:
         """UPDATEPREFIXTABLE's install for every admitting receiver of a
-        wave as one slab pass: :meth:`_apply_admitted` for all of them
-        at once.
+        wave as one slab pass.
 
         The admissions arrive capped and grouped by segment (*a_seg*
         non-decreasing), each with its slot and dense ``universe``
@@ -789,8 +685,8 @@ class _NumpyOps:
 
     def _reselect_leaves(self, states, ranks, f_seg, f_ids) -> None:
         """UPDATELEAFSET's balanced reselect for every touched receiver
-        of a wave as one padded frame: :meth:`_merge_fresh` for all of
-        them at once.
+        of a wave as one padded frame (:meth:`_merge_fresh` is the same
+        reselect for one node, at its start).
 
         Row ``i`` holds a touched rank's leaf row followed by its fresh
         candidates (*f_seg* non-decreasing).  One row-wise sort by ring
@@ -922,12 +818,13 @@ class _NumpyOps:
           concatenated (per-node sorted) resident tables a *globally*
           sorted slab -- novelty for the whole wave is a single
           ``searchsorted``, not one per message;
-        * first-occurrence dedup per ``(segment, id)`` via one
-          ``lexsort`` reproduces the sequential scan exactly: a
-          repeated id is always a no-op on the scalar path (admitted
-          ids are resident, rejected ids face the same full slot);
-        * slot capping is the same stable grouped rank as the scalar
-          fill, keyed by ``segment * n_slots + slot`` against a
+        * first-occurrence dedup per ``(segment, id)`` reproduces the
+          protocol's in-order scan exactly: a repeated id is always a
+          no-op there (admitted ids are resident, rejected ids face the
+          same full slot);
+        * slot capping is a stable grouped rank -- first come, first
+          served per slot, as UPDATEPREFIXTABLE fills --
+          keyed by ``segment * n_slots + slot`` against a
           concatenated occupancy slab, so first-come order within a
           receiver is preserved across its messages; the capped
           admissions of every receiver are installed together
@@ -945,9 +842,9 @@ class _NumpyOps:
           stale wave-start window over-admits are exactly those, see
           :meth:`_set_leaf`).
 
-        The result is bit-identical to replaying the scalar
-        :meth:`absorb` per spec in arrival order (pinned by the engine
-        test suite).
+        The result equals ``BootstrapNode.absorb`` (UPDATELEAFSET, then
+        UPDATEPREFIXTABLE) replayed per spec in arrival order, on every
+        receiver (pinned by the engine suite's exchange-log replay).
         """
         if not specs:
             return
@@ -1018,45 +915,10 @@ class _NumpyOps:
             universe,
         )
 
-    def _fill_slots(self, state: ArenaState, nids, nslots) -> None:
-        """Admit novel ids into the prefix table, first-come per slot
-        up to ``k``, honouring existing occupancy (the scalar
-        :meth:`absorb` oracle's prefix fill)."""
-        order = _np.argsort(nslots, kind="stable")
-        ss = nslots[order]
-        m = ss.size
-        idx = _np.arange(m)
-        new_group = _np.empty(m, dtype=bool)
-        new_group[0] = True
-        _np.not_equal(ss[1:], ss[:-1], out=new_group[1:])
-        group_start = _np.maximum.accumulate(_np.where(new_group, idx, 0))
-        keep_sorted = (idx - group_start) < (self._k - state.slot_count[ss])
-        if not keep_sorted.any():
-            return
-        kept = order[keep_sorted]
-        self._apply_admitted(state, nids[kept], nslots[kept])
-
-    def _apply_admitted(self, state: ArenaState, kids, kslots) -> None:
-        """Install already-capped admissions into the resident arrays
-        (the scalar fill's; the wave absorb installs a whole wave's
-        through :meth:`_install_admitted`)."""
-        _np.add.at(state.slot_count, kslots, 1)
-        # Sorted-insert instead of re-sorting the whole table: kids is
-        # small, the resident arrays stay id-sorted.
-        ksort_order = _np.argsort(kids, kind="stable")
-        ksort = kids[ksort_order]
-        pos = state.prefix_ids.searchsorted(ksort)
-        state.prefix_ids = _np.insert(state.prefix_ids, pos, ksort)
-        state.prefix_slots = _np.insert(
-            state.prefix_slots, pos, kslots[ksort_order]
-        )
-        state.stats_dirty = True
-        state.known = None
-
     def _merge_fresh(self, state: ArenaState, fresh) -> None:
-        """Reselect the leaf membership after novel candidates (per
-        node: :meth:`start_node` and the scalar :meth:`absorb` oracle;
-        the wave absorb reselects through :meth:`_reselect_leaves`)."""
+        """Reselect one node's leaf membership after novel candidates
+        (:meth:`start_node`'s seeding; the wave absorb reselects
+        through :meth:`_reselect_leaves`)."""
         candidates = _np.concatenate((state.leaf, fresh))
         if candidates.size <= self._c:
             self._set_leaf(state, _np.sort(candidates))
@@ -1110,38 +972,6 @@ class _NumpyOps:
                 state.accept_hi = _np.uint64(
                     self._mask - state.pred_max + 1
                 )
-
-    def _absorb_single(self, state: ArenaState, nid: int) -> None:
-        """Scalar absorb of one id, the envelope sender (part of the
-        scalar :meth:`absorb` oracle; the wave absorb appends senders
-        to its candidate slab instead)."""
-        own = state.node_id
-        if nid == own:
-            return
-        value = _np.uint64(nid)
-        prefix_ids = state.prefix_ids
-        pos = int(prefix_ids.searchsorted(value))
-        if pos == prefix_ids.size or int(prefix_ids[pos]) != nid:
-            row = self._row_of[(own ^ nid).bit_length()]
-            slot = (row << self._digit_bits) | (
-                (nid >> self._shift_of[row]) & self._base_mask
-            )
-            if state.slot_count[slot] < self._k:
-                state.slot_count[slot] += 1
-                state.prefix_ids = _np.insert(prefix_ids, pos, value)
-                state.prefix_slots = _np.insert(
-                    state.prefix_slots, pos, slot
-                )
-                state.stats_dirty = True
-                state.known = None
-        fw = (nid - own) & self._mask
-        if state.leaf_full:
-            if not (fw < int(state.accept_lo) or fw > int(state.accept_hi)):
-                return
-        leaf = state.leaf
-        lpos = int(leaf.searchsorted(value))
-        if lpos == leaf.size or int(leaf[lpos]) != nid:
-            self._merge_fresh(state, _np.array([nid], dtype=_np.uint64))
 
     # -- wave-absorb slab gathers -----------------------------------------
 

@@ -1,0 +1,262 @@
+"""Exchange-log replay: the vector engine against ``BootstrapNode``.
+
+:class:`ExchangeReplay` pins the vector engine's wave kernels to the
+paper's protocol (Figure 2) itself.  It wraps one simulation's ops
+instance and intercepts every transition the cycle path makes:
+
+* ``new_state`` -- a node admitted, or a killed id re-admitted;
+* ``start_node`` with its seed ids;
+* each ``create_wave_flat`` job -- sender, peer, and the job's sample
+  ids sliced from the wave's ragged sample slab;
+* each ``absorb_wave_flat`` spec, in arrival order;
+* each ``select_wave`` / ``select_peer`` pick with its uniform draw.
+
+Each is replayed through one ``BootstrapNode`` per id, fed its samples
+by a :class:`ScriptedSampler`, and checked as it happens:
+
+* every message's payload ids, in order, equal
+  ``BootstrapNode.create_message``'s, and its slots equal
+  ``IDSpace.prefix_slot(peer, id)``;
+* after every wave, every receiver's leaf ids and prefix ids equal the
+  arena's;
+* every pick from a non-empty leaf set equals
+  ``leaf_set.closest_half()[min(int(u * half), half - 1)]``.
+
+Messages are built from wave-start state and absorbed afterwards in
+arrival order, so this checks the protocol under wave-synchronous
+activation; activation order and RNG streams are the engine's own.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import accumulate
+
+from repro.core import BootstrapNode, NodeDescriptor
+
+__all__ = [
+    "ExchangeReplay",
+    "ScriptedSampler",
+    "node_from_state",
+    "packed_slot",
+    "snapshot",
+]
+
+
+class _Descriptors(dict):
+    """Descriptors by id (address = id, timestamp 0), each made on its
+    first lookup."""
+
+    def __missing__(self, node_id: int) -> NodeDescriptor:
+        desc = self[node_id] = NodeDescriptor(node_id, node_id)
+        return desc
+
+
+class ScriptedSampler:
+    """A peer sampling service that returns whatever ids it was last
+    handed (:meth:`script`), whatever *count* is asked for.  It owns
+    the one descriptor per id that its nodes share."""
+
+    def __init__(self) -> None:
+        self._script: list[NodeDescriptor] = []
+        self._descriptors = _Descriptors()
+
+    def descriptor(self, node_id: int) -> NodeDescriptor:
+        """The descriptor of *node_id*."""
+        return self._descriptors[node_id]
+
+    def script(self, ids) -> None:
+        """Set the descriptors the next :meth:`sample` returns."""
+        self._script = list(map(self._descriptors.__getitem__, ids))
+
+    def sample(self, count: int) -> list[NodeDescriptor]:
+        return self._script
+
+
+def protocol_node(node_id: int, config, sampler) -> BootstrapNode:
+    """A fresh ``BootstrapNode`` for *node_id* sampling from *sampler*."""
+    return BootstrapNode(
+        sampler.descriptor(node_id), config, sampler, random.Random(0)
+    )
+
+
+def node_from_state(state, config, sampler) -> BootstrapNode:
+    """A ``BootstrapNode`` holding exactly *state*'s arena tables: its
+    leaf ids (at most ``c``, so the balanced update keeps them all) and
+    its prefix ids (at most ``k`` per slot, so every one is admitted)."""
+    node = protocol_node(state.node_id, config, sampler)
+    node.leaf_set.update(map(sampler.descriptor, state.leaf.tolist()))
+    node.prefix_table.update(
+        map(sampler.descriptor, state.prefix_ids.tolist())
+    )
+    assert_tables_equal(node, state)
+    return node
+
+
+def packed_slot(space, peer: int, node_id: int) -> int:
+    """``IDSpace.prefix_slot(peer, node_id)`` packed as ``(row <<
+    digit_bits) | column`` -- the engine's slot key for *node_id* in
+    *peer*'s prefix table."""
+    row, col = space.prefix_slot(peer, node_id)
+    return (row << space.digit_bits) | col
+
+
+def snapshot(sim) -> dict:
+    """*sim*'s table content per node: the leaf ids and the sorted
+    ``(id, slot)`` prefix entries."""
+    return {
+        node_id: (
+            state.leaf.tolist(),
+            sorted(
+                zip(
+                    state.prefix_ids.tolist(),
+                    state.prefix_slots.tolist(),
+                    strict=True,
+                )
+            ),
+        )
+        for node_id, state in sim.nodes.items()
+    }
+
+
+def assert_tables_equal(node: BootstrapNode, state, cycle=None) -> None:
+    """*node*'s leaf and prefix ids equal *state*'s arena rows."""
+    assert sorted(node.leaf_set.member_ids()) == state.leaf.tolist(), (
+        f"cycle {cycle}: leaf set of {state.node_id:#x}"
+    )
+    assert sorted(node.prefix_table.member_ids()) == (
+        state.prefix_ids.tolist()
+    ), f"cycle {cycle}: prefix table of {state.node_id:#x}"
+
+
+class ExchangeReplay:
+    """Replay *sim*'s exchanges through ``BootstrapNode`` as they run.
+
+    Construct it on a fresh simulation (before its first cycle); it
+    wraps the simulation's ops instance in place and asserts at every
+    transition (see the module docstring).  :attr:`messages`,
+    :attr:`receivers` and :attr:`picks` count what was checked.
+    """
+
+    WRAPPED = (
+        "new_state", "start_node", "select_wave", "select_peer",
+        "create_wave_flat", "absorb_wave_flat",
+    )
+
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        self.config = sim.config
+        self.space = sim.config.space
+        self.sampler = ScriptedSampler()
+        self.nodes: dict[int, BootstrapNode] = {}
+        for node_id, state in sim.nodes.items():
+            assert not state.started and not state.leaf.size
+            self.nodes[node_id] = self._fresh(node_id)
+        self.messages = self.receivers = self.picks = 0
+        self._wave = None
+        self._slots: dict[int, dict[int, int]] = {}
+        self._ops = {name: getattr(sim._ops, name) for name in self.WRAPPED}
+        for name in self.WRAPPED:
+            setattr(sim._ops, name, getattr(self, name))
+
+    def _fresh(self, node_id: int) -> BootstrapNode:
+        return protocol_node(node_id, self.config, self.sampler)
+
+    def _slots_for(self, peer: int, ids: list[int]) -> list[int]:
+        """:func:`packed_slot` of each of *ids*, memoised per peer:
+        messages to one peer repeat most of their ids cycle to cycle."""
+        table = self._slots.setdefault(peer, {})
+        for nid in set(ids).difference(table):
+            table[nid] = packed_slot(self.space, peer, nid)
+        return list(map(table.__getitem__, ids))
+
+    # -- the wrapped transitions ---------------------------------------
+
+    def new_state(self, node_id):
+        state = self._ops["new_state"](node_id)
+        self.nodes[node_id] = self._fresh(node_id)
+        return state
+
+    def start_node(self, state, samples) -> None:
+        self._ops["start_node"](state, samples)
+        node = self.nodes[state.node_id]
+        self.sampler.script(samples.tolist())
+        node.start()
+        assert_tables_equal(node, state, self.sim.cycle)
+
+    def select_wave(self, states, u):
+        picks = self._ops["select_wave"](states, u)
+        for state, draw, pick in zip(states, u.tolist(), picks, strict=True):
+            if pick is not None:
+                self._check_pick(state, draw, pick)
+        return picks
+
+    def select_peer(self, state, u, fallback):
+        pick = self._ops["select_peer"](state, u, fallback)
+        if self.nodes[state.node_id].leaf_set.closest_half():
+            self._check_pick(state, float(u), pick)
+        else:
+            assert not state.leaf.size, f"cycle {self.sim.cycle}"
+        return pick
+
+    def _check_pick(self, state, u: float, pick: int) -> None:
+        candidates = self.nodes[state.node_id].leaf_set.closest_half()
+        half = len(candidates)
+        assert half, f"cycle {self.sim.cycle}: pick from an empty leaf set"
+        expected = candidates[min(int(u * half), half - 1)].node_id
+        assert pick == expected, (
+            f"cycle {self.sim.cycle}: SELECTPEER of {state.node_id:#x}"
+        )
+        self.picks += 1
+
+    def create_wave_flat(self, jobs, universe, samples):
+        wave = self._ops["create_wave_flat"](jobs, universe, samples)
+        ids_flat, slots_flat, dense_flat, bounds = wave
+        ids_all = ids_flat.tolist()
+        slots_all = slots_flat.tolist()
+        dense_ids = universe[dense_flat].tolist()
+        s_ids = samples[0].tolist()
+        s_cuts = [0, *accumulate(samples[2].tolist())]
+        cuts = bounds.tolist()
+        messages = []
+        for j, (state, peer) in enumerate(jobs):
+            self.sampler.script(s_ids[s_cuts[j]:s_cuts[j + 1]])
+            message = self.nodes[state.node_id].create_message(
+                self.sampler.descriptor(peer)
+            )
+            expected = [d.node_id for d in message.descriptors]
+            lo, hi = cuts[j], cuts[j + 1]
+            assert (
+                ids_all[lo:hi] == expected
+                and slots_all[lo:hi] == self._slots_for(peer, expected)
+                and dense_ids[lo:hi] == expected
+            ), (
+                f"cycle {self.sim.cycle}: message {j} "
+                f"{state.node_id:#x} -> {peer:#x}"
+            )
+            messages.append(message)
+        self._wave = (wave, jobs, messages)
+        self.messages += len(jobs)
+        return wave
+
+    def absorb_wave_flat(self, wave, specs, universe) -> None:
+        self._ops["absorb_wave_flat"](wave, specs, universe)
+        built, jobs, messages = self._wave
+        assert wave is built
+        receivers = {}
+        for state, index, sender in specs:
+            sender_state, peer = jobs[index]
+            assert (state.node_id, sender) == (peer, sender_state.node_id)
+            self.nodes[peer].absorb(messages[index])
+            receivers[peer] = state
+        cycle = self.sim.cycle
+        for peer, state in receivers.items():
+            assert_tables_equal(self.nodes[peer], state, cycle)
+        self.receivers += len(receivers)
+
+    # -- whole-population check ----------------------------------------
+
+    def check_all(self) -> None:
+        """Every live node's tables equal its replayed node's."""
+        for node_id, state in self.sim.nodes.items():
+            assert_tables_equal(self.nodes[node_id], state, self.sim.cycle)

@@ -1,23 +1,29 @@
-"""Statistical-equivalence harness: the vector engine versus the
-reference.
+"""The vector engine: exact against the protocol, statistical against
+the reference engine.
 
-The vector engine's contract is weaker than the fast engine's: it is
-deterministic per seed but runs a documented
-seeded-but-different RNG stream (one generator per simulation, bulk
+The vector engine runs the paper's protocol under wave-synchronous
+activation on its own RNG streams (one generator per simulation, bulk
 draws, with-replacement oracle sampling, wave-batched message builds),
-so trajectories are *distributionally* -- not bit-level -- equivalent
-to the reference engine.  These tests pin that contract:
+so it is deterministic per seed but its trajectories are
+*distributionally* -- not bit-level -- equivalent to the reference
+engine's.  These tests pin that contract:
 
-* mean convergence-cycle summaries, mean convergence curves, and
-  transport loss fractions across sizes x drops x samplers x failure
-  schedules stay within documented tolerances of the reference engine;
-* the batched message construction is *exactly* equal to the fast
-  engine's list-kernel construction for identical node state (those
-  kernels are themselves pinned bit-level to the reference
-  implementations by ``tests/test_engine_fast.py``), so the
-  statistical tolerances only have to absorb RNG-stream differences,
-  never arithmetic ones; the wave kernels equal their per-message
-  oracles (``create_message``, the scalar ``absorb``) exactly;
+* **exactly, against ``BootstrapNode``**: the exchange-log replay
+  (``tests/replay.py``) re-runs every exchange of a simulation through
+  one ``BootstrapNode`` per id and requires equal SELECTPEER picks,
+  equal message payloads (ids, order and prefix slots) and equal
+  receiver tables after every wave -- on both samplers, with drops,
+  churn, joins, slab growth, a re-admitted id, 32-bit ids and waves of
+  one and eight exchanges (the trajectory digests of
+  ``tests/test_engine_vector_arena.py`` run it too).  Wave builds from
+  deliberately messy sample slabs equal ``BootstrapNode.create_message``
+  on the same arena state;
+* **statistically, against the reference engine**: mean
+  convergence-cycle summaries, mean convergence curves, and transport
+  loss fractions across sizes x drops x samplers x failure schedules
+  stay within documented tolerances.  With the protocol itself pinned
+  exactly, the four bands measure only the relaxation -- wave
+  activation order and RNG streams -- never an arithmetic difference;
 * determinism per seed, engine provenance, the engine seam, the
   convergence cache, and worker-count invariance through the sweep
   runner.
@@ -41,6 +47,7 @@ np = pytest.importorskip("numpy")
 from repro.analysis import Series, mean_series  # noqa: E402
 from repro.analysis.series import _step_value  # noqa: E402
 from repro.core import BootstrapConfig, IDSpace  # noqa: E402
+from repro.core.leafset import select_balanced_ids  # noqa: E402
 from repro.engine_fast import kernels  # noqa: E402
 from repro.engine_vector import VectorBootstrapSimulation  # noqa: E402
 from repro.engine_vector.arena import SlabMeasure  # noqa: E402
@@ -61,6 +68,14 @@ from repro.simulator import (  # noqa: E402
     build_simulation,
 )
 from repro.simulator.failures import Churn  # noqa: E402
+
+from .replay import (  # noqa: E402
+    ExchangeReplay,
+    ScriptedSampler,
+    node_from_state,
+    packed_slot,
+    snapshot,
+)
 
 FAST = BootstrapConfig(leaf_set_size=8, entries_per_slot=2, random_samples=10)
 NARROW = BootstrapConfig(
@@ -485,39 +500,10 @@ def wave_messages(wave):
 
 
 class TestBatchedConstructionExactness:
-    """The wave-batched CREATEMESSAGE must equal the per-message
-    construction, and that must equal the fast engine's list kernels
-    element for element -- all inspect identical node state, so any
-    difference would be an arithmetic bug, not stream noise."""
-
-    def test_single_message_matches_list_kernels(self):
-        sim = converged_sim(seed=5)
-        ops = sim._ops
-        space = FAST.space
-        slot_tables = kernels.slot_tables(space.bits, space.digit_bits)
-        jobs, _ = message_jobs(sim, 20, seed=7)
-        for state, peer, row in jobs:
-            msg_ids, msg_slots = ops.create_message(state, peer, row)
-            union = set(state.leaf.tolist()) | set(state.prefix_ids.tolist())
-            union |= set(row.tolist())
-            union.add(state.node_id)
-            union.discard(peer)
-            close, rest = kernels.close_and_rest(
-                union, peer, space.size - 1, space.half,
-                FAST.half_leaf_set,
-            )
-            tail, tail_slots = kernels.prefix_part(
-                rest, peer, space.bits, space.digit_bits,
-                space.digit_base - 1, FAST.entries_per_slot, slot_tables,
-            )
-            assert msg_ids.tolist() == close + tail
-            expected_close_slots = [
-                (row_ << space.digit_bits) | col
-                for row_, col in (
-                    space.prefix_slot(peer, nid) for nid in close
-                )
-            ]
-            assert msg_slots.tolist() == expected_close_slots + tail_slots
+    """The wave-batched CREATEMESSAGE must equal
+    ``BootstrapNode.create_message`` on the same node state, message for
+    message -- both inspect identical tables, so any difference would be
+    an arithmetic bug, not stream noise."""
 
     #: Both samplers, each with plain jobs and with a messy set (see
     #: ``message_jobs``).
@@ -534,21 +520,28 @@ class TestBatchedConstructionExactness:
 
     @staticmethod
     def _assert_wave_equals_per_message(sim, seed, sampler, messy):
-        """The wave build from the sample slab equals ``create_message``
-        per job from the job's own sample row."""
-        ops = sim._ops
+        """The wave build from the sample slab equals
+        ``BootstrapNode.create_message`` per job, from a node holding the
+        job's arena tables and sampling the job's own sample row."""
+        space = sim.config.space
         jobs, samples = message_jobs(sim, 16, seed, sampler, messy)
-        wave = ops.create_wave_flat(
+        wave = sim._ops.create_wave_flat(
             [(state, peer) for state, peer, _ in jobs],
             sim._wave_universe(),
             samples,
         )
+        scripted = ScriptedSampler()
         for (state, peer, row), (wave_ids, wave_slots) in zip(
             jobs, wave_messages(wave), strict=True
         ):
-            single_ids, single_slots = ops.create_message(state, peer, row)
-            assert wave_ids.tolist() == single_ids.tolist()
-            assert wave_slots.tolist() == single_slots.tolist()
+            node = node_from_state(state, sim.config, scripted)
+            scripted.script(row.tolist())
+            message = node.create_message(scripted.descriptor(peer))
+            expected = [desc.node_id for desc in message.descriptors]
+            assert wave_ids.tolist() == expected
+            assert wave_slots.tolist() == [
+                packed_slot(space, peer, nid) for nid in expected
+            ]
 
     @WAVE_CASES
     def test_wave_equals_per_message_construction(self, sampler, messy):
@@ -657,29 +650,13 @@ def assert_arena_invariants(sim):
             )
 
 
-def scalar_absorb_wave(ops):
-    """An ``absorb_wave_flat`` stand-in that slices the flat wave and
-    replays the scalar ``absorb`` oracle per spec, in arrival order."""
-
-    def absorb_wave_flat(wave, specs, universe):
-        ids_flat, slots_flat, _, bounds = wave
-        for state, index, sender in specs:
-            lo, hi = bounds[index], bounds[index + 1]
-            ops.absorb(state, (ids_flat[lo:hi], slots_flat[lo:hi]), sender)
-
-    return absorb_wave_flat
-
-
 class TestBatchedAbsorbExactness:
-    """The segmented slab absorb (``absorb_wave_flat``) must be
-    *bit-identical* to draining the same wave through the scalar
-    ``absorb`` oracle.
-
-    The comparison is over observable content -- leaf members, the
-    resident ``(id, slot)`` prefix pairs, measurements, and transport
-    counters -- never over internal cache flags: the no-change leaf
-    short-circuit means the two may legitimately disagree about
-    ``stats_dirty`` while every table and every statistic is equal."""
+    """The batched wave kernels must equal the protocol replayed one
+    exchange at a time: every run below goes through
+    :class:`~tests.replay.ExchangeReplay`, which checks each message,
+    each SELECTPEER pick and, after every wave, each receiver's leaf set
+    and prefix table against ``BootstrapNode``.  Sixteen cycles cover
+    every table change of these runs (the last one lands in cycle 14)."""
 
     CONFIGS = [
         dict(size=48, drop=0.0, sampler="oracle", events="none"),
@@ -698,26 +675,16 @@ class TestBatchedAbsorbExactness:
         # Six nodes, c = 8: no leaf set ever fills, so every candidate
         # bypasses the admission window.
         dict(size=6, drop=0.0, sampler="oracle", events="none"),
+        # One exchange per wave: the strictly sequential schedule.
+        dict(size=32, drop=0.1, sampler="oracle", events="none", wave=1),
+        # A killed id re-admitted while dead copies of it sit in tables:
+        # it must enter the id universe once, as a fresh node.
+        dict(size=40, drop=0.1, sampler="newscast", events="respawn"),
     ]
 
     @staticmethod
-    def _snapshot(sim):
-        """Normalised table content per node."""
-        return {
-            node_id: (
-                state.leaf.tolist(),
-                sorted(
-                    zip(
-                        state.prefix_ids.tolist(),
-                        state.prefix_slots.tolist(), strict=True
-                    )
-                ),
-            )
-            for node_id, state in sim.nodes.items()
-        }
-
-    def _trace(self, scalar, *, size, drop, sampler, events, wave=None,
-               config=FAST, seed=21, cycles=25):
+    def _replay(*, size, drop, sampler, events, wave=None, config=FAST,
+                seed=21, cycles=16):
         sim = VectorBootstrapSimulation(
             size,
             seed=seed,
@@ -726,9 +693,8 @@ class TestBatchedAbsorbExactness:
             sampler=sampler,
             wave=wave,
         )
-        if scalar:
-            sim._ops.absorb_wave_flat = scalar_absorb_wave(sim._ops)
-        snaps = []
+        replay = ExchangeReplay(sim)
+        victim = None
         for cycle in range(cycles):
             if events == "churn" and cycle == 8:
                 sim.kill_node(sim.live_ids[0])
@@ -739,11 +705,14 @@ class TestBatchedAbsorbExactness:
                 sim.kill_node(sim.live_ids[0])
                 for _ in range(size // 2):
                     sim.spawn_node()
+            if events == "respawn" and cycle == 8:
+                victim = sim.live_ids[0]
+                sim.kill_node(victim)
+            if events == "respawn" and cycle == 10:
+                sim.spawn_node(victim)
             sim.run_cycle()
-            if cycle % 5 == 4:
-                snaps.append((self._snapshot(sim), sim.measure()))
-        snaps.append(sim._boot.stats.snapshot())
-        return snaps
+        replay.check_all()
+        return sim, replay
 
     @pytest.mark.parametrize(
         "config", CONFIGS,
@@ -753,7 +722,12 @@ class TestBatchedAbsorbExactness:
             + (f"-{c['config'].id_bits}bit" if c.get("config") else ""),
     )
     def test_batch_equals_single(self, config):
-        assert self._trace(False, **config) == self._trace(True, **config)
+        sim, replay = self._replay(**config)
+        assert replay.messages and replay.receivers and replay.picks
+        if config["events"] == "respawn":
+            universe = sim._wave_universe()
+            assert np.all(universe[1:] > universe[:-1])
+            assert universe.size == len(set(sim._ids_ever))
 
 
 class TestTrackerRecomputationRegression:
@@ -814,22 +788,25 @@ class TestTrackerRecomputationRegression:
 class TestWaveAbsorbIsBatched:
     """The wave absorb lands a whole wave's prefix admissions and leaf
     reselects in the arena as slab passes: the per-node transitions
-    (``_apply_admitted``, ``_merge_fresh``, ``_set_leaf``) run only
-    inside ``start_node`` and the scalar ``absorb`` oracle.  Warm
-    cycles are where tables change most, so that is where a per-node
+    (``_merge_fresh``, ``_set_leaf``) run only inside ``start_node``.
+    Warm cycles are where tables change most, so that is where a per-node
     fallback would show."""
 
-    TRANSITIONS = ("_apply_admitted", "_merge_fresh", "_set_leaf")
+    TRANSITIONS = ("_merge_fresh", "_set_leaf")
 
-    def _count(self, monkeypatch):
-        """Count each transition's calls made outside ``start_node``."""
-        calls = dict.fromkeys(self.TRANSITIONS, 0)
+    def _warm_run(self, monkeypatch):
+        """Three warm cycles, counting each transition's calls made
+        inside and outside ``start_node``."""
+        sim = VectorBootstrapSimulation(64, seed=5, config=FAST)
+        calls = {
+            inside: dict.fromkeys(self.TRANSITIONS, 0)
+            for inside in (True, False)
+        }
         starting = []
 
         def counted(name, original):
             def wrapper(self, *args):
-                if not starting:
-                    calls[name] += 1
+                calls[bool(starting)][name] += 1
                 return original(self, *args)
 
             return wrapper
@@ -848,30 +825,23 @@ class TestWaveAbsorbIsBatched:
                 starting.pop()
 
         monkeypatch.setattr(_NumpyOps, "start_node", start)
-        return calls
-
-    def _warm_run(self, monkeypatch, scalar):
-        sim = VectorBootstrapSimulation(64, seed=5, config=FAST)
-        if scalar:
-            sim._ops.absorb_wave_flat = scalar_absorb_wave(sim._ops)
-        calls = self._count(monkeypatch)
-        before = TestBatchedAbsorbExactness._snapshot(sim)
+        before = snapshot(sim)
         for _ in range(3):
             sim.run_cycle()
         # Warm indeed: every node started and tables are still filling.
         assert not sim.measure().is_perfect
-        assert TestBatchedAbsorbExactness._snapshot(sim) != before
+        assert snapshot(sim) != before
         return calls
 
     def test_wave_absorb_calls_no_per_node_transition(self, monkeypatch):
-        calls = self._warm_run(monkeypatch, scalar=False)
-        assert calls == dict.fromkeys(self.TRANSITIONS, 0)
+        calls = self._warm_run(monkeypatch)
+        assert calls[False] == dict.fromkeys(self.TRANSITIONS, 0)
 
-    def test_scalar_oracle_calls_them(self, monkeypatch):
-        """Positive control: the same run drained through the scalar
-        ``absorb`` oracle reaches every transition."""
-        calls = self._warm_run(monkeypatch, scalar=True)
-        assert all(calls[name] > 0 for name in self.TRANSITIONS), calls
+    def test_start_node_calls_them(self, monkeypatch):
+        """Positive control: the same counters see both transitions
+        inside ``start_node``, their one remaining caller."""
+        calls = self._warm_run(monkeypatch)
+        assert all(calls[True][name] > 0 for name in self.TRANSITIONS), calls
 
     def test_reselect_that_rejects_everything_keeps_caches(self):
         """In one batched reselect, a row whose candidates all lose is
@@ -885,9 +855,10 @@ class TestWaveAbsorbIsBatched:
         sim.measure()
         space = FAST.space
         kept, moved = list(sim.nodes.values())[:2]
+        ops._known_wave([kept, moved], sim._wave_universe())
         before = {}
         for state in (kept, moved):
-            before[state.rank] = (state.leaf.copy(), ops._known(state))
+            before[state.rank] = (state.leaf.copy(), state.known)
 
         def ring(a, b):
             return min((a - b) % space.size, (b - a) % space.size)
@@ -911,16 +882,15 @@ class TestWaveAbsorbIsBatched:
         assert not arena.stats_dirty[kept.rank]
         assert kept.known is known
         leaf, _ = before[moved.rank]
-        expected = np.sort(
-            kernels.select_balanced_arrays(
-                np.append(leaf, np.uint64(closer)),
+        expected = sorted(
+            select_balanced_ids(
+                space,
                 moved.node_id,
-                space.size - 1,
-                space.half,
+                [*leaf.tolist(), closer],
                 FAST.half_leaf_set,
             )
         )
-        assert moved.leaf.tolist() == expected.tolist() != leaf.tolist()
+        assert moved.leaf.tolist() == expected != leaf.tolist()
         assert arena.stats_dirty[moved.rank]
         assert moved.known is None
 

@@ -8,7 +8,10 @@ arena (``repro.engine_vector.arena``); this module pins it three ways:
   over every ``ConvergenceSample``, the transport snapshot and every
   node's final tables, recorded while the engine still carried a
   per-node layout and a scalar absorb dispatch beside the arena and the
-  wave absorb (all four combinations read the same rows);
+  wave absorb (all four combinations read the same rows).  The same
+  run is replayed exchange by exchange through ``BootstrapNode``
+  (``tests/replay.py``), so every pinned trajectory is also the
+  protocol's, wave by wave;
 * **the measure oracle** -- under churn, catastrophe, massive join and
   spawn-only growth on both samplers, every sample the slab measurer
   reports equals one recomputed from ``ReferenceTables(live ids)`` and
@@ -37,24 +40,9 @@ from repro.simulator.failures import (  # noqa: E402
     MassiveJoin,
 )
 
+from .replay import ExchangeReplay, snapshot  # noqa: E402
+
 FAST = BootstrapConfig(leaf_set_size=8, entries_per_slot=2, random_samples=10)
-
-
-def snapshot(sim):
-    """Normalised table content per node."""
-    nodes = {}
-    for node_id, state in sim.nodes.items():
-        nodes[node_id] = (
-            state.leaf.tolist(),
-            sorted(
-                zip(
-                    state.prefix_ids.tolist(),
-                    state.prefix_slots.tolist(),
-                    strict=True,
-                )
-            ),
-        )
-    return nodes
 
 
 class _SpawnOnly:
@@ -138,6 +126,8 @@ DIGESTS = {
 
 
 def trajectory_digest(sampler: str, drop: float, schedule: str) -> str:
+    """The row's sha256, from a run replayed through ``BootstrapNode``
+    as it goes (the replay asserts at every wave)."""
     size, schedules = DIGEST_SCHEDULES[schedule]
     sim = VectorBootstrapSimulation(
         size,
@@ -145,7 +135,10 @@ def trajectory_digest(sampler: str, drop: float, schedule: str) -> str:
         network=NetworkModel(drop_probability=drop),
         sampler=sampler,
     )
+    replay = ExchangeReplay(sim)
     result = sim.run(14, stop_when_perfect=False, schedules=schedules())
+    replay.check_all()
+    assert replay.messages and replay.receivers and replay.picks
     tables = sorted(
         (node_id, leaf, prefix) for node_id, (leaf, prefix) in snapshot(sim).items()
     )
