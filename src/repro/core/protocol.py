@@ -399,22 +399,10 @@ class BootstrapNode:
         peer = self.select_peer()
         if peer is None:
             return None
-        return peer, self.initiate_exchange_with(peer)
-
-    def initiate_exchange_with(
-        self, peer: NodeDescriptor
-    ) -> BootstrapMessage:
-        """An active-thread iteration toward a caller-chosen *peer*.
-
-        The degradation path of the live stack: when the selected
-        contact keeps timing out, the peer retries the exchange with a
-        fresh sample instead of SELECTPEER's pick.  Accounting matches
-        :meth:`initiate_exchange` exactly.
-        """
         request = self.create_message(peer, is_reply=False)
         self.stats.requests_sent += 1
         self.stats.descriptors_sent += request.payload_size
-        return request
+        return peer, request
 
     def handle_request(self, message: BootstrapMessage) -> BootstrapMessage:
         """One iteration of the passive thread.

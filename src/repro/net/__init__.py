@@ -27,7 +27,7 @@ from .chaos import (
     run_virtual,
 )
 from .cluster import LocalCluster
-from .peer import AsyncPeer, ContactTracker, RetryPolicy
+from .peer import AsyncPeer
 from .transport import LoopbackHub, LoopbackTransport, UdpTransport
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
     "run_virtual",
     "LocalCluster",
     "AsyncPeer",
-    "ContactTracker",
-    "RetryPolicy",
     "LoopbackHub",
     "LoopbackTransport",
     "UdpTransport",

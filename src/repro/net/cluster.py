@@ -38,7 +38,7 @@ from ..core.convergence import ConvergenceSample, ConvergenceTracker
 from ..core.descriptor import NodeDescriptor
 from ..core.reference import ReferenceTables
 from ..simulator.random_source import RandomSource
-from .peer import AsyncPeer, RetryPolicy
+from .peer import AsyncPeer
 from .transport import LoopbackHub, LoopbackTransport, UdpTransport
 
 __all__ = ["LocalCluster"]
@@ -61,7 +61,6 @@ class LocalCluster:
         view_size: int = 30,
         newscast_interval: float = 0.05,
         seed_contacts: int = 3,
-        retry: RetryPolicy | None = None,
     ) -> None:
         self.peers = peers
         self.config = config
@@ -72,7 +71,6 @@ class LocalCluster:
         self._view_size = view_size
         self._newscast_interval = newscast_interval
         self._seed_count = seed_contacts
-        self._retry = retry
         self._dormant: set[int] = set()
         self._bootstrap_started = False
         self._generation = 0
@@ -103,7 +101,6 @@ class LocalCluster:
         newscast_interval: float = 0.05,
         seed_contacts: int = 3,
         hub: LoopbackHub | None = None,
-        retry: RetryPolicy | None = None,
     ) -> LocalCluster:
         """Spin up *size* peers on a loopback fabric.
 
@@ -141,7 +138,6 @@ class LocalCluster:
                 rng=source.derive(("peer", desc.node_id)),
                 view_size=view_size,
                 newscast_interval=newscast_interval,
-                retry=retry,
             )
             peer.attach(
                 LoopbackTransport(hub, desc.address, peer.on_datagram)
@@ -155,7 +151,6 @@ class LocalCluster:
             view_size=view_size,
             newscast_interval=newscast_interval,
             seed_contacts=seed_contacts,
-            retry=retry,
         )
         cluster._seed_contacts(descriptors, seed_contacts, source)
         return cluster
@@ -377,7 +372,6 @@ class LocalCluster:
                 ),
                 view_size=self._view_size,
                 newscast_interval=self._newscast_interval,
-                retry=self._retry,
             )
             peer.attach(
                 LoopbackTransport(self.hub, desc.address, peer.on_datagram)

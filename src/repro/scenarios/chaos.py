@@ -25,7 +25,8 @@ pinned by ``tests/test_chaos.py`` and relied on by
 Registered scenarios (``repro chaos list``): ``chaos_partition_heal``
 (asymmetric split, timed heal), ``chaos_flash_crowd`` (half the pool
 joins as one surge), ``chaos_targeted_kill`` (the most-referenced half
-dies, then restarts through the seed path).
+dies, then restarts through the seed path), ``chaos_lossy_links`` (20%
+of datagrams lost from the start signal on).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class ChaosScenarioSpec:
     dormant_fraction:
         Fraction of the pool held back for a ``surge`` event.
     cycle_length:
-        Bootstrap Δ in seconds (also scales retry timeouts).
+        Bootstrap Δ in seconds.
     newscast_interval:
         NEWSCAST gossip period in seconds.
     view_size:
@@ -318,6 +319,23 @@ register_chaos(
         schedule=ChaosSchedule.of(
             ChaosEvent.of(0.3, "kill", fraction=0.5, mode="targeted"),
             ChaosEvent.of(1.3, "restart"),
+        ),
+    )
+)
+
+register_chaos(
+    ChaosScenarioSpec(
+        name="chaos_lossy_links",
+        title="20% datagram loss on every link from the start signal on",
+        claim=(
+            "Figure 4: with no retransmission, message loss only slows "
+            "convergence -- the whole bootstrap runs on a lossy fabric "
+            "and still reaches perfect tables"
+        ),
+        size=32,
+        seed=14,
+        schedule=ChaosSchedule.of(
+            ChaosEvent.of(0.0, "link_faults", drop=0.2),
         ),
     )
 )

@@ -535,12 +535,13 @@ class TestClusterSupervision:
 
 
 class TestChaosScenarioSpec:
-    def test_registry_contains_the_three_scenarios(self):
+    def test_registry_contains_the_four_scenarios(self):
         names = chaos_scenario_names()
         assert names == (
             "chaos_partition_heal",
             "chaos_flash_crowd",
             "chaos_targeted_kill",
+            "chaos_lossy_links",
         )
         assert [spec.name for spec in all_chaos_scenarios()] == list(names)
 
@@ -633,6 +634,18 @@ class TestChaosRuns:
         assert report.converged
         surge = next(e for e in report.events if e["kind"] == "surge")
         assert surge["woken"] == 8
+
+    def test_lossy_links_reconverges(self):
+        """Figure 4's claim with no retransmission anywhere: the whole
+        bootstrap runs on a fabric that loses 20% of datagrams, and the
+        cluster still reaches perfect tables."""
+        report = run_chaos_scenario("chaos_lossy_links", smoke=True)
+        assert report.converged
+        assert report.final_leaf_fraction == 0.0
+        assert report.final_prefix_fraction == 0.0
+        assert report.crashed_peers == 0
+        assert [e["kind"] for e in report.events] == ["link_faults"]
+        assert report.hub_counters["datagrams_dropped"] > 0
 
     def test_seed_seam_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_SEED", "777")

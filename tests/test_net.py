@@ -10,11 +10,9 @@ import pytest
 from repro.core import PAPER_CONFIG
 from repro.net import (
     AsyncPeer,
-    ContactTracker,
     LocalCluster,
     LoopbackHub,
     LoopbackTransport,
-    RetryPolicy,
     UdpTransport,
     codec,
     run_virtual,
@@ -24,6 +22,19 @@ from .conftest import make_descriptor
 
 def run(coro):
     return asyncio.run(coro)
+
+
+class _RecordingHub(LoopbackHub):
+    """A loopback fabric that counts the bootstrap frames sent on it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.bootstrap_frames = 0
+
+    def send(self, data, source, target) -> None:
+        if codec.decode_message(data).layer == codec.LAYER_BOOTSTRAP:
+            self.bootstrap_frames += 1
+        super().send(data, source, target)
 
 
 class TestLoopbackHub:
@@ -140,89 +151,13 @@ class TestAsyncPeer:
             peer.start_bootstrap()
 
 
-class TestRetryPolicy:
-    def test_timeouts_grow_exponentially(self):
-        policy = RetryPolicy(base_timeout=0.1, backoff=2.0, jitter=0.0)
-        rng = random.Random(0)
-        timeouts = [policy.timeout_for(a, rng) for a in range(3)]
-        assert timeouts == pytest.approx([0.1, 0.2, 0.4])
-
-    def test_jitter_bounds(self):
-        policy = RetryPolicy(base_timeout=0.1, backoff=1.0, jitter=0.5)
-        rng = random.Random(7)
-        for attempt in range(20):
-            timeout = policy.timeout_for(attempt, rng)
-            assert 0.1 <= timeout <= 0.1 * 1.5
-
-    def test_for_config_scales_with_delta(self):
-        config = PAPER_CONFIG.with_overrides(cycle_length=0.2)
-        policy = RetryPolicy.for_config(config)
-        assert policy.base_timeout == pytest.approx(0.4)
-        assert policy.stale_after == pytest.approx(8.0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"attempts": 0},
-            {"base_timeout": 0.0},
-            {"backoff": 0.5},
-            {"jitter": -0.1},
-            {"demote_after": 0},
-            {"stale_after": 0.0},
-            {"max_outstanding": 0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-
-class TestContactTracker:
-    def test_heard_clears_failure_streak(self):
-        tracker = ContactTracker()
-        assert tracker.note_failure("a") == 1
-        assert tracker.note_failure("a") == 2
-        tracker.note_heard("a", 1.0)
-        assert tracker.failures("a") == 0
-        assert tracker.last_heard("a") == 1.0
-
-    def test_stale_requires_failures_and_silence(self):
-        tracker = ContactTracker()
-        # Healthy and recently heard: never stale.
-        tracker.note_heard("a", 0.0)
-        assert not tracker.is_stale("a", 100.0, ttl=1.0)
-        # Failing but recently heard: not stale yet.
-        tracker.note_failure("a")
-        tracker._last_heard["a"] = 99.5
-        assert not tracker.is_stale("a", 100.0, ttl=1.0)
-        # Failing and silent beyond the TTL: stale.
-        assert tracker.is_stale("a", 101.0, ttl=1.0)
-        # Failing and never heard at all: stale immediately.
-        tracker.note_failure("b")
-        assert tracker.is_stale("b", 0.0, ttl=1.0)
-
-    def test_forget_drops_all_state(self):
-        tracker = ContactTracker()
-        tracker.note_heard("a", 1.0)
-        tracker.note_failure("a")
-        tracker.forget("a")
-        assert tracker.last_heard("a") is None
-        assert tracker.failures("a") == 0
-
-
 class TestPeerResilience:
-    def make_peer(self, hub, address=0, node_id=1, **retry_kwargs):
+    def make_peer(self, hub, address=0, node_id=1):
         config = PAPER_CONFIG.with_overrides(cycle_length=0.05)
-        retry = RetryPolicy.for_config(config)
-        if retry_kwargs:
-            import dataclasses
-
-            retry = dataclasses.replace(retry, **retry_kwargs)
         peer = AsyncPeer(
             make_descriptor(node_id, address=address),
             config,
             rng=random.Random(node_id),
-            retry=retry,
         )
         peer.attach(LoopbackTransport(hub, address, peer.on_datagram))
         return peer
@@ -252,62 +187,43 @@ class TestPeerResilience:
 
         run(scenario())
 
-    def test_retry_then_demote_dead_contact(self):
-        """Exchanges with a blackholed contact retry with backoff, fail,
-        and eventually demote its descriptor from the view."""
+    def run_against_dead_contact(self, start_calls, cycles=20):
+        """A peer whose only contact is unregistered runs *cycles* Δ
+        after *start_calls* start signals; returns the bootstrap frames
+        it put on the hub, its requests sent, and the tasks alive."""
 
         async def scenario():
-            hub = LoopbackHub()
-            peer = self.make_peer(hub, demote_after=2)
-            dead = make_descriptor(99, address=404)  # never registered
-            peer.seed([dead])
+            hub = _RecordingHub()
+            peer = self.make_peer(hub)
+            peer.seed([make_descriptor(99, address=404)])
             peer.start()
-            peer.start_bootstrap()
-            for _ in range(400):
-                await asyncio.sleep(0.05)
-                if peer.stale_demotions:
-                    break
-            snapshot = peer.resilience_snapshot()
-            view_ids = {
-                d.node_id for d in peer.newscast.view.descriptors()
-            }
+            for _ in range(start_calls):
+                peer.start_bootstrap()
+            await asyncio.sleep(cycles * peer.config.cycle_length)
+            tasks = asyncio.all_tasks() - {asyncio.current_task()}
+            requests = peer.bootstrap.stats.requests_sent
             await peer.stop()
-            return snapshot, view_ids
+            return hub.bootstrap_frames, requests, tasks, peer
 
-        snapshot, view_ids = run_virtual(scenario())
-        assert snapshot["retries_sent"] > 0
-        assert snapshot["exchanges_failed"] > 0
-        assert snapshot["stale_demotions"] >= 1
-        assert 99 not in view_ids
+        return run_virtual(scenario())
 
-    def test_fallback_reaches_live_peer_after_demotion(self):
-        """After demoting a dead contact, the peer degrades gracefully
-        to a fresh NEWSCAST sample and completes an exchange."""
+    def test_fire_and_forget_one_frame_per_activation(self):
+        """No retransmission (Figure 2): each Δ activation puts exactly
+        one bootstrap frame on the wire, even when no reply ever comes,
+        and the peer runs nothing but its two gossip loops."""
+        frames, requests, tasks, peer = self.run_against_dead_contact(1)
+        assert requests in (20, 21)
+        assert frames == requests
+        assert len(tasks) == 2
+        assert peer.resilience_snapshot()["exchanges_ok"] == 0
 
-        async def scenario():
-            hub = LoopbackHub()
-            peer = self.make_peer(hub, address=0, node_id=1, demote_after=1)
-            live = self.make_peer(hub, address=1, node_id=10**6)
-            # Ring-closest to the peer, so SELECTPEER keeps picking it.
-            dead = make_descriptor(2, address=404)
-            peer.seed([dead, live.descriptor])
-            live.seed([peer.descriptor])
-            peer.start()
-            live.start()
-            peer.start_bootstrap()
-            live.start_bootstrap()
-            for _ in range(400):
-                await asyncio.sleep(0.05)
-                if peer.fallback_exchanges and peer.exchanges_ok:
-                    break
-            snapshot = peer.resilience_snapshot()
-            await peer.stop()
-            await live.stop()
-            return snapshot
-
-        snapshot = run_virtual(scenario())
-        assert snapshot["fallback_exchanges"] >= 1
-        assert snapshot["exchanges_ok"] >= 1
+    def test_start_bootstrap_is_idempotent(self):
+        """A second start signal while the active thread runs is a
+        no-op: it must not double the request rate."""
+        frames, requests, tasks, _ = self.run_against_dead_contact(2)
+        assert requests in (20, 21)
+        assert frames == requests
+        assert len(tasks) == 2
 
     def test_crashing_gossip_task_is_reaped(self):
         """A peer whose gossip loop dies records the exception in
@@ -331,31 +247,6 @@ class TestPeerResilience:
         crashes = run(scenario())
         assert len(crashes) == 1
         assert isinstance(crashes[0], RuntimeError)
-
-    def test_outstanding_exchange_cap_skips(self):
-        """Activations beyond max_outstanding are skipped, not queued."""
-
-        async def scenario():
-            hub = LoopbackHub()
-            peer = self.make_peer(hub, max_outstanding=1, attempts=3)
-            # Two dead contacts keep the single exchange slot busy.
-            peer.seed(
-                [
-                    make_descriptor(98, address=404),
-                    make_descriptor(99, address=405),
-                ]
-            )
-            peer.start()
-            peer.start_bootstrap()
-            for _ in range(200):
-                await asyncio.sleep(0.05)
-                if peer.exchange_skips:
-                    break
-            skips = peer.exchange_skips
-            await peer.stop()
-            return skips
-
-        assert run_virtual(scenario()) >= 1
 
 
 class TestUdpErrors:
