@@ -331,6 +331,12 @@ class ArenaState:
     universe indices in ``known_dense``): whoever changes the leaf set
     or the prefix table drops it, and the wave kernels rebuild the
     stale ones together.
+
+    Every table setter marks the rank's cached deficit stale
+    (``stats_dirty``), and the ``prefix_slots`` setter re-derives the
+    rank's occupancy row from the slots it writes, so no write through
+    a handle can leave :class:`SlabMeasure`'s deficit -- or the cycle's
+    settled-receiver test built on it -- describing the old tables.
     """
 
     __slots__ = ("arena", "rank", "node_id", "_known", "known_dense")
@@ -364,6 +370,7 @@ class ArenaState:
         a.leaf[r, : arr.size] = arr
         a.leaf_len[r] = arr.size
         a.leaf_dense_valid[r] = False
+        a.stats_dirty[r] = True
 
     @property
     def leaf_full(self) -> bool:
@@ -456,6 +463,7 @@ class ArenaState:
         a = self.arena
         a.p_ids.write(self.rank, arr, a.n_ranks)
         a.p_dense_valid[self.rank] = False
+        a.stats_dirty[self.rank] = True
 
     @property
     def prefix_slots(self):
@@ -465,7 +473,10 @@ class ArenaState:
     @prefix_slots.setter
     def prefix_slots(self, arr) -> None:
         a = self.arena
-        a.p_slots.write(self.rank, arr, a.n_ranks)
+        r = self.rank
+        a.p_slots.write(r, arr, a.n_ranks)
+        a.slot_count[r] = _np.bincount(arr, minlength=a.n_slots)
+        a.stats_dirty[r] = True
 
     @property
     def slot_count(self):

@@ -18,6 +18,19 @@ paper's protocol (Figure 2) under **wave-synchronous activation**:
   prefix-slot capping, absorb novelty scans, and convergence
   measurement -- is an array operation over a whole wave (the
   geometry kernels are shared with :mod:`repro.engine_fast.kernels`).
+* Messages to a **settled** receiver are neither built nor absorbed.
+  A node is settled when the tracker's cached deficit is valid for its
+  current tables and zero on both (``_NumpyOps.settled_ranks``).  In a
+  static network such a node is a fixed point: every id a message can
+  carry is live, and is either resident or beaten by residents, so
+  UPDATELEAFSET and UPDATEPREFIXTABLE would change nothing.  The rule
+  therefore has two gates.  It never applies once any node has been
+  killed, since dead ids keep circulating and a node perfect for the
+  live ids re-admits them.  It also waits out a membership change
+  until the next ``measure()`` has re-based the deficits on the new
+  perfect tables.  The transport accounting, drop coins and RNG draws
+  of a skipped message are unchanged, so trajectories are too.  A
+  network that is never measured skips nothing.
 
 Under that activation the engine *is* the protocol: replayed exchange
 by exchange through one :class:`~repro.core.protocol.BootstrapNode` per
@@ -210,6 +223,20 @@ class _NumpyOps:
         perfect tables (the tracker's hook; see :class:`SlabMeasure`)."""
         return SlabMeasure(self.arena, states, self._config)
 
+    def settled_ranks(self):
+        """Per-rank mask of the *settled* ranks, ``arena.n_ranks`` long:
+        a cached deficit that is valid, measured against the rank's
+        current tables (not ``stats_dirty``) and zero on both the leaf
+        set and the prefix table.  The cycle driver skips messages to
+        settled receivers while the network is static (see the module
+        docstring for the rule and its gates)."""
+        a = self.arena
+        n = a.n_ranks
+        mask = a.def_valid[:n] & ~a.stats_dirty[:n]
+        mask &= a.def_leaf[:n] == 0
+        mask &= a.def_prefix[:n] == 0
+        return mask
+
     def oracle_samples(self, pool, index_matrix, pool_dense):
         """The oracle leg's batch of sample rows ``(rows, dup, dense)``:
         each row id-sorted with its duplicate mask, and the rows' dense
@@ -256,9 +283,7 @@ class _NumpyOps:
         """Protocol start: wipe the prefix table, seed the leaf set."""
         state.prefix_ids = _np.empty(0, dtype=_np.uint64)
         state.prefix_slots = _np.empty(0, dtype=_np.int64)
-        state.slot_count[:] = 0
         state.known = None
-        state.stats_dirty = True
         fresh = _np.unique(samples)
         fresh = fresh[fresh != state.own_u64[0]]
         fresh = fresh[_not_in_sorted(state.leaf, fresh)]
@@ -944,7 +969,6 @@ class _NumpyOps:
             return
         state.leaf = arr
         state.known = None
-        state.stats_dirty = True
         fw = (arr - state.own_u64[0]) & self._mu
         succ = fw <= self._half_u
         n_succ = int(succ.sum())
@@ -1451,58 +1475,74 @@ class VectorBootstrapSimulation:
         sel_buf: list = []
         sel_lo = sel_hi = 0
 
+        # Settled receivers are fixed points while the network is
+        # static: no message can change a node holding its perfect
+        # tables, so messages to one are neither built nor absorbed.
+        # Not after any kill (dead ids circulate and would be
+        # re-admitted), and not while a membership change awaits the
+        # measurement that re-bases the cached deficits.  No settled
+        # rank is written during the cycle (its absorbs are the
+        # skipped ones), so one query serves the whole cycle.
+        settled = None
+        if not self._ever_killed and not self._membership_dirty:
+            mask = ops.settled_ranks()
+            if mask.any():
+                settled = mask.tolist()
+
         def flush() -> None:
             nonlocal sel_hi
-            universe_w = self._wave_universe()
+            # Drop coins decide which absorbs survive and the transport
+            # accounting covers every exchange; only messages to
+            # unsettled receivers become jobs.  The surviving absorbs
+            # are collected in arrival order and drained in one
+            # segmented slab pass.  The wave's samples travel as one
+            # ragged slab: oracle rows are gathered from the batch
+            # buffer (request row ``i``, reply row ``n + i``), NEWSCAST
+            # samples packed per job.
             jobs = []
-            for _, nid_, state_, peer_, target_, _rq, _rp in pending:
-                jobs.append((state_, peer_))
-                jobs.append((target_, nid_))
-            # The wave's samples travel as one ragged slab: oracle rows
-            # are gathered from the batch buffer (request row ``i``,
-            # reply row ``n + i``), NEWSCAST samples packed per job.
+            rows = []
+            specs: list[tuple] = []
+            for i_, nid_, state_, peer_, target_, rq_, rp_ in pending:
+                req_job = rep_job = None
+                if settled is None or not settled[target_.rank]:
+                    req_job = len(jobs)
+                    jobs.append((state_, peer_))
+                    rows.append(i_ if oracle else rq_)
+                if settled is None or not settled[state_.rank]:
+                    rep_job = len(jobs)
+                    jobs.append((target_, nid_))
+                    rows.append(n + i_ if oracle else rp_)
+                if drop_p and req_coins[i_] < drop_p:
+                    stats.requests_dropped += 1
+                    stats.suppressed_replies += 1
+                    continue
+                if req_job is not None:
+                    specs.append((target_, req_job, nid_))
+                stats.replies_sent += 1
+                if drop_p and rep_coins[i_] < drop_p:
+                    stats.replies_dropped += 1
+                    continue
+                if rep_job is not None:
+                    specs.append((state_, rep_job, peer_))
+            pending.clear()
+            if not jobs:
+                # Nothing is built or absorbed: every table, and so
+                # every precomputed peer pick, stays as it was.
+                return
+            universe_w = self._wave_universe()
             if oracle:
-                req_idx = _np.fromiter(
-                    (p[0] for p in pending),
-                    dtype=_np.intp,
-                    count=len(pending),
-                )
-                row_idx = _np.empty(2 * req_idx.size, dtype=_np.intp)
-                row_idx[0::2] = req_idx
-                row_idx[1::2] = req_idx + n
-                rows, dup, dense = sample_buf
+                row_idx = _np.array(rows, dtype=_np.intp)
+                buf_rows, dup, dense = sample_buf
                 samples_w = (
-                    rows[row_idx].reshape(-1),
+                    buf_rows[row_idx].reshape(-1),
                     dense[row_idx].reshape(-1),
                     _np.full(row_idx.size, cr, dtype=_np.intp),
                     dup[row_idx].reshape(-1),
                 )
             else:
-                rows = []
-                for p in pending:
-                    rows.append(p[5])
-                    rows.append(p[6])
                 samples_w = ops.sample_slab(rows, universe_w)
             wave_buf = create_wave_flat(jobs, universe_w, samples_w)
-            # Drop coins decide which absorbs survive; the survivors
-            # are collected in arrival order and drained in one
-            # segmented slab pass.
-            specs: list[tuple] = []
-            for j, (
-                i_, nid_, state_, peer_, target_, _rq, _rp,
-            ) in enumerate(pending):
-                if drop_p and req_coins[i_] < drop_p:
-                    stats.requests_dropped += 1
-                    stats.suppressed_replies += 1
-                    continue
-                specs.append((target_, 2 * j, nid_))
-                stats.replies_sent += 1
-                if drop_p and rep_coins[i_] < drop_p:
-                    stats.replies_dropped += 1
-                    continue
-                specs.append((state_, 2 * j + 1, peer_))
             absorb_wave_flat(wave_buf, specs, universe_w)
-            pending.clear()
             # Absorbs may have reshaped leaf sets: any precomputed
             # peer picks past this point are stale.
             sel_hi = 0
@@ -1554,8 +1594,9 @@ class VectorBootstrapSimulation:
                     stats.void_requests += 1
                 stats.suppressed_replies += 1
                 continue
-            if oracle:
-                # The flush gathers oracle rows from sample_buf.
+            if oracle or (settled is not None and settled[state.rank]):
+                # The flush gathers oracle rows from sample_buf, and
+                # builds no reply to a settled node.
                 rep_row = None
             else:
                 rep_row = _as_ids(

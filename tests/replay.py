@@ -9,7 +9,8 @@ instance and intercepts every transition the cycle path makes:
 * each ``create_wave_flat`` job -- sender, peer, and the job's sample
   ids sliced from the wave's ragged sample slab;
 * each ``absorb_wave_flat`` spec, in arrival order;
-* each ``select_wave`` / ``select_peer`` pick with its uniform draw.
+* each ``select_wave`` / ``select_peer`` pick with its uniform draw;
+* each cycle's ``settled_ranks`` query.
 
 Each is replayed through one ``BootstrapNode`` per id, fed its samples
 by a :class:`ScriptedSampler`, and checked as it happens:
@@ -20,7 +21,11 @@ by a :class:`ScriptedSampler`, and checked as it happens:
 * after every wave, every receiver's leaf ids and prefix ids equal the
   arena's;
 * every pick from a non-empty leaf set equals
-  ``leaf_set.closest_half()[min(int(u * half), half - 1)]``.
+  ``leaf_set.closest_half()[min(int(u * half), half - 1)]``;
+* every node the engine reports settled holds, in its replayed node,
+  exactly the perfect tables of ``sim.reference``, and no message of
+  that cycle is built for it -- so the messages the engine skips are
+  ones the protocol would have absorbed without effect.
 
 Messages are built from wave-start state and absorbed afterwards in
 arrival order, so this checks the protocol under wave-synchronous
@@ -119,6 +124,18 @@ def snapshot(sim) -> dict:
     }
 
 
+def assert_perfect(node: BootstrapNode, reference, cycle=None) -> None:
+    """*node*'s leaf set and prefix-slot occupancy are exactly its
+    perfect tables in *reference*."""
+    node_id = node.node_id
+    assert node.leaf_set.member_ids() == reference.perfect_leaf_ids(node_id), (
+        f"cycle {cycle}: settled leaf set of {node_id:#x}"
+    )
+    assert node.prefix_table.occupancy() == (
+        reference.perfect_prefix_counts(node_id)
+    ), f"cycle {cycle}: settled prefix table of {node_id:#x}"
+
+
 def assert_tables_equal(node: BootstrapNode, state, cycle=None) -> None:
     """*node*'s leaf and prefix ids equal *state*'s arena rows."""
     assert sorted(node.leaf_set.member_ids()) == state.leaf.tolist(), (
@@ -135,12 +152,13 @@ class ExchangeReplay:
     Construct it on a fresh simulation (before its first cycle); it
     wraps the simulation's ops instance in place and asserts at every
     transition (see the module docstring).  :attr:`messages`,
-    :attr:`receivers` and :attr:`picks` count what was checked.
+    :attr:`receivers` and :attr:`picks` count what was checked, and
+    :attr:`skipped` the settled receivers, one per node and cycle.
     """
 
     WRAPPED = (
         "new_state", "start_node", "select_wave", "select_peer",
-        "create_wave_flat", "absorb_wave_flat",
+        "create_wave_flat", "absorb_wave_flat", "settled_ranks",
     )
 
     def __init__(self, sim) -> None:
@@ -152,8 +170,10 @@ class ExchangeReplay:
         for node_id, state in sim.nodes.items():
             assert not state.started and not state.leaf.size
             self.nodes[node_id] = self._fresh(node_id)
-        self.messages = self.receivers = self.picks = 0
+        self.messages = self.receivers = self.picks = self.skipped = 0
         self._wave = None
+        self._settled: set[int] = set()
+        self._settled_cycle = None
         self._slots: dict[int, dict[int, int]] = {}
         self._ops = {name: getattr(sim._ops, name) for name in self.WRAPPED}
         for name in self.WRAPPED:
@@ -209,7 +229,31 @@ class ExchangeReplay:
         )
         self.picks += 1
 
+    def settled_ranks(self):
+        mask = self._ops["settled_ranks"]()
+        flagged = mask.tolist()
+        cycle = self.sim.cycle
+        settled = {
+            node_id
+            for node_id, state in self.sim.nodes.items()
+            if flagged[state.rank]
+        }
+        if settled:
+            reference = self.sim.reference
+            for node_id in settled:
+                assert_perfect(self.nodes[node_id], reference, cycle)
+        self._settled = settled
+        self._settled_cycle = cycle
+        self.skipped += len(settled)
+        return mask
+
     def create_wave_flat(self, jobs, universe, samples):
+        if self._settled_cycle == self.sim.cycle:
+            for _, peer in jobs:
+                assert peer not in self._settled, (
+                    f"cycle {self.sim.cycle}: message built for settled "
+                    f"{peer:#x}"
+                )
         wave = self._ops["create_wave_flat"](jobs, universe, samples)
         ids_flat, slots_flat, dense_flat, bounds = wave
         ids_all = ids_flat.tolist()

@@ -19,7 +19,11 @@ arena (``repro.engine_vector.arena``); this module pins it three ways:
   itself never builds ``ReferenceTables``;
 * **the lifecycle** -- freed-rank recycling under churn, slab doubling
   when the population outgrows the initial capacity, variable-length
-  window relocation and pool compaction, and empty-population cycles.
+  window relocation and pool compaction, and empty-population cycles;
+* **settled receivers** -- a table write through a node handle
+  invalidates the cached deficit, messages to settled nodes are
+  skipped only while the network is static, and the transport
+  accounting does not notice.
 """
 
 from __future__ import annotations
@@ -125,9 +129,17 @@ DIGESTS = {
 }
 
 
-def trajectory_digest(sampler: str, drop: float, schedule: str) -> str:
+#: Rows whose runs pass through a static stretch with settled nodes:
+#: before the catastrophe's kill, and after the massive join is
+#: measured.  Churn kills from cycle 0 and spawn-only growth leaves the
+#: membership changed at every cycle start, so those rows never skip.
+SKIPPING_SCHEDULES = {"catastrophe", "massive-join"}
+
+
+def trajectory_digest(sampler: str, drop: float, schedule: str) -> tuple[str, int]:
     """The row's sha256, from a run replayed through ``BootstrapNode``
-    as it goes (the replay asserts at every wave)."""
+    as it goes (the replay asserts at every wave), and the replay's
+    count of settled receivers whose messages the engine skipped."""
     size, schedules = DIGEST_SCHEDULES[schedule]
     sim = VectorBootstrapSimulation(
         size,
@@ -143,14 +155,19 @@ def trajectory_digest(sampler: str, drop: float, schedule: str) -> str:
         (node_id, leaf, prefix) for node_id, (leaf, prefix) in snapshot(sim).items()
     )
     payload = repr(([s.as_row() for s in result.samples], result.transport, tables))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return hashlib.sha256(payload.encode()).hexdigest(), replay.skipped
 
 
 class TestTrajectoryDigests:
     @pytest.mark.parametrize("row", sorted(DIGESTS))
     def test_row_unchanged(self, row):
         sampler, drop, schedule = row.split("/")
-        assert trajectory_digest(sampler, float(drop), schedule) == DIGESTS[row]
+        digest, skipped = trajectory_digest(sampler, float(drop), schedule)
+        assert digest == DIGESTS[row]
+        if schedule in SKIPPING_SCHEDULES:
+            assert skipped > 0
+        else:
+            assert skipped == 0
 
 
 def oracle_sample(sim) -> ConvergenceSample:
@@ -402,3 +419,122 @@ class TestArenaLifecycle:
         sim.run_cycle()
         sim.measure()
         assert len(sim.nodes) == 4
+
+
+def _converged(size: int, seed: int) -> VectorBootstrapSimulation:
+    """A static paper-config run measured to perfect tables."""
+    sim = VectorBootstrapSimulation(size, seed=seed)
+    assert sim.run(40).converged_at is not None
+    return sim
+
+
+class TestHandleWritesDirtyTheDeficit:
+    """A table write through an ``ArenaState`` handle must reach the
+    next measurement: a stale cached deficit would both misreport the
+    sample and make the node look settled."""
+
+    def test_leaf_write(self):
+        sim = _converged(64, 3)
+        state = next(iter(sim.nodes.values()))
+        state.leaf = state.leaf[:-1].copy()
+        assert sim.measure().missing_leaf == 1
+        assert sim.measure() == oracle_sample(sim)
+
+    def test_prefix_write_rederives_occupancy(self):
+        sim = _converged(64, 3)
+        state = next(iter(sim.nodes.values()))
+        ids = state.prefix_ids[1:].copy()
+        slots = state.prefix_slots[1:].copy()
+        state.prefix_ids = ids
+        state.prefix_slots = slots
+        assert state.slot_count.tolist() == (
+            np.bincount(slots, minlength=state.slot_count.size).tolist()
+        )
+        assert sim.measure().missing_prefix == 1
+        assert sim.measure() == oracle_sample(sim)
+
+
+class _KernelSpy:
+    """Counts the jobs of every ``create_wave_flat`` call and the calls
+    to ``absorb_wave_flat`` and ``settled_ranks`` on *sim*'s ops."""
+
+    def __init__(self, sim) -> None:
+        self.jobs: list[int] = []
+        self.absorbs = self.queries = 0
+        ops = sim._ops
+        create, absorb, settled = (
+            ops.create_wave_flat, ops.absorb_wave_flat, ops.settled_ranks
+        )
+
+        def create_spy(jobs, universe, samples):
+            self.jobs.append(len(jobs))
+            return create(jobs, universe, samples)
+
+        def absorb_spy(wave, specs, universe):
+            self.absorbs += 1
+            return absorb(wave, specs, universe)
+
+        def settled_spy():
+            self.queries += 1
+            return settled()
+
+        ops.create_wave_flat = create_spy
+        ops.absorb_wave_flat = absorb_spy
+        ops.settled_ranks = settled_spy
+
+    def built(self) -> int:
+        """Messages built since the last call."""
+        total = sum(self.jobs)
+        self.jobs.clear()
+        return total
+
+
+class TestSettledReceivers:
+    def test_settled_cycles_call_no_kernel(self):
+        sim = _converged(128, 5)
+        spy = _KernelSpy(sim)
+        before = sim.run(1, stop_when_perfect=False).transport["sent"]
+        assert spy.built() == 0 and spy.absorbs == 0
+        result = sim.run(3, stop_when_perfect=False)
+        assert spy.built() == 0 and spy.absorbs == 0
+        assert spy.queries == 4
+        # Skipped messages are still sent: 2 per node and cycle.
+        assert result.transport["sent"] - before == 3 * 2 * 128
+        assert result.samples[-1].is_perfect
+
+    def test_unmeasured_network_skips_nothing(self):
+        sim = VectorBootstrapSimulation(128, seed=5)
+        spy = _KernelSpy(sim)
+        for _ in range(6):
+            sim.run_cycle()
+            assert spy.built() == 2 * 128
+
+    def test_spawn_builds_every_message_next_cycle(self):
+        sim = _converged(128, 5)
+        spy = _KernelSpy(sim)
+        sim.run_cycle()
+        sim.measure()
+        assert spy.built() == 0
+        sim.spawn_node()
+        sim.run_cycle()
+        assert spy.built() == 2 * 129
+        # Measured again, the settled nodes the joiner left alone skip.
+        sim.measure()
+        sim.run_cycle()
+        assert spy.built() < 2 * 129
+
+    def test_no_skip_after_a_kill(self):
+        sim = _converged(128, 5)
+        spy = _KernelSpy(sim)
+        sim.kill_node(sim.live_ids[0])
+        queries = spy.queries
+        stats = sim._boot.stats
+        for _ in range(8):
+            exchanges, voids = stats.exchanges, stats.void_requests
+            sim.run_cycle()
+            sim.measure()
+            live_targets = (stats.exchanges - exchanges) - (
+                stats.void_requests - voids
+            )
+            assert spy.built() == 2 * live_targets
+        assert spy.queries == queries

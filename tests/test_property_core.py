@@ -9,13 +9,18 @@ example-based suites cannot enumerate:
 * ``LeafSet`` size bounds, balanced successor/predecessor split, and
   update monotonicity;
 * ``PrefixTable`` slot-occupancy bounds and fill-only semantics;
-* kernel/core agreement on arbitrary (not merely random-unique) ids.
+* kernel/core agreement on arbitrary (not merely random-unique) ids;
+* perfect tables are fixed points of UPDATELEAFSET + UPDATEPREFIXTABLE
+  over a static id set -- and stop being one once an id is killed (the
+  vector engine skips messages to settled receivers on exactly this).
 
 Guarded on the optional ``hypothesis`` dependency: the module skips
 cleanly where only the core test requirements are installed.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -24,7 +29,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.core import IDSpace, LeafSet, NodeDescriptor, PrefixTable  # noqa: E402
+from repro.core import (  # noqa: E402
+    BootstrapConfig,
+    BootstrapMessage,
+    BootstrapNode,
+    IDSpace,
+    LeafSet,
+    NodeDescriptor,
+    PrefixTable,
+    ReferenceTables,
+)
 from repro.core.descriptor import dedupe_by_id, freshest_by_id  # noqa: E402
 from repro.core.leafset import select_balanced_ids  # noqa: E402
 from repro.engine_fast import kernels  # noqa: E402
@@ -187,3 +201,96 @@ class TestKernelCoreAgreement:
         for nid, slot in zip(ids, packed, strict=True):
             row, col = SPACE.prefix_slot(origin, nid)
             assert slot == (row << SPACE.digit_bits) | col
+
+
+#: Eight-bit ids in two-bit digits: populations of a few dozen crowd
+#: every prefix slot past ``k`` and wrap the leaf sets around the ring.
+SMALL_CONFIG = dict(id_bits=8, digit_bits=2, random_samples=4)
+
+
+def _descriptor(node_id: int) -> NodeDescriptor:
+    return NodeDescriptor(node_id, node_id)
+
+
+def _perfect_node(config, live, own, fill_order) -> BootstrapNode:
+    """A node holding its perfect tables for the *live* id set: the
+    leaf set is fed exactly the perfect leaf ids, the prefix table
+    every live id in *fill_order* (first come, first served, so which
+    ``min(k, available)`` ids land in each slot follows the order)."""
+    reference = ReferenceTables(
+        config.space, live, config.leaf_set_size, config.entries_per_slot
+    )
+    node = BootstrapNode(_descriptor(own), config, None, random.Random(0))
+    node.leaf_set.update(map(_descriptor, reference.perfect_leaf_ids(own)))
+    node.prefix_table.update(map(_descriptor, fill_order))
+    assert node.leaf_set.member_ids() == reference.perfect_leaf_ids(own)
+    assert node.prefix_table.occupancy() == reference.perfect_prefix_counts(own)
+    return node
+
+
+@st.composite
+def static_networks(draw):
+    """``(config, ids, own)``: a static id set and one of its nodes."""
+    config = BootstrapConfig(
+        leaf_set_size=draw(st.sampled_from([2, 4, 8])),
+        entries_per_slot=draw(st.sampled_from([1, 2, 3])),
+        **SMALL_CONFIG,
+    )
+    ids = draw(st.lists(ids_8, unique=True, min_size=2, max_size=60))
+    return config, ids, draw(st.sampled_from(ids))
+
+
+class TestPerfectTablesAreFixedPoints:
+    @COMMON
+    @given(network=static_networks(), data=st.data())
+    def test_no_message_from_the_live_set_changes_them(self, network, data):
+        """Whatever the senders, payload order and duplicates, messages
+        carrying only live ids leave a perfect node's leaf set and
+        prefix table exactly as they were: every such id is resident
+        or beaten by residents."""
+        config, ids, own = network
+        node = _perfect_node(config, ids, own, data.draw(st.permutations(ids)))
+        leaf = node.leaf_set.member_ids()
+        prefix = node.prefix_table.member_ids()
+        messages = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(ids),
+                    st.lists(st.sampled_from(ids), max_size=40),
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        for sender, payload in messages:
+            node.absorb(
+                BootstrapMessage(
+                    sender=_descriptor(sender),
+                    descriptors=tuple(map(_descriptor, payload)),
+                )
+            )
+            assert node.leaf_set.member_ids() == leaf
+            assert node.prefix_table.member_ids() == prefix
+
+    @COMMON
+    @given(network=static_networks(), data=st.data())
+    def test_a_killed_neighbour_is_readmitted(self, network, data):
+        """The counterexample behind the kill gate: a node perfect for
+        the live ids re-admits a killed neighbour that a message still
+        carries -- dead ids circulate after a kill, so perfect tables
+        stop being a fixed point."""
+        config, ids, own = network
+        others = [nid for nid in ids if nid != own]
+        space = config.space
+        # The ring-nearest other id tops its side's ranking, and every
+        # side with a candidate keeps at least one entry.
+        killed = min(others, key=lambda nid: (space.ring_distance(own, nid), nid))
+        live = [nid for nid in ids if nid != killed]
+        node = _perfect_node(config, live, own, data.draw(st.permutations(live)))
+        node.absorb(
+            BootstrapMessage(
+                sender=_descriptor(data.draw(st.sampled_from(live))),
+                descriptors=(_descriptor(killed),),
+            )
+        )
+        assert killed in node.leaf_set.member_ids()
