@@ -31,11 +31,9 @@ except ImportError:
 from .sim import (  # noqa: E402
     VectorBootstrapSimulation,
     VectorConvergenceTracker,
-    VectorNewscastView,
 )
 
 __all__ = [
     "VectorBootstrapSimulation",
     "VectorConvergenceTracker",
-    "VectorNewscastView",
 ]

@@ -13,8 +13,9 @@ population in one **arena** per simulation instead:
 * variable-length per-node tables (prefix ids/slots and their dense
   id-universe indices) live as windows over shared growable buffers
   (:class:`_VarPool`), with per-rank offset/length/capacity cursors;
-  the derived known-union cache stays an exact-size array on the
-  handle (it churns too fast to pool);
+* under the NEWSCAST sampler, each rank's view is a row of
+  :class:`ViewSlab` (ids and timestamps in view order), so a cycle's
+  gossip merges and every peer-sampling draw are slab passes too;
 * the wave kernels read and write these slabs for a whole wave at
   once: the wave absorb installs every receiver's prefix admissions
   through one batched pool write (:meth:`_VarPool.write_many`) and
@@ -45,7 +46,13 @@ import numpy as _np
 
 from ..engine_fast import kernels
 
-__all__ = ["Arena", "ArenaState", "SlabMeasure", "perfect_tables"]
+__all__ = [
+    "Arena",
+    "ArenaState",
+    "SlabMeasure",
+    "ViewSlab",
+    "perfect_tables",
+]
 
 #: Live ranks per array pass in :func:`perfect_tables`: scratch stays
 #: O(block x c) for the leaf windows and O(block x digit base) for the
@@ -165,6 +172,34 @@ class _VarPool:
         self.tail = used
 
 
+class ViewSlab:
+    """NEWSCAST views as rank rows.
+
+    Row ``r`` holds rank ``r``'s view: its first ``len[r]`` columns of
+    ``ids`` are the view's members in view order (the order peer picks
+    and samples index), and ``ts`` their timestamps (cycle numbers).
+    A recycled rank's row is rewritten by its node's seeding.
+    """
+
+    __slots__ = ("ids", "ts", "len")
+
+    def __init__(self, capacity: int, width: int) -> None:
+        self.ids = _np.zeros((capacity, width), dtype=_np.uint64)
+        self.ts = _np.zeros((capacity, width), dtype=_np.int64)
+        self.len = _np.zeros(capacity, dtype=_np.intp)
+
+    def grow(self, capacity: int) -> None:
+        """Extend the slabs to *capacity* rows (new rows are empty)."""
+        for name in ("ids", "ts"):
+            old = getattr(self, name)
+            arr = _np.zeros((capacity, old.shape[1]), dtype=old.dtype)
+            arr[: old.shape[0]] = old
+            setattr(self, name, arr)
+        length = _np.zeros(capacity, dtype=_np.intp)
+        length[: self.len.size] = self.len
+        self.len = length
+
+
 class Arena:
     """The population's slabs (see the module docstring for layout)."""
 
@@ -193,6 +228,7 @@ class Arena:
         "def_leaf",
         "def_prefix",
         "def_valid",
+        "views",
         "free",
         "n_ranks",
     )
@@ -234,6 +270,9 @@ class Arena:
         self.def_leaf = _np.zeros(cap, dtype=_np.int64)
         self.def_prefix = _np.zeros(cap, dtype=_np.int64)
         self.def_valid = _np.zeros(cap, dtype=bool)
+        #: The NEWSCAST views (:class:`ViewSlab`), or ``None`` under the
+        #: oracle sampler.
+        self.views: ViewSlab | None = None
 
     @property
     def capacity(self) -> int:
@@ -272,6 +311,8 @@ class Arena:
         self.p_ids.grow_ranks(cap)
         self.p_slots.grow_ranks(cap)
         self.p_dense.grow_ranks(cap)
+        if self.views is not None:
+            self.views.grow(cap)
 
     def allocate(self, node_id: int) -> int:
         """Claim a rank (recycling freed ones) and reset its row to a
@@ -301,6 +342,8 @@ class Arena:
         self.p_dense_valid[rank] = False
         self.leaf_dense_valid[rank] = False
         self.def_valid[rank] = False
+        if self.views is not None:
+            self.views.len[rank] = 0
         return rank
 
     def release(self, rank: int) -> None:
@@ -326,11 +369,12 @@ class ArenaState:
     The id-table getters (``leaf``/``prefix_ids``/``prefix_slots``)
     slice the slabs afresh on every access, so a handle never pins a
     superseded pool buffer and the batched wave writers can rewrite
-    whole slab rows and pool windows without telling any handle.  The
-    one per-handle cache is the derived ``known`` union (with its dense
-    universe indices in ``known_dense``): whoever changes the leaf set
-    or the prefix table drops it, and the wave kernels rebuild the
-    stale ones together.
+    whole slab rows and pool windows without telling any handle.  A
+    handle caches nothing: the wave kernels build every message's
+    known union afresh from the leaf and prefix dense slabs.  Under
+    the NEWSCAST sampler the node's view is its rank's row of
+    :attr:`Arena.views`, which only the cycle's slab passes read and
+    write (the handle has no view property).
 
     Every table setter marks the rank's cached deficit stale
     (``stats_dirty``), and the ``prefix_slots`` setter re-derives the
@@ -339,16 +383,12 @@ class ArenaState:
     settled-receiver test built on it -- describing the old tables.
     """
 
-    __slots__ = ("arena", "rank", "node_id", "_known", "known_dense")
+    __slots__ = ("arena", "rank", "node_id")
 
     def __init__(self, arena: Arena, rank: int, node_id: int) -> None:
         self.arena = arena
         self.rank = rank
         self.node_id = node_id
-        self._known = None
-        #: ``(universe, dense)`` -- ``known``'s int32 indices into the
-        #: sorted id universe they were taken against -- or ``None``.
-        self.known_dense = None
 
     @property
     def own_u64(self):
@@ -483,24 +523,6 @@ class ArenaState:
         """Per-slot occupancy, a writable row view: the kernels mutate
         it in place and never rebind it (deliberately no setter)."""
         return self.arena.slot_count[self.rank]
-
-    @property
-    def known(self):
-        """Cached ``leaf + prefix + own`` union, ``None`` when stale.
-
-        Held as an exact-size array on the handle, not in an arena
-        pool: the cache is rebuilt wholesale whenever leaf or prefix
-        state changes, and pooling that churn costs compaction copies
-        plus resident headroom (the bytes-per-node gate's worst term)
-        for a derived value the wave kernels rebuild from the slabs
-        whenever it is stale.  Setting it drops ``known_dense``, which
-        describes the previous array."""
-        return self._known
-
-    @known.setter
-    def known(self, arr) -> None:
-        self._known = arr
-        self.known_dense = None
 
 
 def perfect_tables(ids, space, c: int, k: int):

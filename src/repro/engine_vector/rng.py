@@ -18,11 +18,9 @@ preserved).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as _np
 
-__all__ = ["NumpyDrawSource", "sample_distinct"]
+__all__ = ["NumpyDrawSource"]
 
 
 class NumpyDrawSource:
@@ -53,24 +51,3 @@ class NumpyDrawSource:
         """A ``rows x cols`` matrix of uniform floats in ``[0, 1)``."""
         return self._rng.random((rows, cols))
 
-
-def sample_distinct(
-    pool: Sequence[int], count: int, floats: Sequence[float]
-) -> list[int]:
-    """*count* distinct elements of *pool* via a partial Fisher-Yates
-    walk consuming ``floats[:count]`` -- the distribution of
-    ``random.sample`` realised from pre-drawn uniforms (used for
-    NEWSCAST view sampling, whose pools are small enough that
-    distinctness matters).
-    """
-    n = len(pool)
-    if count >= n:
-        return list(pool)
-    scratch = list(pool)
-    out: list[int] = []
-    for j in range(count):
-        span = n - j
-        i = j + min(int(floats[j] * span), span - 1)
-        scratch[j], scratch[i] = scratch[i], scratch[j]
-        out.append(scratch[j])
-    return out

@@ -31,22 +31,43 @@ paper's protocol (Figure 2) under **wave-synchronous activation**:
   perfect tables.  The transport accounting, drop coins and RNG draws
   of a skipped message are unchanged, so trajectories are too.  A
   network that is never measured skips nothing.
+* Only messages that will be absorbed are built.  The flush reads a
+  wave's drop coins before it builds: a lost request builds neither
+  message, a lost reply builds no reply.  Every built message then has
+  exactly one absorb, and the transport accounting, coins and RNG
+  draws are those of the full exchange.  Each message's known union
+  (own id, leaf set, prefix table) is rebuilt in the wave's one union
+  sort from the arena's dense slabs; no node handle caches it.
+* Under the NEWSCAST sampler the views are arena rows too
+  (:class:`~repro.engine_vector.arena.ViewSlab`: ids and timestamps
+  in view order).  A gossip cycle walks its shuffled order and cuts it
+  into conflict-free batches, flushing before any exchange that would
+  read or write a view an earlier merge of the batch wrote.  The
+  merges of a batch touch distinct views, so they commute and run as
+  one padded frame with the view rule: freshest timestamp per id;
+  over capacity, the ``(-timestamp, id)`` best; otherwise the old
+  order with new ids appended in payload order.  Peer-sampling draws
+  are gathers from the rows, one per wave.
 
 Under that activation the engine *is* the protocol: replayed exchange
 by exchange through one :class:`~repro.core.protocol.BootstrapNode` per
 id, every SELECTPEER pick, every message payload (ids, order and prefix
 slots) and every receiver's leaf set and prefix table come out equal
 (``tests/replay.py``; the engine suite runs it on every pinned
-trajectory).  What differs from the reference engine is only which
-exchanges run when and with which randomness:
+trajectory).  Likewise every NEWSCAST merge, seed and sample equals
+one dict-backed view per node replayed in activation order.  What
+differs from the reference engine is only which exchanges run when
+and with which randomness:
 
 * activation order -- waves instead of strictly sequential exchanges;
 * RNG streams -- all exchange randomness comes from **one generator
   per simulation** (:mod:`repro.engine_vector.rng`): the activation
   permutation, peer picks, drop coins, and peer-sampling draws of a
-  cycle are bulk draws, and the idealised oracle's ``cr`` fresh samples
-  per message are drawn **with replacement** from the live pool (and
-  may include the sender; duplicates vanish in the message union).
+  cycle are bulk draws (a NEWSCAST sample is realised from pre-drawn
+  uniforms by a partial Fisher-Yates walk over the view), and the
+  idealised oracle's ``cr`` fresh samples per message are drawn
+  **with replacement** from the live pool (and may include the
+  sender; duplicates vanish in the message union).
 
 So trajectories match the reference engine in distribution, not bit
 for bit (each seed's trajectory is deterministic on its own); the
@@ -71,19 +92,19 @@ from ..engine_fast.state import FastRegistry
 from ..simulator.bootstrap_sim import SAMPLER_KINDS, SimulationResult
 from ..simulator.network import NetworkModel, RELIABLE, TransportStats
 from ..simulator.random_source import RandomSource, derive_seed
-from .arena import Arena, ArenaState, SlabMeasure
-from .rng import NumpyDrawSource, sample_distinct
+from .arena import Arena, ArenaState, SlabMeasure, ViewSlab
+from .rng import NumpyDrawSource
 
 __all__ = [
     "VectorBootstrapSimulation",
     "VectorConvergenceTracker",
-    "VectorNewscastView",
 ]
 
 
 class _Layer:
-    """One gossip layer's bookkeeping (order cache + transport
-    accounting + cycle counter)."""
+    """One gossip layer's bookkeeping: the activation order cache
+    (node ids for the bootstrap layer, arena ranks for NEWSCAST), the
+    transport accounting and the cycle counter."""
 
     __slots__ = ("stats", "order", "dirty", "cycle")
 
@@ -94,62 +115,13 @@ class _Layer:
         self.cycle = 0
 
 
-class VectorNewscastView:
-    """NEWSCAST view for the vector engine: the same freshest-wins
-    merge mechanics as the reference/fast views, but peer picks and
-    view samples are realised from pre-drawn uniforms instead of an
-    owned ``random.Random`` stream."""
+#: Exchanges whose NEWSCAST peer picks are read from the view rows in
+#: one pass (a conflict-free batch runs ~20-40 exchanges at N=512).
+_PICK_CHUNK = 64
 
-    __slots__ = ("own_id", "capacity", "entries", "now")
-
-    def __init__(self, own_id: int, capacity: int) -> None:
-        self.own_id = own_id
-        self.capacity = capacity
-        self.entries: dict[int, float] = {}
-        self.now = 0.0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def select_peer(self, u: float) -> int | None:
-        """Uniform pick over the view from one pre-drawn float."""
-        if not self.entries:
-            return None
-        keys = list(self.entries)
-        return keys[min(int(u * len(keys)), len(keys) - 1)]
-
-    def payload(self) -> list[tuple[int, float]]:
-        """The whole view plus the freshly-stamped own advertisement."""
-        pairs = list(self.entries.items())
-        pairs.append((self.own_id, self.now))
-        return pairs
-
-    def merge(self, pairs: list[tuple[int, float]]) -> None:
-        """Freshest per id, truncated to the ``capacity`` freshest
-        (ties broken by id) -- identical to the reference merge."""
-        entries = self.entries
-        own = self.own_id
-        for nid, ts in pairs:
-            if nid == own:
-                continue
-            current = entries.get(nid)
-            if current is None or ts > current:
-                entries[nid] = ts
-        if len(entries) > self.capacity:
-            survivors = sorted(
-                entries.items(), key=lambda p: (-p[1], p[0])
-            )[: self.capacity]
-            self.entries = dict(survivors)
-
-    def sample(self, count: int, floats: Sequence[float]) -> list[int]:
-        """*count* distinct view members from pre-drawn uniforms."""
-        if count <= 0 or not self.entries:
-            return []
-        return sample_distinct(list(self.entries), count, floats)
-
-    def seed(self, ids: Iterable[int]) -> None:
-        """Install an initial membership sample (timestamp 0)."""
-        self.merge([(nid, 0.0) for nid in ids])
+#: The SELECTPEER fallback row handed over when the leaf set, not the
+#: row, decides the pick.
+_NO_IDS = _np.empty(0, dtype=_np.uint64)
 
 
 def _as_ids(ids: list[int]):
@@ -237,45 +209,125 @@ class _NumpyOps:
         mask &= a.def_prefix[:n] == 0
         return mask
 
-    def oracle_samples(self, pool, index_matrix, pool_dense):
-        """The oracle leg's batch of sample rows ``(rows, dup, dense)``:
-        each row id-sorted with its duplicate mask, and the rows' dense
-        indices (gathered from *pool_dense*, the live pool's
-        universe-dense indices) sorted by the same order -- the dense
-        map is strictly monotone in the id, so sorting each
-        independently yields parallel arrays.  A wave gathers its jobs'
-        rows from here straight into its sample slab (see
-        :meth:`create_wave_flat`)."""
-        rows = pool[index_matrix]
-        dup = _np.zeros(rows.shape, dtype=bool)
-        dense = pool_dense[index_matrix]
-        if rows.shape[1] > 1:
-            rows.sort(axis=1)
-            _np.equal(rows[:, 1:], rows[:, :-1], out=dup[:, 1:])
-            dense.sort(axis=1)
-        return rows, dup, dense
+    # -- NEWSCAST view rows --------------------------------------------
 
-    @staticmethod
-    def sample_slab(samples, universe):
-        """Per-job sample arrays (the NEWSCAST leg) as one ragged sample
-        slab ``(ids, dense, lens, dup)``: job ``j``'s ``lens[j]``
-        samples, id-sorted, with their dense *universe* indices and a
-        mask of repeats.  One ``searchsorted`` and one sort of the
-        composite ``job * len(universe) + dense`` keys; a repeat is an
-        entry equal to its predecessor, exactly what ``np.unique``
-        would drop."""
-        lens = _np.fromiter(
-            (s.size for s in samples), dtype=_np.intp, count=len(samples)
+    def seed_view(self, rank: int, ids: list[int]) -> None:
+        """Install a fresh NEWSCAST view in *rank*'s row: *ids* --
+        distinct, none the node's own, at most the view width, as the
+        membership registry samples them -- in order, timestamp 0."""
+        views = self.arena.views
+        count = len(ids)
+        views.ids[rank, :count] = _np.array(ids, dtype=_np.uint64)
+        views.ts[rank, :count] = 0
+        views.len[rank] = count
+
+    def view_picks(self, ranks, u) -> list:
+        """NEWSCAST SELECTPEER for the views of *ranks*, one pre-drawn
+        uniform each: the member at ``min(int(u * len), len - 1)`` in
+        view order, ``None`` for an empty view."""
+        views = self.arena.views
+        lens = views.len[ranks]
+        at = _np.minimum((u * lens).astype(_np.intp), lens - 1)
+        peers = views.ids[ranks, _np.maximum(at, 0)].tolist()
+        if lens.all():
+            return peers
+        return [
+            peer if size else None
+            for peer, size in zip(peers, lens.tolist(), strict=True)
+        ]
+
+    def view_samples(self, ranks, count: int, floats):
+        """*count* distinct members of each view of *ranks*, from its
+        row of pre-drawn *floats*: ``(rows, lens)``, row ``i``'s sample
+        being ``rows[i, :lens[i]]`` in draw order.
+
+        A view no longer than *count* is its whole row in view order.
+        A longer one is walked by a partial Fisher-Yates shuffle that
+        consumes its floats in column order -- step ``j`` swaps column
+        ``j`` with ``j + min(int(f_j * span), span - 1)``, ``span = len
+        - j``, the distribution of ``random.sample`` -- one vectorised
+        step per sampled column over every such row."""
+        views = self.arena.views
+        rows = views.ids[ranks]
+        size = views.len[ranks]
+        lens = _np.minimum(size, count)
+        part = _np.flatnonzero(size > count)
+        if part.size:
+            scratch = rows[part]
+            span = size[part]
+            f = floats[part]
+            at = kernels._arange(part.size)
+            for j in range(count):
+                swap = j + _np.minimum((f[:, j] * span).astype(_np.intp), span - 1)
+                chosen = scratch[at, swap]
+                scratch[at, swap] = scratch[:, j]
+                scratch[:, j] = chosen
+                span -= 1
+            rows[part] = scratch
+        return rows, lens
+
+    def merge_views(self, recv: list[int], send: list[int], now: int) -> None:
+        """A batch of NEWSCAST merges: rank ``recv[i]`` merges the
+        payload of rank ``send[i]`` -- that view plus its own id stamped
+        *now* -- read from the batch-start rows.  The receivers are
+        distinct, so the merges commute and run as one padded frame.
+
+        Row ``i`` is the receiver's row, the sender's row and the
+        sender's stamped id; padding holds the receiver's own id, which
+        never enters its view.  One row-wise stable sort by id brings
+        each id's two copies together, the receiver's first: the first
+        copy survives, at its own column, with the fresher timestamp
+        of the two.  A second row-wise stable sort orders the
+        survivors: by column when the view stays within capacity (the
+        old order, then new ids in payload order), by ``-timestamp``
+        over the id order -- ``(-timestamp, id)`` -- when it overflows,
+        keeping the best ``width``."""
+        views = self.arena.views
+        node_ids = self.arena.node_ids
+        recv = _np.array(recv, dtype=_np.intp)
+        send = _np.array(send, dtype=_np.intp)
+        m = recv.size
+        width = views.ids.shape[1]
+        frame_w = 2 * width + 1
+        own = node_ids[recv][:, None]
+        col = kernels._arange(width)[None, :]
+        valid = _np.ones((m, frame_w), dtype=bool)
+        _np.less(col, views.len[recv][:, None], out=valid[:, :width])
+        _np.less(col, views.len[send][:, None], out=valid[:, width:-1])
+        ids = _np.where(
+            valid,
+            _np.concatenate(
+                (views.ids[recv], views.ids[send], node_ids[send][:, None]),
+                axis=1,
+            ),
+            own,
         )
-        ids = _np.concatenate(samples)
-        u_size = universe.size
-        key = _np.repeat(kernels._arange(lens.size), lens) * u_size
-        key += universe.searchsorted(ids)
-        order = _np.argsort(key)
-        key = key[order]
-        dup = _np.zeros(key.size, dtype=bool)
-        _np.equal(key[1:], key[:-1], out=dup[1:])
-        return ids[order], key % u_size, lens, dup
+        ts = _np.concatenate(
+            (views.ts[recv], views.ts[send], _np.full((m, 1), now)), axis=1
+        )
+        rows = kernels._arange(m)[:, None]
+        order = _np.argsort(ids, axis=1, kind="stable")
+        ids = ids[rows, order]
+        ts = ts[rows, order]
+        repeat = _np.zeros((m, frame_w), dtype=bool)
+        _np.equal(ids[:, 1:], ids[:, :-1], out=repeat[:, 1:])
+        _np.maximum(
+            ts[:, :-1], _np.where(repeat[:, 1:], ts[:, 1:], 0), out=ts[:, :-1]
+        )
+        keep = ~repeat & (ids != own)
+        count = keep.sum(axis=1)
+        best = _np.argsort(
+            _np.where(
+                keep,
+                _np.where((count > width)[:, None], -ts, order),
+                frame_w,
+            ),
+            axis=1,
+            kind="stable",
+        )[:, :width]
+        views.ids[recv] = ids[rows, best]
+        views.ts[recv] = ts[rows, best]
+        views.len[recv] = _np.minimum(count, width)
 
     # -- protocol transitions ------------------------------------------
 
@@ -283,7 +335,6 @@ class _NumpyOps:
         """Protocol start: wipe the prefix table, seed the leaf set."""
         state.prefix_ids = _np.empty(0, dtype=_np.uint64)
         state.prefix_slots = _np.empty(0, dtype=_np.int64)
-        state.known = None
         fresh = _np.unique(samples)
         fresh = fresh[fresh != state.own_u64[0]]
         fresh = fresh[_not_in_sorted(state.leaf, fresh)]
@@ -311,110 +362,65 @@ class _NumpyOps:
                 return nid
         return None
 
-    def _known_wave(self, states, universe) -> None:
-        """Rebuild every stale known union among *states* -- with its
-        dense ``universe`` indices -- in one segmented pass.
+    def _union_wave(self, ranks, universe, samples):
+        """Every job's CREATEMESSAGE union in one sort.
 
-        A union is stale when a leaf or prefix write dropped it, or when
-        its dense indices were taken against an older universe.  The
-        stale ranks' leaf rows, prefix windows and own ids become
-        composite ``segment * len(universe) + dense`` keys (the
-        pool-resident dense caches make the first two pure gathers);
-        one ``np.unique`` over them is every stale union, sorted and
-        deduplicated, and the ids are the universe at those dense
-        indices.  In the converged steady state nothing is stale and
-        this is one attribute probe per state."""
-        stale: dict[int, ArenaState] = {}
-        for state in states:
-            cached = state.known_dense
-            if cached is None or cached[0] is not universe:
-                stale[state.rank] = state
-        if not stale:
-            return
-        m = len(stale)
-        ranks = _np.fromiter(stale, dtype=_np.intp, count=m)
+        *ranks* are the jobs' sender ranks (one sender may own several
+        jobs) and *samples* the wave's sample slab (see
+        :meth:`create_wave_flat`).  Returns ``(u, lens, u_dense)``: the
+        concatenated per-job unions, their lengths, and the unions'
+        dense ``universe`` indices.
+
+        Each job contributes composite keys ``(job * len(universe) +
+        dense) * 2 + flag``: flag 0 for its own id, its leaf row and its
+        prefix window (gathers from the arena's dense slabs), flag 1 for
+        its samples.  One sort brings each job's copies of an id
+        together, known copies first; the first copy survives.  So a
+        known id appears once -- the known union -- and a sample only
+        when the job does not know it and has not sampled it already.
+        A job's union is its known ids, then its novel samples, each
+        in id order.
+        """
+        m_count = ranks.size
         u_size = universe.size
+        seg = kernels._arange(m_count)
         parts = [
-            kernels._arange(m) * u_size
-            + universe.searchsorted(self.arena.node_ids[ranks])
+            (seg * u_size + universe.searchsorted(self.arena.node_ids[ranks]))
+            * 2
         ]
         for keys in (
             self._leaf_keys(ranks, universe, u_size),
             self._resident_keys(ranks, universe, u_size),
         ):
             if keys is not None:
-                parts.append(keys)
-        keys = _np.unique(_np.concatenate(parts))
-        seg = keys // u_size
-        dense = keys - seg * u_size
-        ids = universe[dense]
-        dense = dense.astype(_np.int32)
-        lo = 0
-        for state, hi in zip(
-            stale.values(),
-            _np.cumsum(_np.bincount(seg, minlength=m)).tolist(),
-            strict=True,
-        ):
-            state.known = ids[lo:hi].copy()
-            state.known_dense = (universe, dense[lo:hi].copy())
-            lo = hi
-
-    def _union_wave(self, jobs, universe, samples):
-        """Every job's CREATEMESSAGE union in one slab pass.
-
-        Returns ``(u, lens, u_dense)``: the concatenated per-job
-        unions, their lengths, and the unions' dense ``universe``
-        indices.  *samples* is the wave's ragged sample slab (see
-        :meth:`create_wave_flat`).  The stale known unions are rebuilt
-        first, together (:meth:`_known_wave`); then the per-job novelty
-        scans collapse into one membership pass of the sample slab
-        against the concatenated known slab, keyed ``segment *
-        len(universe) + dense`` exactly like the wave absorb.  A job's
-        novel samples follow its known union in id order.
-        """
-        self._known_wave([state for state, _ in jobs], universe)
-        m_count = len(jobs)
-        knowns = []
-        denses = []
-        for state, _ in jobs:
-            knowns.append(state.known)
-            denses.append(state.known_dense[1])
-        k_lens = _np.array([k.size for k in knowns], dtype=_np.intp)
-        kn = _np.concatenate(knowns)
-        kn_dense = _np.concatenate(denses)
-        s_ids, s_dense, s_lens, dup = samples
-        if not s_ids.size:
-            return kn, k_lens, kn_dense
-        u_size = universe.size
-        kn_key = _np.repeat(kernels._arange(m_count), k_lens) * u_size
-        kn_key += kn_dense
-        s_seg = _np.repeat(kernels._arange(m_count), s_lens)
-        s_key = s_seg * u_size + s_dense
-        pos = _np.minimum(kn_key.searchsorted(s_key), kn_key.size - 1)
-        novel = (kn_key[pos] != s_key) & ~dup
-        if not novel.any():
-            # Converged steady state: every sample is already known,
-            # so the unions are exactly the cached known slab.
-            return kn, k_lens, kn_dense
-        fresh_counts = _np.bincount(s_seg[novel], minlength=m_count)
-        lens = k_lens + fresh_counts
-        offs = _np.cumsum(lens) - lens
-        u = _np.empty(int(lens.sum()), dtype=_np.uint64)
-        u_dense = _np.empty(u.size, dtype=_np.intp)
-        k_within = kernels._arange(kn.size) - _np.repeat(
-            _np.cumsum(k_lens) - k_lens, k_lens
-        )
-        k_dest = _np.repeat(offs, k_lens) + k_within
-        u[k_dest] = kn
-        u_dense[k_dest] = kn_dense
-        fresh_ids = s_ids[novel]
-        f_within = kernels._arange(fresh_ids.size) - _np.repeat(
-            _np.cumsum(fresh_counts) - fresh_counts, fresh_counts
-        )
-        f_dest = _np.repeat(offs + k_lens, fresh_counts) + f_within
-        u[f_dest] = fresh_ids
-        u_dense[f_dest] = s_dense[novel]
-        return u, lens, u_dense
+                parts.append(keys * 2)
+        _, s_dense, s_lens = samples
+        if s_dense.size:
+            parts.append(
+                (_np.repeat(seg, s_lens) * u_size + s_dense) * 2 + 1
+            )
+        keys = _np.sort(_np.concatenate(parts))
+        pair = keys >> 1
+        first = _np.empty(keys.size, dtype=bool)
+        first[0] = True
+        _np.not_equal(pair[1:], pair[:-1], out=first[1:])
+        novel = first & (keys & 1).astype(bool)
+        known = first & ~novel
+        k_seg = pair[known] // u_size
+        f_seg = pair[novel] // u_size
+        k_counts = _np.bincount(k_seg, minlength=m_count)
+        f_counts = _np.bincount(f_seg, minlength=m_count)
+        # Known ids land after the novel samples of earlier jobs, novel
+        # samples after every known id up to their own job's.
+        u_dense = _np.empty(int(k_counts.sum() + f_counts.sum()), dtype=_np.intp)
+        u_dense[
+            kernels._arange(k_seg.size)
+            + (_np.cumsum(f_counts) - f_counts)[k_seg]
+        ] = pair[known] - k_seg * u_size
+        u_dense[
+            kernels._arange(f_seg.size) + _np.cumsum(k_counts)[f_seg]
+        ] = pair[novel] - f_seg * u_size
+        return universe[u_dense], k_counts + f_counts, u_dense
 
     def create_wave_flat(self, jobs, universe, samples):
         """CREATEMESSAGE for a whole wave of exchanges in one
@@ -423,12 +429,12 @@ class _NumpyOps:
         *jobs* is a list of ``(state, peer_id)`` message specifications,
         *universe* the sorted id universe (see :meth:`absorb_wave_flat`)
         and *samples* the jobs' fresh samples as one ragged slab
-        ``(ids, dense, lens, dup)``: job ``j``'s ``lens[j]`` sample ids,
-        id-sorted, with their dense *universe* indices and a mask of
-        repeats.  Whichever peer-sampling service drew them, the build
+        ``(ids, dense, lens)``: job ``j``'s ``lens[j]`` sample ids, in
+        any order and possibly repeated, with their dense *universe*
+        indices.  Whichever peer-sampling service drew them, the build
         is the same: the oracle leg gathers the slab from the cycle's
-        batch buffer (:meth:`oracle_samples`), the NEWSCAST leg packs
-        the views' samples with :meth:`sample_slab`.  The result is
+        batch buffer, the NEWSCAST leg from the view rows
+        (:meth:`view_samples`).  The result is
         ``(ids_flat, slots_flat, dense_flat, bounds)`` -- message ``m``
         of the wave is rows ``bounds[m]:bounds[m + 1]`` of each slab.
 
@@ -456,7 +462,13 @@ class _NumpyOps:
         identifiers.
         """
         m_count = len(jobs)
-        u, lens, u_dense = self._union_wave(jobs, universe, samples)
+        u, lens, u_dense = self._union_wave(
+            _np.fromiter(
+                (state.rank for state, _ in jobs), dtype=_np.intp, count=m_count
+            ),
+            universe,
+            samples,
+        )
         peer_list = _np.array([peer for _, peer in jobs], dtype=_np.uint64)
         seg_base = kernels._arange(m_count) * self._n_slots
         # Rank every union at once, natively in a padded 2-D frame
@@ -566,14 +578,13 @@ class _NumpyOps:
         return ids_flat, slots_flat, dense_flat, bounds
 
     def _absorb_candidates(
-        self, states, ranks, cand_ids, cand_slots, cand_dense, cand_seg,
-        universe,
+        self, ranks, cand_ids, cand_slots, cand_dense, cand_seg, universe
     ) -> None:
         """The core of the wave absorb: gate, dedup, cap and apply one
         assembled candidate slab (see :meth:`absorb_wave_flat` for the
-        semantics argument).  *states* are the receivers, one per
-        segment, and *ranks* their arena ranks."""
-        n_seg = len(states)
+        semantics argument).  *ranks* are the receivers' arena ranks,
+        one per segment."""
+        n_seg = ranks.size
         u_size = universe.size
         ckey = cand_seg * u_size + cand_dense
         if n_seg * u_size <= 0x7FFFFFFF:
@@ -626,7 +637,6 @@ class _NumpyOps:
             if keep_sorted.any():
                 adm_idx = o_idx[_np.sort(order2[keep_sorted])]
                 self._install_admitted(
-                    states,
                     ranks,
                     cand_seg[adm_idx],
                     cand_slots[adm_idx],
@@ -655,12 +665,10 @@ class _NumpyOps:
         else:
             f_idx = l_idx
         if f_idx.size:
-            self._reselect_leaves(
-                states, ranks, cand_seg[f_idx], cand_ids[f_idx]
-            )
+            self._reselect_leaves(ranks, cand_seg[f_idx], cand_ids[f_idx])
 
     def _install_admitted(
-        self, states, ranks, a_seg, a_slots, a_dense, universe
+        self, ranks, a_seg, a_slots, a_dense, universe
     ) -> None:
         """UPDATEPREFIXTABLE's install for every admitting receiver of a
         wave as one slab pass.
@@ -705,10 +713,8 @@ class _NumpyOps:
         a.p_dense.write_many(t_ranks, dense, lens, n_ranks)
         a.p_dense_valid[t_ranks] = True
         a.stats_dirty[t_ranks] = True
-        for s in t_seg.tolist():
-            states[s].known = None
 
-    def _reselect_leaves(self, states, ranks, f_seg, f_ids) -> None:
+    def _reselect_leaves(self, ranks, f_seg, f_ids) -> None:
         """UPDATELEAFSET's balanced reselect for every touched receiver
         of a wave as one padded frame (:meth:`_merge_fresh` is the same
         reselect for one node, at its start).
@@ -724,7 +730,7 @@ class _NumpyOps:
         sort restores id order.  Only rows whose leaf actually changed
         are written, with their side counts, worst kept distances,
         fullness and admission windows, and only they drop their
-        dense and known caches and dirty their deficit: a
+        dense cache and dirty their deficit: a
         rejected-everything reselect leaves the rank untouched, exactly
         like :meth:`_set_leaf`'s short-circuit."""
         a = self.arena
@@ -817,15 +823,14 @@ class _NumpyOps:
         )
         a.leaf_dense_valid[cr] = False
         a.stats_dirty[cr] = True
-        for s in t_seg[changed].tolist():
-            states[s].known = None
 
     def absorb_wave_flat(self, wave, specs, universe) -> None:
-        """One wave's surviving absorbs as a segmented slab pass.
+        """One wave's absorbs as a segmented slab pass.
 
         *wave* is :meth:`create_wave_flat`'s return value; *specs* is
-        the arrival-ordered list of surviving ``(state, message_index,
-        sender_id)`` absorbs; *universe* is the sorted uint64 array of
+        the arrival-ordered list of ``(state, message_index,
+        sender_id)`` absorbs (the cycle builds only delivered messages,
+        so each message has one); *universe* is the sorted uint64 array of
         **every identifier ever admitted** to the network (dead ids
         stay: they persist in tables and messages).  One vectorised
         gather through the message bounds assembles the candidate slab
@@ -889,7 +894,6 @@ class _NumpyOps:
         seg_of[appearance] = kernels._arange(first.size)
         seg = seg_of[inverse]
         order = _np.argsort(seg, kind="stable")
-        states = [specs[i][0] for i in first[appearance].tolist()]
         ranks = rk[first[appearance]]
         aseg = seg[order]
         mi_arr = _np.fromiter(
@@ -931,7 +935,6 @@ class _NumpyOps:
         cand_slots = _np.concatenate((slots_flat, s_slots))[src]
         cand_dense = _np.concatenate((dense_flat, s_dense))[src]
         self._absorb_candidates(
-            states,
             ranks,
             cand_ids,
             cand_slots,
@@ -964,11 +967,10 @@ class _NumpyOps:
     def _set_leaf(self, state: ArenaState, arr) -> None:
         if arr.size == state.leaf.size and _np.array_equal(arr, state.leaf):
             # The balanced reselect rejected every candidate: nothing
-            # changed, so the known cache and the tracker's cached
+            # changed, so the dense cache and the tracker's cached
             # deficit both stay valid.
             return
         state.leaf = arr
-        state.known = None
         fw = (arr - state.own_u64[0]) & self._mu
         succ = fw <= self._half_u
         n_succ = int(succ.sum())
@@ -1014,9 +1016,9 @@ class _NumpyOps:
 
     def _sync_dense_universe(self, universe) -> None:
         """Invalidate every pooled dense-index cache when the
-        membership universe was rebuilt (identity-keyed exactly like
-        ``ArenaState.known_dense``; holding the reference also keeps the
-        old object alive, so its id cannot be recycled)."""
+        membership universe was rebuilt (identity-keyed: holding the
+        reference also keeps the old object alive, so its id cannot be
+        recycled)."""
         a = self.arena
         if a.dense_universe is not universe:
             a.p_dense_valid[:] = False
@@ -1024,10 +1026,11 @@ class _NumpyOps:
             a.dense_universe = universe
 
     def _resident_keys(self, ranks, universe, u_size):
-        """Concatenated ``segment * u_size + dense`` keys of every
-        receiver's resident prefix ids -- sorted, because each table
+        """Concatenated ``segment * u_size + dense`` keys of the
+        resident prefix ids of every rank of *ranks* (segment ``i`` is
+        ``ranks[i]``; a rank may repeat) -- sorted, because each table
         is sorted and segments concatenate in order -- or ``None``
-        when no receiver has any.
+        when none has any.
 
         One ragged pool gather: each rank's dense indices live in a
         pool mirroring ``p_ids``, refreshed in one batched
@@ -1049,10 +1052,11 @@ class _NumpyOps:
 
     def _refresh_prefix_dense(self, ranks, universe) -> None:
         """Re-derive the dense prefix windows of the stale ranks among
-        the distinct *ranks* in one batched ``searchsorted`` and one
-        pool write (the universe is already synced)."""
+        *ranks* in one batched ``searchsorted`` and one pool write (the
+        universe is already synced).  A rank may repeat in *ranks* --
+        a sender owns two jobs of a wave -- and is written once."""
         a = self.arena
-        stale = ranks[~a.p_dense_valid[ranks]]
+        stale = _np.unique(ranks[~a.p_dense_valid[ranks]])
         if stale.size:
             pool = a.p_ids
             s_lens = pool.len[stale]
@@ -1257,7 +1261,6 @@ class VectorBootstrapSimulation:
 
         self.registry = FastRegistry()
         self.nodes: dict[int, object] = {}
-        self.newscast: dict[int, VectorNewscastView] = {}
         self._next_address = 0
         self._unstarted: set = set()
         self._pool = None
@@ -1271,6 +1274,8 @@ class VectorBootstrapSimulation:
         self._news: _Layer | None = None
         if sampler == "newscast":
             self._news = _Layer()
+            arena = self._ops.arena
+            arena.views = ViewSlab(arena.capacity, newscast_view_size)
         self._newscast_view_size = newscast_view_size
 
         for node_id in id_list:
@@ -1295,11 +1300,7 @@ class VectorBootstrapSimulation:
         self._ids_ever.append(node_id)
         self._universe = None
         self.registry.add(node_id)
-        if self.sampler_kind == "newscast":
-            self.newscast[node_id] = VectorNewscastView(
-                node_id, self._newscast_view_size
-            )
-            assert self._news is not None
+        if self._news is not None:
             self._news.dirty = True
         state = self._ops.new_state(node_id)
         self.nodes[node_id] = state
@@ -1311,11 +1312,12 @@ class VectorBootstrapSimulation:
         """Initial NEWSCAST views: same seed-tree derivation as the
         reference, so all engines start from identical views."""
         rng = self._source.derive("newscast-seed")
-        for view in self.newscast.values():
-            view.seed(
+        for node_id, state in self.nodes.items():
+            self._ops.seed_view(
+                state.rank,
                 self.registry.sample(
-                    self._newscast_view_size, rng, exclude_id=view.own_id
-                )
+                    self._newscast_view_size, rng, exclude_id=node_id
+                ),
             )
 
     # ------------------------------------------------------------------
@@ -1345,7 +1347,8 @@ class VectorBootstrapSimulation:
         self._unstarted.discard(node_id)
         self._boot.dirty = True
         if self._news is not None:
-            self.newscast.pop(node_id, None)
+            # The view row goes with the rank; the next node to claim
+            # the rank seeds it afresh.
             self._news.dirty = True
         self._reference = None
         self._membership_dirty = True
@@ -1363,12 +1366,13 @@ class VectorBootstrapSimulation:
         elif node_id in self.nodes:
             raise ValueError(f"identifier {node_id:#x} already live")
         state = self._admit(node_id)
-        if self.sampler_kind == "newscast":
+        if self._news is not None:
             rng = self._source.derive(("newscast-join", node_id))
-            self.newscast[node_id].seed(
+            self._ops.seed_view(
+                state.rank,
                 self.registry.sample(
                     self._newscast_view_size, rng, exclude_id=node_id
-                )
+                ),
             )
         self._reference = None
         self._membership_dirty = True
@@ -1445,21 +1449,39 @@ class VectorBootstrapSimulation:
             req_coins = draws.floats(n)
             rep_coins = draws.floats(n)
         n_start = len(self._unstarted)
+        start_rows = None
         if oracle:
-            start_rows = (
-                self._pool[draws.index_matrix(n, n_start, self._c)]
-                if n_start
-                else None
-            )
-            sample_buf = ops.oracle_samples(
-                self._pool,
-                draws.index_matrix(n, 2 * n, cr),
-                self._wave_universe().searchsorted(self._pool),
+            if n_start:
+                start_rows = self._pool[draws.index_matrix(n, n_start, self._c)]
+            # Request row ``i`` and reply row ``n + i`` of exchange
+            # ``i``: ids drawn with replacement from the live pool, and
+            # their dense universe indices.
+            index = draws.index_matrix(n, 2 * n, cr)
+            sample_buf = (
+                self._pool[index],
+                self._wave_universe().searchsorted(self._pool)[index],
             )
         else:
             start_f = draws.float_matrix(n_start, self._c) if n_start else None
             sample_f = draws.float_matrix(2 * n, cr)
-        newscast = self.newscast
+            if n_start:
+                # Every unstarted node starts this cycle, in activation
+                # order, each seeded from its view with the next float
+                # row; the views stand still during the cycle, so one
+                # gather draws every seed row.
+                unstarted = self._unstarted
+                rows, lens = ops.view_samples(
+                    _np.array(
+                        [nodes[nid].rank for nid in order if nid in unstarted],
+                        dtype=_np.intp,
+                    ),
+                    self._c,
+                    start_f,
+                )
+                start_rows = [
+                    row[:size]
+                    for row, size in zip(rows, lens.tolist(), strict=True)
+                ]
         stats = layer.stats
         get = nodes.get
         select_peer = ops.select_peer
@@ -1491,56 +1513,62 @@ class VectorBootstrapSimulation:
 
         def flush() -> None:
             nonlocal sel_hi
-            # Drop coins decide which absorbs survive and the transport
-            # accounting covers every exchange; only messages to
-            # unsettled receivers become jobs.  The surviving absorbs
-            # are collected in arrival order and drained in one
-            # segmented slab pass.  The wave's samples travel as one
-            # ragged slab: oracle rows are gathered from the batch
-            # buffer (request row ``i``, reply row ``n + i``), NEWSCAST
-            # samples packed per job.
+            # The drop coins are read before anything is built: a lost
+            # request builds neither message, a lost reply builds no
+            # reply, and nothing is built for a settled receiver, while
+            # the transport accounting covers every exchange.  So each
+            # job is absorbed exactly once -- job ``k`` is spec ``k``,
+            # in arrival order -- and the wave is drained in one
+            # segmented slab pass.  Its samples travel as one ragged
+            # slab: oracle rows gathered from the batch buffer, NEWSCAST
+            # samples gathered from the view rows (float row ``i`` for
+            # the request of exchange ``i``, ``n + i`` for its reply).
             jobs = []
             rows = []
             specs: list[tuple] = []
-            for i_, nid_, state_, peer_, target_, rq_, rp_ in pending:
-                req_job = rep_job = None
-                if settled is None or not settled[target_.rank]:
-                    req_job = len(jobs)
-                    jobs.append((state_, peer_))
-                    rows.append(i_ if oracle else rq_)
-                if settled is None or not settled[state_.rank]:
-                    rep_job = len(jobs)
-                    jobs.append((target_, nid_))
-                    rows.append(n + i_ if oracle else rp_)
+            for i_, nid_, state_, peer_, target_ in pending:
                 if drop_p and req_coins[i_] < drop_p:
                     stats.requests_dropped += 1
                     stats.suppressed_replies += 1
                     continue
-                if req_job is not None:
-                    specs.append((target_, req_job, nid_))
+                if settled is None or not settled[target_.rank]:
+                    specs.append((target_, len(jobs), nid_))
+                    jobs.append((state_, peer_))
+                    rows.append(i_)
                 stats.replies_sent += 1
                 if drop_p and rep_coins[i_] < drop_p:
                     stats.replies_dropped += 1
                     continue
-                if rep_job is not None:
-                    specs.append((state_, rep_job, peer_))
+                if settled is None or not settled[state_.rank]:
+                    specs.append((state_, len(jobs), peer_))
+                    jobs.append((target_, nid_))
+                    rows.append(n + i_)
             pending.clear()
             if not jobs:
                 # Nothing is built or absorbed: every table, and so
                 # every precomputed peer pick, stays as it was.
                 return
             universe_w = self._wave_universe()
+            row_idx = _np.array(rows, dtype=_np.intp)
             if oracle:
-                row_idx = _np.array(rows, dtype=_np.intp)
-                buf_rows, dup, dense = sample_buf
+                buf_rows, dense = sample_buf
                 samples_w = (
                     buf_rows[row_idx].reshape(-1),
                     dense[row_idx].reshape(-1),
                     _np.full(row_idx.size, cr, dtype=_np.intp),
-                    dup[row_idx].reshape(-1),
                 )
             else:
-                samples_w = ops.sample_slab(rows, universe_w)
+                rows_w, lens = ops.view_samples(
+                    _np.fromiter(
+                        (state.rank for state, _ in jobs),
+                        dtype=_np.intp,
+                        count=len(jobs),
+                    ),
+                    cr,
+                    sample_f[row_idx],
+                )
+                ids = rows_w[kernels._arange(rows_w.shape[1]) < lens[:, None]]
+                samples_w = (ids, universe_w.searchsorted(ids), lens)
             wave_buf = create_wave_flat(jobs, universe_w, samples_w)
             absorb_wave_flat(wave_buf, specs, universe_w)
             # Absorbs may have reshaped leaf sets: any precomputed
@@ -1552,19 +1580,9 @@ class VectorBootstrapSimulation:
             state = get(nid)
             if state is None:
                 continue
-            if oracle:
-                req_row = sample_buf[0][i]
-            else:
-                req_row = _as_ids(newscast[nid].sample(cr, sample_f[i]))
             if not state.started:
-                if oracle:
-                    seeds = start_rows[start_ptr]
-                else:
-                    seeds = _as_ids(
-                        newscast[nid].sample(self._c, start_f[start_ptr])
-                    )
+                ops.start_node(state, start_rows[start_ptr])
                 start_ptr += 1
-                ops.start_node(state, seeds)
                 self._unstarted.discard(nid)
             if i >= sel_hi:
                 hi = min(i + wave, n)
@@ -1577,8 +1595,21 @@ class VectorBootstrapSimulation:
             peer_id = sel_buf[i - sel_lo]
             if peer_id is None:
                 # Scalar fallback: the node started this chunk or its
-                # leaf set is empty (fresh-sample fallback).
-                peer_id = select_peer(state, peer_u[i], req_row)
+                # leaf set is empty.  Only an empty leaf set reads the
+                # fallback row: the node's request samples, id-sorted
+                # for the oracle, in draw order for NEWSCAST.
+                if state.leaf.size:
+                    fallback = _NO_IDS
+                elif oracle:
+                    fallback = _np.sort(sample_buf[0][i])
+                else:
+                    rows, lens = ops.view_samples(
+                        _np.array([state.rank], dtype=_np.intp),
+                        cr,
+                        sample_f[i:i + 1],
+                    )
+                    fallback = rows[0, : lens[0]]
+                peer_id = select_peer(state, peer_u[i], fallback)
             if peer_id is None:
                 continue
             target = get(peer_id)
@@ -1594,15 +1625,7 @@ class VectorBootstrapSimulation:
                     stats.void_requests += 1
                 stats.suppressed_replies += 1
                 continue
-            if oracle or (settled is not None and settled[state.rank]):
-                # The flush gathers oracle rows from sample_buf, and
-                # builds no reply to a settled node.
-                rep_row = None
-            else:
-                rep_row = _as_ids(
-                    newscast[peer_id].sample(cr, sample_f[n + i])
-                )
-            pending.append((i, nid, state, peer_id, target, req_row, rep_row))
+            pending.append((i, nid, state, peer_id, target))
             if len(pending) >= wave:
                 flush()
         if pending:
@@ -1610,12 +1633,23 @@ class VectorBootstrapSimulation:
         layer.cycle += 1
 
     def _newscast_cycle(self) -> None:
+        """One NEWSCAST gossip cycle over the view rows.
+
+        The exchanges run in the shuffled order, cut into batches that
+        touch no view twice for writing: a batch is flushed before an
+        exchange whose initiator's view, or (for a delivered request)
+        whose target's view, an earlier merge of the batch wrote.
+        Every read of a batch then sees the batch-start rows -- exactly
+        what the sequential exchange would see -- and the batch's
+        merges, on distinct views, run together
+        (:meth:`_NumpyOps.merge_views`).  Peer picks are read from the
+        rows a chunk at a time; a pick is used only while its view is
+        unwritten, so it is the sequential pick."""
         layer = self._news
-        views = self.newscast
+        ops = self._ops
         draws = self._draws
-        now = float(layer.cycle)
         if layer.dirty:
-            layer.order = list(views)
+            layer.order = [state.rank for state in self.nodes.values()]
             layer.dirty = False
         order = list(layer.order)
         draws.shuffle(order)
@@ -1623,42 +1657,65 @@ class VectorBootstrapSimulation:
         if n == 0:
             layer.cycle += 1
             return
-        for view in views.values():
-            view.now = now
         peer_u = draws.floats(n)
         drop_p = self.network.drop_probability
         req_coins = rep_coins = None
         if drop_p:
             req_coins = draws.floats(n)
             rep_coins = draws.floats(n)
+        now = layer.cycle
         stats = layer.stats
-        get = views.get
-        for i, nid in enumerate(order):
-            view = get(nid)
-            if view is None:
-                continue
-            peer_id = view.select_peer(peer_u[i])
-            if peer_id is None:
-                continue
-            request = view.payload()
-            stats.exchanges += 1
-            stats.requests_sent += 1
-            if drop_p and req_coins[i] < drop_p:
-                stats.requests_dropped += 1
-                stats.suppressed_replies += 1
-                continue
-            target = get(peer_id)
-            if target is None:
-                stats.void_requests += 1
-                stats.suppressed_replies += 1
-                continue
-            reply = target.payload()
-            target.merge(request)
-            stats.replies_sent += 1
-            if drop_p and rep_coins[i] < drop_p:
-                stats.replies_dropped += 1
-                continue
-            view.merge(reply)
+        get = self.nodes.get
+        ranks = _np.array(order, dtype=_np.intp)
+        written: set[int] = set()
+        recv: list[int] = []
+        send: list[int] = []
+        i = 0
+        while i < n:
+            hi = min(n, i + _PICK_CHUNK)
+            picks = ops.view_picks(ranks[i:hi], peer_u[i:hi])
+            j = i
+            while j < hi:
+                r = order[j]
+                if r in written:
+                    break
+                peer = picks[j - i]
+                if peer is None:
+                    j += 1
+                    continue
+                lost = drop_p and req_coins[j] < drop_p
+                target = None if lost else get(peer)
+                if target is not None and target.rank in written:
+                    break
+                stats.exchanges += 1
+                stats.requests_sent += 1
+                if lost:
+                    stats.requests_dropped += 1
+                    stats.suppressed_replies += 1
+                elif target is None:
+                    stats.void_requests += 1
+                    stats.suppressed_replies += 1
+                else:
+                    t = target.rank
+                    recv.append(t)
+                    send.append(r)
+                    written.add(t)
+                    stats.replies_sent += 1
+                    if drop_p and rep_coins[j] < drop_p:
+                        stats.replies_dropped += 1
+                    else:
+                        recv.append(r)
+                        send.append(t)
+                        written.add(r)
+                j += 1
+            if j < hi:
+                ops.merge_views(recv, send, now)
+                recv = []
+                send = []
+                written.clear()
+            i = j
+        if recv:
+            ops.merge_views(recv, send, now)
         layer.cycle += 1
 
     # ------------------------------------------------------------------

@@ -30,20 +30,32 @@ by a :class:`ScriptedSampler`, and checked as it happens:
 Messages are built from wave-start state and absorbed afterwards in
 arrival order, so this checks the protocol under wave-synchronous
 activation; activation order and RNG streams are the engine's own.
+
+:class:`NewscastReplay` does the same for the NEWSCAST layer: it keeps
+one dict-backed :class:`VectorNewscastView` per node, re-runs every
+gossip exchange of each cycle through them in activation order from
+the engine's own draws, and checks every merge's receiver view (ids in
+order and timestamps), every seeded view and every peer-sampling draw
+against the engine's view rows.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from itertools import accumulate
 
 from repro.core import BootstrapNode, NodeDescriptor
 
 __all__ = [
     "ExchangeReplay",
+    "NewscastReplay",
     "ScriptedSampler",
+    "VectorNewscastView",
     "node_from_state",
     "packed_slot",
+    "sample_distinct",
     "snapshot",
 ]
 
@@ -304,3 +316,297 @@ class ExchangeReplay:
         """Every live node's tables equal its replayed node's."""
         for node_id, state in self.sim.nodes.items():
             assert_tables_equal(self.nodes[node_id], state, self.sim.cycle)
+
+
+# ----------------------------------------------------------------------
+# NEWSCAST: the dict view oracle and its replay
+# ----------------------------------------------------------------------
+
+
+def sample_distinct(
+    pool: Sequence[int], count: int, floats: Sequence[float]
+) -> list[int]:
+    """*count* distinct elements of *pool* via a partial Fisher-Yates
+    walk consuming ``floats[:count]`` -- the distribution of
+    ``random.sample`` realised from pre-drawn uniforms."""
+    n = len(pool)
+    if count >= n:
+        return list(pool)
+    scratch = list(pool)
+    out: list[int] = []
+    for j in range(count):
+        span = n - j
+        i = j + min(int(floats[j] * span), span - 1)
+        scratch[j], scratch[i] = scratch[i], scratch[j]
+        out.append(scratch[j])
+    return out
+
+
+class VectorNewscastView:
+    """One NEWSCAST view as an insertion-ordered dict: the same
+    freshest-wins merge mechanics as the reference/fast views, with
+    peer picks and samples realised from pre-drawn uniforms."""
+
+    __slots__ = ("own_id", "capacity", "entries", "now")
+
+    def __init__(self, own_id: int, capacity: int) -> None:
+        self.own_id = own_id
+        self.capacity = capacity
+        self.entries: dict[int, float] = {}
+        self.now = 0.0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def select_peer(self, u: float) -> int | None:
+        """Uniform pick over the view from one pre-drawn float."""
+        if not self.entries:
+            return None
+        keys = list(self.entries)
+        return keys[min(int(u * len(keys)), len(keys) - 1)]
+
+    def payload(self) -> list[tuple[int, float]]:
+        """The whole view plus the freshly-stamped own advertisement."""
+        pairs = list(self.entries.items())
+        pairs.append((self.own_id, self.now))
+        return pairs
+
+    def merge(self, pairs: list[tuple[int, float]]) -> None:
+        """Freshest per id, truncated to the ``capacity`` freshest
+        (ties broken by id) -- identical to the reference merge."""
+        entries = self.entries
+        own = self.own_id
+        for nid, ts in pairs:
+            if nid == own:
+                continue
+            current = entries.get(nid)
+            if current is None or ts > current:
+                entries[nid] = ts
+        if len(entries) > self.capacity:
+            survivors = sorted(
+                entries.items(), key=lambda p: (-p[1], p[0])
+            )[: self.capacity]
+            self.entries = dict(survivors)
+
+    def sample(self, count: int, floats: Sequence[float]) -> list[int]:
+        """*count* distinct view members from pre-drawn uniforms."""
+        if count <= 0 or not self.entries:
+            return []
+        return sample_distinct(list(self.entries), count, floats)
+
+    def seed(self, ids: Iterable[int]) -> None:
+        """Install an initial membership sample (timestamp 0)."""
+        self.merge([(nid, 0.0) for nid in ids])
+
+
+def view_row(views, rank: int) -> tuple[list[int], list[int]]:
+    """Rank *rank*'s NEWSCAST row: ``(ids, timestamps)`` in view order."""
+    size = int(views.len[rank])
+    return views.ids[rank, :size].tolist(), views.ts[rank, :size].tolist()
+
+
+def view_entries(view: VectorNewscastView) -> tuple[list[int], list[float]]:
+    """*view*'s ``(ids, timestamps)`` in view order."""
+    return list(view.entries), list(view.entries.values())
+
+
+class _RecordingDraws:
+    """A draw source that logs every shuffled order and float vector it
+    hands out (the NEWSCAST cycle's draws), delegating the rest."""
+
+    def __init__(self, draws) -> None:
+        self._draws = draws
+        self.log: list = []
+
+    def shuffle(self, items) -> None:
+        self._draws.shuffle(items)
+        self.log.append(list(items))
+
+    def floats(self, count: int):
+        out = self._draws.floats(count)
+        self.log.append(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._draws, name)
+
+
+class NewscastReplay:
+    """Replay *sim*'s NEWSCAST layer through one
+    :class:`VectorNewscastView` per node as it runs.
+
+    Construct it on a fresh NEWSCAST simulation (before its first
+    cycle).  It re-derives every initial view from the seed tree, then
+    wraps the simulation so that:
+
+    * every seeded row (``seed_view``: an initial view, a join, a
+      recycled rank) equals the oracle view seeded with the same ids;
+    * every gossip cycle is re-run exchange by exchange through the
+      oracle views, in the engine's activation order and from its own
+      draws.  Each merge's receiver and sender (so every delivered
+      exchange's peer pick) and the receiver's view after the merge --
+      ids in order, timestamps -- equal the engine's row right after
+      the batch that applied it; the layer's transport counters and,
+      at the cycle's end, every view equal the oracle's;
+    * every peer-sampling draw (``view_samples``) equals the oracle
+      view's ``sample`` from the same floats.
+
+    :attr:`merges`, :attr:`samples`, :attr:`seeded` and
+    :attr:`recycled` count what was checked (a recycled rank is one
+    seeded for a second node).
+    """
+
+    def __init__(self, sim) -> None:
+        assert sim.cycle == 0
+        self.sim = sim
+        self.width = sim._newscast_view_size
+        self.views: dict[int, VectorNewscastView] = {}
+        rng = sim._source.derive("newscast-seed")
+        for node_id in sim.nodes:
+            view = self.views[node_id] = VectorNewscastView(node_id, self.width)
+            view.seed(
+                sim.registry.sample(self.width, rng, exclude_id=node_id)
+            )
+        self._owners = {state.rank: nid for nid, state in sim.nodes.items()}
+        self.merges = self.samples = self.recycled = 0
+        self.seeded = len(self.views)
+        self._log: list[tuple] = []
+        self._draws = sim._draws = _RecordingDraws(sim._draws)
+        ops = sim._ops
+        self._ops = {
+            name: getattr(ops, name)
+            for name in ("seed_view", "merge_views", "view_samples")
+        }
+        for name in self._ops:
+            setattr(ops, name, getattr(self, name))
+        self._cycle = sim._newscast_cycle
+        sim._newscast_cycle = self.newscast_cycle
+        self.check_all()
+
+    # -- the wrapped transitions ---------------------------------------
+
+    def seed_view(self, rank: int, ids) -> None:
+        self._ops["seed_view"](rank, ids)
+        node_id = int(self.sim._ops.arena.node_ids[rank])
+        if rank in self._owners:
+            self.recycled += 1
+        self._owners[rank] = node_id
+        view = self.views[node_id] = VectorNewscastView(node_id, self.width)
+        view.seed(ids)
+        self.seeded += 1
+        assert view_row(self.sim._ops.arena.views, rank) == (
+            view_entries(view)
+        ), f"seeded view of {node_id:#x}"
+
+    def merge_views(self, recv, send, now: int) -> None:
+        self._ops["merge_views"](recv, send, now)
+        arena = self.sim._ops.arena
+        ids = arena.node_ids
+        for r, s in zip(recv, send, strict=True):
+            self._log.append(
+                (int(ids[r]), int(ids[s]), view_row(arena.views, r))
+            )
+
+    def view_samples(self, ranks, count: int, floats):
+        rows, lens = self._ops["view_samples"](ranks, count, floats)
+        ids = self.sim._ops.arena.node_ids
+        for i, rank in enumerate(ranks.tolist()):
+            expected = self.views[int(ids[rank])].sample(
+                count, floats[i].tolist()
+            )
+            assert rows[i, : lens[i]].tolist() == expected, (
+                f"cycle {self.sim.cycle}: sample of {int(ids[rank]):#x}"
+            )
+        self.samples += len(ranks)
+        return rows, lens
+
+    def newscast_cycle(self) -> None:
+        sim = self.sim
+        layer = sim._news
+        before = layer.stats.snapshot()
+        now = layer.cycle
+        mark = len(self._draws.log)
+        self._log = []
+        self._cycle()
+        draws = self._draws.log[mark:]
+        del self._draws.log[:]
+        for node_id in [nid for nid in self.views if nid not in sim.nodes]:
+            del self.views[node_id]
+        if not draws:
+            assert not sim.nodes
+            return
+        node_ids = sim._ops.arena.node_ids
+        order = [int(node_ids[rank]) for rank in draws[0]]
+        assert sorted(order) == sorted(sim.nodes)
+        drop = sim.network.drop_probability
+        expected, counts = self._replay(
+            order, *draws[1:], drop=drop, now=float(now)
+        )
+        assert len(self._log) == len(expected), f"cycle {now}: merge count"
+        for got, want in zip(self._log, expected, strict=True):
+            assert got == want, f"cycle {now}: merge {got[:2]} vs {want[:2]}"
+        after = layer.stats.snapshot()
+        assert {key: after[key] - before[key] for key in counts} == counts, (
+            f"cycle {now}: transport"
+        )
+        self.merges += len(expected)
+        self.check_all()
+
+    def _replay(self, order, peer_u, req=None, rep=None, *, drop, now):
+        """One sequential NEWSCAST cycle through the oracle views: the
+        merge log ``(receiver, sender, receiver view)`` and the
+        transport counters."""
+        views = self.views
+        for view in views.values():
+            view.now = now
+        counts = Counter(
+            dict.fromkeys(
+                (
+                    "exchanges",
+                    "requests_sent",
+                    "requests_dropped",
+                    "replies_sent",
+                    "replies_dropped",
+                    "suppressed_replies",
+                    "void_requests",
+                ),
+                0,
+            )
+        )
+        log = []
+        for i, nid in enumerate(order):
+            view = views[nid]
+            peer = view.select_peer(float(peer_u[i]))
+            if peer is None:
+                continue
+            request = view.payload()
+            counts["exchanges"] += 1
+            counts["requests_sent"] += 1
+            if drop and req[i] < drop:
+                counts["requests_dropped"] += 1
+                counts["suppressed_replies"] += 1
+                continue
+            target = views.get(peer)
+            if target is None:
+                counts["void_requests"] += 1
+                counts["suppressed_replies"] += 1
+                continue
+            reply = target.payload()
+            target.merge(request)
+            log.append((peer, nid, view_entries(target)))
+            counts["replies_sent"] += 1
+            if drop and rep[i] < drop:
+                counts["replies_dropped"] += 1
+                continue
+            view.merge(reply)
+            log.append((nid, peer, view_entries(view)))
+        return log, dict(counts)
+
+    def check_all(self) -> None:
+        """Every live node's view row equals its oracle view."""
+        views = self.sim._ops.arena.views
+        assert set(self.views) == set(self.sim.nodes)
+        for node_id, state in self.sim.nodes.items():
+            assert view_row(views, state.rank) == view_entries(
+                self.views[node_id]
+            ), f"cycle {self.sim.cycle}: view of {node_id:#x}"

@@ -51,8 +51,7 @@ from repro.core.leafset import select_balanced_ids  # noqa: E402
 from repro.engine_fast import kernels  # noqa: E402
 from repro.engine_vector import VectorBootstrapSimulation  # noqa: E402
 from repro.engine_vector.arena import SlabMeasure  # noqa: E402
-from repro.engine_vector.rng import sample_distinct  # noqa: E402
-from repro.engine_vector.sim import VectorNewscastView, _NumpyOps  # noqa: E402
+from repro.engine_vector.sim import _NumpyOps  # noqa: E402
 from repro.runtime import (  # noqa: E402
     RunSpec,
     ScheduleSpec,
@@ -72,9 +71,13 @@ from repro.simulator.failures import Churn  # noqa: E402
 from .replay import (  # noqa: E402
     ExchangeReplay,
     ScriptedSampler,
+    VectorNewscastView,
     node_from_state,
     packed_slot,
+    sample_distinct,
     snapshot,
+    view_entries,
+    view_row,
 )
 
 FAST = BootstrapConfig(leaf_set_size=8, entries_per_slot=2, random_samples=10)
@@ -441,24 +444,23 @@ def message_jobs(sim, count, seed, sampler="oracle", messy=False):
     """*count* ``(state, peer, sample row)`` jobs over *sim*'s nodes plus
     the wave's sample slab for *sampler*'s leg.
 
-    The oracle leg samples like the engine: a batch buffer of sorted
-    rows, its slab gathered from the buffer.  The NEWSCAST leg hands
-    each job a plain id array, packed by ``sample_slab``.  A *messy*
-    set pairs the jobs like a real wave -- request ``(a, b)`` then reply
-    ``(b, a)``, each pair's requester the previous pair's target, so a
-    state is a requester in one job and a target in another -- and, on
-    the NEWSCAST leg, gives each job an unsorted sample array that
-    repeats an id and holds the job's own id and its peer."""
-    ops = sim._ops
+    The oracle leg samples like the engine: a batch buffer of rows
+    drawn with replacement from the live pool, its slab gathered from
+    the buffer.  The NEWSCAST leg hands
+    each job a plain id array, concatenated in draw order as the view
+    gathers are.  A *messy* set pairs the jobs like a real wave --
+    request ``(a, b)`` then reply ``(b, a)``, each pair's requester the
+    previous pair's target, so a state is a requester in one job and a
+    target in another -- and, on the NEWSCAST leg, gives each job an
+    unsorted sample array that repeats an id and holds the job's own id
+    and its peer."""
     ids = list(sim.nodes)
     pool = sim._pool
     universe = sim._wave_universe()
     rng = np.random.default_rng(seed)
-    rows, dup, dense = ops.oracle_samples(
-        pool,
-        rng.integers(0, pool.size, size=(count, FAST.random_samples)),
-        universe.searchsorted(pool),
-    )
+    index = rng.integers(0, pool.size, size=(count, FAST.random_samples))
+    rows = pool[index]
+    dense = universe.searchsorted(pool)[index]
     jobs = []
     for index in range(count):
         if messy and index % 2:
@@ -477,13 +479,17 @@ def message_jobs(sim, count, seed, sampler="oracle", messy=False):
             row = np.concatenate((row[::-1], extra))
         jobs.append((state, peer, row))
     if sampler == "newscast":
-        samples = ops.sample_slab([row for _, _, row in jobs], universe)
+        ids = np.concatenate([row for _, _, row in jobs])
+        samples = (
+            ids,
+            universe.searchsorted(ids),
+            np.array([row.size for _, _, row in jobs], dtype=np.intp),
+        )
     else:
         samples = (
             rows.reshape(-1),
             dense.reshape(-1),
             np.full(count, FAST.random_samples, dtype=np.intp),
-            dup.reshape(-1),
         )
     return jobs, samples
 
@@ -845,20 +851,21 @@ class TestWaveAbsorbIsBatched:
 
     def test_reselect_that_rejects_everything_keeps_caches(self):
         """In one batched reselect, a row whose candidates all lose is
-        left untouched -- leaf, clean deficit, the very same known
-        union -- the short-circuit ``_set_leaf`` takes per node, while
-        a row given a closer candidate is rewritten, dirty, and drops
-        its known union."""
+        left untouched -- leaf, clean deficit, valid dense cache -- the
+        short-circuit ``_set_leaf`` takes per node, while a row given a
+        closer candidate is rewritten, dirty, and drops its dense
+        cache."""
         sim = converged_sim(seed=19)
         ops = sim._ops
         arena = ops.arena
         sim.measure()
         space = FAST.space
         kept, moved = list(sim.nodes.values())[:2]
-        ops._known_wave([kept, moved], sim._wave_universe())
-        before = {}
-        for state in (kept, moved):
-            before[state.rank] = (state.leaf.copy(), state.known)
+        ranks = np.array([kept.rank, moved.rank])
+        universe = sim._wave_universe()
+        ops._leaf_keys(ranks, universe, universe.size)
+        assert arena.leaf_dense_valid[ranks].all()
+        before = {state.rank: state.leaf.copy() for state in (kept, moved)}
 
         def ring(a, b):
             return min((a - b) % space.size, (b - a) % space.size)
@@ -872,16 +879,14 @@ class TestWaveAbsorbIsBatched:
         closer = (moved.node_id + 1) % space.size
         assert closer not in sim.nodes
         ops._reselect_leaves(
-            [kept, moved],
-            np.array([kept.rank, moved.rank]),
+            ranks,
             np.array([0, 1], dtype=np.intp),
             np.array([far, closer], dtype=np.uint64),
         )
-        leaf, known = before[kept.rank]
-        assert kept.leaf.tolist() == leaf.tolist()
+        assert kept.leaf.tolist() == before[kept.rank].tolist()
         assert not arena.stats_dirty[kept.rank]
-        assert kept.known is known
-        leaf, _ = before[moved.rank]
+        assert arena.leaf_dense_valid[kept.rank]
+        leaf = before[moved.rank]
         expected = sorted(
             select_balanced_ids(
                 space,
@@ -892,33 +897,132 @@ class TestWaveAbsorbIsBatched:
         )
         assert moved.leaf.tolist() == expected != leaf.tolist()
         assert arena.stats_dirty[moved.rank]
-        assert moved.known is None
+        assert not arena.leaf_dense_valid[moved.rank]
+
+
+def view_sim(capacity, ids=(10, 20, 30, 50, 70, 90)):
+    """A NEWSCAST simulation over hand-picked ids with views of
+    *capacity*, every row emptied for hand-made views."""
+    sim = VectorBootstrapSimulation(
+        ids=list(ids),
+        config=FAST,
+        sampler="newscast",
+        newscast_view_size=capacity,
+    )
+    sim._ops.arena.views.len[:] = 0
+    return sim
+
+
+def set_view(sim, node_id, pairs):
+    """Install *pairs* -- ``(id, timestamp)`` in view order -- as
+    *node_id*'s row, and return the same view as a dict view."""
+    views = sim._ops.arena.views
+    rank = sim.nodes[node_id].rank
+    views.ids[rank, : len(pairs)] = [nid for nid, _ in pairs]
+    views.ts[rank, : len(pairs)] = [ts for _, ts in pairs]
+    views.len[rank] = len(pairs)
+    view = VectorNewscastView(node_id, views.ids.shape[1])
+    view.entries = {nid: float(ts) for nid, ts in pairs}
+    return view
+
+
+def merge_both(sim, receiver, sender, now):
+    """One engine merge of *sender*'s payload into *receiver*'s row
+    (``_NumpyOps.merge_views``) and the same merge through dict views;
+    both views must agree.  Returns the engine row ``(ids, ts)``."""
+    views = sim._ops.arena.views
+    nodes = sim.nodes
+    oracle = {}
+    for node_id in (receiver, sender):
+        rank = nodes[node_id].rank
+        ids, ts = view_row(views, rank)
+        oracle[node_id] = set_view(sim, node_id, list(zip(ids, ts, strict=True)))
+    oracle[sender].now = float(now)
+    oracle[receiver].merge(oracle[sender].payload())
+    sim._ops.merge_views([nodes[receiver].rank], [nodes[sender].rank], now)
+    row = view_row(views, nodes[receiver].rank)
+    assert row == view_entries(oracle[receiver])
+    return row
 
 
 class TestVectorNewscastView:
+    """The NEWSCAST view rows, hand-made cases against the dict view
+    (the whole-run replay is ``TestNewscastReplay`` in
+    ``tests/test_engine_vector_arena.py``)."""
+
     def test_merge_keeps_freshest_with_id_tiebreak(self):
-        view = VectorNewscastView(own_id=1, capacity=2)
-        view.merge([(2, 1.0), (3, 2.0), (4, 2.0), (1, 9.0)])
-        assert set(view.entries) == {3, 4}
-        view.merge([(3, 5.0)])
-        assert view.entries[3] == 5.0
+        sim = view_sim(capacity=2)
+        set_view(sim, 10, [(20, 1)])
+        set_view(sim, 30, [(10, 9), (50, 2)])
+        # Over capacity: (-timestamp, id) order; the receiver's own id
+        # never enters its view.
+        assert merge_both(sim, 10, 30, now=2) == ([30, 50], [2, 2])
+        set_view(sim, 90, [(50, 1)])
+        assert merge_both(sim, 10, 90, now=5) == ([90, 30], [5, 2])
+        set_view(sim, 20, [(30, 7)])
+        assert merge_both(sim, 10, 20, now=6) == ([30, 20], [7, 6])
 
     def test_select_and_sample_bounds(self):
-        view = VectorNewscastView(own_id=1, capacity=8)
-        assert view.select_peer(0.5) is None
-        view.seed([10, 11, 12])
-        assert view.select_peer(0.999999) in {10, 11, 12}
-        assert view.select_peer(0.0) in {10, 11, 12}
-        sampled = view.sample(2, [0.9, 0.1])
-        assert len(sampled) == len(set(sampled)) == 2
-        assert set(sampled) <= {10, 11, 12}
-        assert view.sample(0, []) == []
+        sim = view_sim(capacity=8)
+        ops = sim._ops
+        rank = sim.nodes[10].rank
+        ranks = np.array([rank])
+        assert ops.view_picks(ranks, np.array([0.5])) == [None]
+        set_view(sim, 10, [(30, 0), (50, 0), (70, 0)])
+        assert ops.view_picks(ranks, np.array([0.999999])) == [70]
+        assert ops.view_picks(ranks, np.array([0.0])) == [30]
+        rows, lens = ops.view_samples(ranks, 2, np.array([[0.9, 0.1]]))
+        sampled = rows[0, : lens[0]].tolist()
+        assert sampled == sample_distinct([30, 50, 70], 2, [0.9, 0.1])
+        assert len(set(sampled)) == 2 and set(sampled) <= {30, 50, 70}
+        rows, lens = ops.view_samples(ranks, 5, np.zeros((1, 5)))
+        assert rows[0, : lens[0]].tolist() == [30, 50, 70]
+        _, lens = ops.view_samples(ranks, 0, np.zeros((1, 0)))
+        assert lens.tolist() == [0]
 
     def test_payload_carries_own_stamp(self):
-        view = VectorNewscastView(own_id=7, capacity=4)
-        view.seed([1])
-        view.now = 3.0
-        assert (7, 3.0) in view.payload()
+        sim = view_sim(capacity=4)
+        set_view(sim, 10, [(30, 0)])
+        set_view(sim, 70, [(20, 1)])
+        ids, ts = merge_both(sim, 10, 70, now=3)
+        assert (70, 3) in zip(ids, ts, strict=True)
+
+    def test_merge_without_new_ids_keeps_order(self):
+        """No new id: every entry keeps its position, the fresher
+        timestamps are taken in place (neither id order nor
+        freshness order)."""
+        sim = view_sim(capacity=3)
+        set_view(sim, 30, [(50, 0), (70, 0), (10, 0)])
+        set_view(sim, 50, [(10, 2), (30, 2), (70, 2)])
+        assert merge_both(sim, 30, 50, now=3) == ([50, 70, 10], [3, 2, 2])
+
+    def test_merge_under_capacity_appends_in_payload_order(self):
+        sim = view_sim(capacity=5)
+        set_view(sim, 10, [(50, 1), (70, 1)])
+        set_view(sim, 30, [(90, 2), (20, 2), (70, 0)])
+        assert merge_both(sim, 10, 30, now=3) == (
+            [50, 70, 90, 20, 30],
+            [1, 1, 2, 2, 3],
+        )
+
+    def test_recycled_rank_starts_from_its_seeded_row(self):
+        sim = VectorBootstrapSimulation(24, seed=3, config=FAST, sampler="newscast")
+        sim.run(4, stop_when_perfect=False)
+        victim = sim.live_ids[0]
+        rank = sim.nodes[victim].rank
+        views = sim._ops.arena.views
+        # Four gossip cycles in, the victim's view is every other node
+        # with fresh timestamps.
+        assert views.len[rank] == 23 and views.ts[rank, :23].max() > 0
+        sim.kill_node(victim)
+        joiner = sim.spawn_node()
+        assert joiner.rank == rank
+        seeds = sim.registry.sample(
+            sim._newscast_view_size,
+            sim._source.derive(("newscast-join", joiner.node_id)),
+            exclude_id=joiner.node_id,
+        )
+        assert view_row(views, rank) == (seeds, [0] * len(seeds))
 
 
 class TestDrawHelpers:

@@ -23,7 +23,13 @@ arena (``repro.engine_vector.arena``); this module pins it three ways:
 * **settled receivers** -- a table write through a node handle
   invalidates the cached deficit, messages to settled nodes are
   skipped only while the network is static, and the transport
-  accounting does not notice.
+  accounting does not notice;
+* **built means absorbed** -- under drops every message the cycle
+  builds is absorbed exactly once, with the transport accounting of
+  the full exchanges;
+* **NEWSCAST rows** -- every gossip exchange replayed through one
+  dict-backed view per node in activation order (``NewscastReplay``)
+  under churn, catastrophe and massive join, with and without drops.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from repro.simulator.failures import (  # noqa: E402
     MassiveJoin,
 )
 
-from .replay import ExchangeReplay, snapshot  # noqa: E402
+from .replay import ExchangeReplay, NewscastReplay, snapshot  # noqa: E402
 
 FAST = BootstrapConfig(leaf_set_size=8, entries_per_slot=2, random_samples=10)
 
@@ -538,3 +544,96 @@ class TestSettledReceivers:
             )
             assert spy.built() == 2 * live_targets
         assert spy.queries == queries
+
+
+#: ``result.transport`` drop accounting of one lossy churn run per
+#: sampler, recorded from a cycle that built every message whatever
+#: its drop coins said: equal values show that building only absorbed
+#: messages leaves the accounting alone.
+LOSSY_TRANSPORT = {
+    "newscast": {"requests_dropped": 166, "replies_dropped": 131, "suppressed_replies": 320},
+    "oracle": {"requests_dropped": 178, "replies_dropped": 125, "suppressed_replies": 304},
+}
+
+
+class TestEveryBuiltMessageIsAbsorbed:
+    """The cycle reads the drop coins before it builds: a lost request
+    builds neither message and a lost reply builds no reply, so each
+    wave's jobs and absorb specs pair one to one, while the transport
+    accounting still covers every exchange."""
+
+    @pytest.mark.parametrize("sampler", sorted(LOSSY_TRANSPORT))
+    def test_each_job_is_absorbed_once(self, sampler):
+        sim = VectorBootstrapSimulation(
+            96,
+            seed=29,
+            network=NetworkModel(drop_probability=0.2),
+            sampler=sampler,
+        )
+        waves: list[list] = []
+        ops = sim._ops
+        create, absorb = ops.create_wave_flat, ops.absorb_wave_flat
+
+        def create_spy(jobs, universe, samples):
+            waves.append([len(jobs), None])
+            return create(jobs, universe, samples)
+
+        def absorb_spy(wave, specs, universe):
+            waves[-1][1] = sorted(index for _, index, _ in specs)
+            return absorb(wave, specs, universe)
+
+        ops.create_wave_flat = create_spy
+        ops.absorb_wave_flat = absorb_spy
+        result = sim.run(10, stop_when_perfect=False, schedules=[Churn(rate=0.05)])
+        assert len(waves) > 10
+        for jobs, absorbed in waves:
+            assert absorbed == list(range(jobs))
+        transport = result.transport
+        assert {key: transport[key] for key in LOSSY_TRANSPORT[sampler]} == (
+            LOSSY_TRANSPORT[sampler]
+        )
+        # Churn kills from the first cycle, so no receiver is settled:
+        # every delivered message, and only those, was built.
+        assert sum(jobs for jobs, _ in waves) == transport["delivered"]
+
+
+class TestNewscastReplay:
+    """The NEWSCAST view rows against one dict-backed view per node,
+    exchange by exchange (``tests/replay.py``)."""
+
+    @pytest.mark.parametrize("drop", [0.0, 0.2])
+    @pytest.mark.parametrize("schedule", ["churn", "catastrophe", "massive-join"])
+    def test_views_equal_the_dict_views(self, schedule, drop):
+        size, schedules = DIGEST_SCHEDULES[schedule]
+        sim = VectorBootstrapSimulation(
+            size,
+            seed=29,
+            network=NetworkModel(drop_probability=drop),
+            sampler="newscast",
+        )
+        replay = NewscastReplay(sim)
+        sim.run(14, stop_when_perfect=False, schedules=schedules())
+        assert replay.merges and replay.samples
+        if schedule == "massive-join":
+            assert replay.seeded == 60
+        if schedule == "churn":
+            # Kill -> spawn recycled ranks, each re-seeded and checked.
+            assert replay.recycled > 0
+
+    def test_partial_samples_and_protocol_replay_together(self):
+        """``cr`` below the view length: every bootstrap sample is a
+        partial Fisher-Yates walk over the view, and the message
+        replay runs beside the view replay."""
+        sim = VectorBootstrapSimulation(
+            48,
+            seed=13,
+            config=FAST,
+            network=NetworkModel(drop_probability=0.2),
+            sampler="newscast",
+        )
+        views = NewscastReplay(sim)
+        messages = ExchangeReplay(sim)
+        sim.run(12, stop_when_perfect=False, schedules=[Churn(rate=0.05)])
+        messages.check_all()
+        assert views.samples and views.recycled and messages.messages
+        assert FAST.random_samples < sim._newscast_view_size
