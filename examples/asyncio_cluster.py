@@ -7,9 +7,9 @@ its own timers, both gossip layers (NEWSCAST below, bootstrap above)
 multiplexed over one datagram endpoint with the binary wire codec --
 the paper's "cheap UDP messages" made concrete.
 
-The cluster runs on the in-process loopback fabric by default (with
-20% datagram loss, the paper's Figure 4 condition!); pass ``--udp`` to
-use real sockets on 127.0.0.1.
+The cluster runs on the in-process chaos fabric by default (with 20%
+datagram loss, the paper's Figure 4 condition!); pass ``--udp`` to use
+real sockets on 127.0.0.1.
 
 Run:  python examples/asyncio_cluster.py [--udp] [size]
 """
@@ -17,10 +17,11 @@ Run:  python examples/asyncio_cluster.py [--udp] [size]
 from __future__ import annotations
 
 import asyncio
+import random
 import sys
 import time
 
-from repro.net import LocalCluster
+from repro.net import ChaosHub, LinkFaults, LocalCluster
 
 
 async def run_cluster(use_udp: bool, size: int) -> None:
@@ -30,9 +31,8 @@ async def run_cluster(use_udp: bool, size: int) -> None:
     if use_udp:
         cluster = await LocalCluster.create_udp(size, seed=9)
     else:
-        cluster = await LocalCluster.create(
-            size, seed=9, drop_probability=0.2
-        )
+        hub = ChaosHub(faults=LinkFaults(drop=0.2), rng=random.Random(9))
+        cluster = await LocalCluster.create(size, seed=9, hub=hub)
     try:
         print("Phase 1: sampling layer (NEWSCAST) warms up from 3 "
               "seed contacts per node")

@@ -18,8 +18,8 @@ Package map
 ``repro.sampling``
     The peer sampling service: NEWSCAST and an idealised oracle.
 ``repro.simulator``
-    Cycle- and event-driven engines, loss models, churn schedules,
-    experiment specs (the PeerSim-equivalent substrate).
+    Cycle engines, the loss model, churn schedules, experiment specs
+    (the PeerSim-equivalent substrate).
 ``repro.overlays``
     Routing substrates consuming bootstrap output: Pastry, Kademlia,
     Chord (prior work, "Chord on demand"), and generic T-Man.
@@ -27,7 +27,9 @@ Package map
     Comparators and ablations: sequential joins, random-sample-only
     table filling, flooding start signal.
 ``repro.net``
-    Deployable asyncio/UDP prototype of both gossip layers.
+    Deployable asyncio/UDP prototype of both gossip layers; on the
+    virtual clock it is the event-driven substrate (per-peer timer
+    phases, datagram loss, link delay).
 ``repro.analysis``
     Series handling, statistics, ASCII plotting, table rendering for
     the experiment harness.

@@ -49,8 +49,8 @@ class BootstrapConfig:
     cycle_length:
         Paper's ``Δ``: the period of the active thread, in simulated
         time units.  Cycle-driven experiments treat one cycle as one Δ;
-        the event-driven engine and the asyncio prototype use the value
-        directly.
+        the asyncio prototype (live or on the virtual clock) uses the
+        value directly.
     """
 
     id_bits: int = 64

@@ -11,10 +11,10 @@ table and exposes exactly the transitions the paper names:
   :meth:`BootstrapNode.handle_reply`
 * passive thread body   -> :meth:`BootstrapNode.handle_request`
 
-No engine, transport or clock lives here: the cycle-driven simulator,
-the event-driven simulator and the asyncio UDP runner all drive the same
-object.  Randomness is injected (``random.Random``), as is the peer
-sampling service (anything satisfying :class:`Sampler`).
+No engine, transport or clock lives here: the cycle engines and the
+asyncio peer (on UDP, or on the virtual clock's loopback fabric) all
+drive the same object.  Randomness is injected (``random.Random``), as
+is the peer sampling service (anything satisfying :class:`Sampler`).
 
 Design notes / faithful-reading decisions
 -----------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass
 from collections.abc import Awaitable, Callable, Hashable, Iterable
@@ -94,8 +95,10 @@ class LinkFaults:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         for name in ("reorder_delay", "delay", "jitter"):
             value = getattr(self, name)
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
 
     @property
     def is_clean(self) -> bool:
@@ -174,8 +177,10 @@ class ChaosEvent:
     params: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.at < 0.0:
-            raise ValueError(f"event time must be >= 0, got {self.at}")
+        if not (math.isfinite(self.at) and self.at >= 0.0):
+            raise ValueError(
+                f"event time must be finite and >= 0, got {self.at}"
+            )
         allowed = CHAOS_EVENT_KINDS.get(self.kind)
         if allowed is None:
             raise ValueError(
@@ -307,10 +312,12 @@ class ChaosHub(LoopbackHub):
         faults: LinkFaults | None = None,
         rng: random.Random | None = None,
     ) -> None:
-        super().__init__(drop_probability=0.0, latency=None, rng=rng)
+        super().__init__()
         self.faults = faults if faults is not None else LinkFaults()
+        self._rng = rng if rng is not None else random.Random(0)
         self._links: dict[tuple[Hashable, Hashable], LinkFaults] = {}
         self._blocks: list[tuple[frozenset, frozenset]] = []
+        self.datagrams_dropped = 0
         self.datagrams_duplicated = 0
         self.datagrams_reordered = 0
         self.datagrams_delayed = 0

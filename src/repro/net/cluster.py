@@ -1,8 +1,9 @@
 """In-process clusters of deployable peers.
 
 :class:`LocalCluster` assembles N :class:`~repro.net.peer.AsyncPeer`
-instances over either the loopback fabric (deterministic, loss/latency
-injectable -- the default) or real UDP sockets on 127.0.0.1, then
+instances over either the loopback fabric (deterministic -- the
+default; pass a :class:`~repro.net.chaos.ChaosHub` to inject loss,
+delay or partitions) or real UDP sockets on 127.0.0.1, then
 walks them through the paper's deployment story:
 
 1. the sampling layer gossips until functional (warm-up);
@@ -95,8 +96,6 @@ class LocalCluster:
         *,
         seed: int = 1,
         config: BootstrapConfig | None = None,
-        drop_probability: float = 0.0,
-        latency: float | None = None,
         view_size: int = 30,
         newscast_interval: float = 0.05,
         seed_contacts: int = 3,
@@ -109,8 +108,8 @@ class LocalCluster:
         warm-up must randomise (one of the paper's Section 3 claims).
         Pass a pre-built *hub* (e.g. a
         :class:`~repro.net.chaos.ChaosHub`) to run the cluster on a
-        fault-injecting fabric; *drop_probability*/*latency* then
-        belong to that hub and are ignored here.
+        fault-injecting fabric; the default is a plain
+        :class:`~repro.net.transport.LoopbackHub`.
         """
         if size < 2:
             raise ValueError(f"size must be >= 2, got {size}")
@@ -119,11 +118,7 @@ class LocalCluster:
             config = PAPER_CONFIG.with_overrides(cycle_length=0.05)
         source = RandomSource(seed)
         if hub is None:
-            hub = LoopbackHub(
-                drop_probability=drop_probability,
-                latency=(None if latency is None else (lambda rng: latency)),
-                rng=source.derive("hub"),
-            )
+            hub = LoopbackHub()
         space = config.space
         ids = space.random_unique_ids(size, source.derive("ids"))
         descriptors = [

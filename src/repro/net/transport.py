@@ -5,9 +5,10 @@ Two interchangeable transports:
 * :class:`UdpTransport` -- real UDP sockets via asyncio's datagram
   support (the deployment path);
 * :class:`LoopbackHub` / :class:`LoopbackTransport` -- an in-process
-  datagram fabric with injectable loss and latency, so multi-hundred
-  node clusters and failure tests run deterministically without
-  touching the network stack.
+  datagram fabric, so multi-hundred node clusters and failure tests
+  run deterministically without touching the network stack (its
+  subclass :class:`~repro.net.chaos.ChaosHub` injects loss, delay and
+  partitions).
 
 Both deliver ``(data, sender_address)`` to a receive callback; both are
 fire-and-forget, like the UDP the paper assumes.
@@ -16,7 +17,6 @@ fire-and-forget, like the UDP the paper assumes.
 from __future__ import annotations
 
 import asyncio
-import random
 from collections.abc import Callable, Hashable
 
 __all__ = ["ReceiveHandler", "UdpTransport", "LoopbackHub", "LoopbackTransport"]
@@ -90,35 +90,13 @@ class UdpTransport(asyncio.DatagramProtocol):
 
 
 class LoopbackHub:
-    """In-process datagram fabric with loss and latency injection.
-
-    Parameters
-    ----------
-    drop_probability:
-        Per-datagram loss probability.
-    latency:
-        Callable returning a one-way delay in seconds (``None`` =
-        immediate delivery on the next loop iteration).
-    rng:
-        Randomness for drops (and available to latency callables).
+    """In-process datagram fabric: every datagram is delivered on the
+    next loop iteration to whatever endpoint holds the target address.
     """
 
-    def __init__(
-        self,
-        drop_probability: float = 0.0,
-        latency: Callable[[random.Random], float] | None = None,
-        rng: random.Random | None = None,
-    ) -> None:
-        if not 0.0 <= drop_probability < 1.0:
-            raise ValueError(
-                f"drop_probability must be in [0, 1), got {drop_probability}"
-            )
+    def __init__(self) -> None:
         self._endpoints: dict[Hashable, LoopbackTransport] = {}
-        self.drop_probability = drop_probability
-        self._latency = latency
-        self._rng = rng if rng is not None else random.Random(0)
         self.datagrams_sent = 0
-        self.datagrams_dropped = 0
 
     def register(self, address: Hashable, endpoint: LoopbackTransport) -> None:
         """Attach an endpoint at *address*."""
@@ -134,16 +112,7 @@ class LoopbackHub:
     def send(self, data: bytes, source: Hashable, target: Hashable) -> None:
         """Route one datagram through the fabric."""
         self.datagrams_sent += 1
-        if self.drop_probability and self._rng.random() < self.drop_probability:
-            self.datagrams_dropped += 1
-            return
-        loop = asyncio.get_running_loop()
-        if self._latency is None:
-            loop.call_soon(self._deliver, data, source, target)
-        else:
-            loop.call_later(
-                self._latency(self._rng), self._deliver, data, source, target
-            )
+        asyncio.get_running_loop().call_soon(self._deliver, data, source, target)
 
     def _deliver(self, data: bytes, source: Hashable, target: Hashable) -> None:
         endpoint = self._endpoints.get(target)

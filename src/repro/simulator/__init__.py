@@ -1,16 +1,17 @@
 """Simulation substrate (the PeerSim-equivalent).
 
-Cycle-driven and event-driven engines, network loss/latency models,
-failure and churn schedules, and declarative experiment running.  The
-paper's Section 5 experiments are cycle-driven; the event-driven engine
-is provided to validate that the cycle abstraction does not hide timing
-artefacts.
+Cycle engines, the network loss model, failure and churn schedules,
+and declarative experiment running.  The paper's Section 5 experiments
+are cycle-driven.  The event-driven substrate is the live stack on the
+virtual clock (:mod:`repro.net`): per-peer timer phases, per-datagram
+loss and link delay.  The ``chaos_link_delay`` and
+``chaos_lossy_links`` scenarios are run on it to check that the cycle
+abstraction does not hide timing artefacts.
 """
 
 from .actors import BootstrapActor, NewscastActor
 from .bootstrap_sim import BootstrapSimulation, SimulationResult
 from .engine import CycleEngine, RequestReplyActor
-from .events import EventDrivenBootstrap, EventScheduler
 from .experiment import (
     ENGINE_KINDS,
     ExperimentSpec,
@@ -20,16 +21,7 @@ from .experiment import (
     run_repeats,
 )
 from .failures import CatastrophicFailure, Churn, FailureSchedule, MassiveJoin
-from .network import (
-    PAPER_LOSSY,
-    RELIABLE,
-    ConstantLatency,
-    ExponentialLatency,
-    LatencyModel,
-    NetworkModel,
-    TransportStats,
-    UniformLatency,
-)
+from .network import PAPER_LOSSY, RELIABLE, NetworkModel, TransportStats
 from .random_source import RandomSource, derive_seed
 
 __all__ = [
@@ -39,8 +31,6 @@ __all__ = [
     "SimulationResult",
     "CycleEngine",
     "RequestReplyActor",
-    "EventDrivenBootstrap",
-    "EventScheduler",
     "ENGINE_KINDS",
     "ExperimentSpec",
     "build_simulation",
@@ -53,10 +43,6 @@ __all__ = [
     "MassiveJoin",
     "NetworkModel",
     "TransportStats",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "ExponentialLatency",
     "RELIABLE",
     "PAPER_LOSSY",
     "RandomSource",

@@ -1,4 +1,4 @@
-"""Network models: delivery, loss, and latency.
+"""Network model: delivery and loss.
 
 The paper "designed the protocol with a cheap, unreliable transport
 layer in mind (UDP)" and evaluates robustness by "dropping messages with
@@ -11,79 +11,23 @@ both while a dropped answer forfeits one --
 
 :class:`TransportStats` records exactly that accounting so experiment E6
 can verify the arithmetic empirically, and :class:`NetworkModel`
-centralises the drop/latency decisions for both simulation engines.
+centralises the drop decision for the cycle engines.  The cycle
+abstraction has no latency, as in PeerSim; link delay and jitter are
+injected on the live stack through
+:class:`~repro.net.chaos.LinkFaults`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "ExponentialLatency",
     "NetworkModel",
     "TransportStats",
     "RELIABLE",
     "PAPER_LOSSY",
 ]
-
-
-class LatencyModel:
-    """One-way message delay distribution (event-driven engine only;
-    the cycle-driven engine abstracts latency away, as PeerSim does)."""
-
-    def sample(self, rng: random.Random) -> float:
-        """Draw one one-way delay."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ConstantLatency(LatencyModel):
-    """Every message takes exactly *delay* time units."""
-
-    delay: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
-
-    def sample(self, rng: random.Random) -> float:
-        return self.delay
-
-
-@dataclass(frozen=True)
-class UniformLatency(LatencyModel):
-    """Delay uniform in ``[low, high]``."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.low <= self.high:
-            raise ValueError(
-                f"need 0 <= low <= high, got [{self.low}, {self.high}]"
-            )
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-
-@dataclass(frozen=True)
-class ExponentialLatency(LatencyModel):
-    """Exponentially distributed delay with the given *mean* (heavy-ish
-    tail; stresses the loose synchronisation assumption)."""
-
-    mean: float
-
-    def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ValueError(f"mean must be positive, got {self.mean}")
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.expovariate(1.0 / self.mean)
 
 
 class TransportStats:
@@ -173,12 +117,9 @@ class NetworkModel:
     drop_probability:
         Uniform independent loss probability per message (paper Figure 4
         uses 0.2; "unrealistically large" by design).
-    latency:
-        One-way delay distribution, event-driven engine only.
     """
 
     drop_probability: float = 0.0
-    latency: LatencyModel = field(default_factory=ConstantLatency)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_probability < 1.0:
@@ -197,10 +138,6 @@ class NetworkModel:
         if self.drop_probability == 0.0:
             return False
         return rng.random() < self.drop_probability
-
-    def sample_latency(self, rng: random.Random) -> float:
-        """Draw one one-way delay."""
-        return self.latency.sample(rng)
 
     def expected_overall_loss(self) -> float:
         """Closed form of the paper's pair-loss arithmetic:

@@ -10,6 +10,8 @@ import pytest
 from repro.core import PAPER_CONFIG
 from repro.net import (
     AsyncPeer,
+    ChaosHub,
+    LinkFaults,
     LocalCluster,
     LoopbackHub,
     LoopbackTransport,
@@ -60,39 +62,6 @@ class TestLoopbackHub:
 
         assert run(scenario()) == 1
 
-    def test_drop_probability(self):
-        async def scenario():
-            hub = LoopbackHub(
-                drop_probability=0.5, rng=random.Random(1)
-            )
-            received = []
-            LoopbackTransport(hub, "a", lambda d, s: received.append(d))
-            sender = LoopbackTransport(hub, "b", lambda d, s: None)
-            for _ in range(200):
-                sender.send(b"x", "a")
-            await asyncio.sleep(0.05)
-            return len(received), hub.datagrams_dropped
-
-        delivered, dropped = run(scenario())
-        assert delivered + dropped == 200
-        assert 60 < dropped < 140
-
-    def test_latency_defers_delivery(self):
-        async def scenario():
-            hub = LoopbackHub(latency=lambda rng: 0.05)
-            received = []
-            LoopbackTransport(hub, "a", lambda d, s: received.append(d))
-            sender = LoopbackTransport(hub, "b", lambda d, s: None)
-            sender.send(b"x", "a")
-            await asyncio.sleep(0.01)
-            early = len(received)
-            await asyncio.sleep(0.08)
-            return early, len(received)
-
-        early, late = run(scenario())
-        assert early == 0
-        assert late == 1
-
     def test_closed_transport_stops_receiving(self):
         async def scenario():
             hub = LoopbackHub()
@@ -116,10 +85,6 @@ class TestLoopbackHub:
                 LoopbackTransport(hub, "a", lambda d, s: None)
 
         run(scenario())
-
-    def test_validates_drop_probability(self):
-        with pytest.raises(ValueError):
-            LoopbackHub(drop_probability=1.0)
 
 
 class TestAsyncPeer:
@@ -276,9 +241,10 @@ class TestLocalCluster:
 
     def test_loopback_with_loss_and_latency(self):
         async def scenario():
-            cluster = await LocalCluster.create(
-                16, seed=6, drop_probability=0.2, latency=0.005
+            hub = ChaosHub(
+                faults=LinkFaults(drop=0.2, delay=0.005), rng=random.Random(6)
             )
+            cluster = await LocalCluster.create(16, seed=6, hub=hub)
             try:
                 cluster.start_sampling_layer()
                 await cluster.warmup(0.5)

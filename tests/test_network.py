@@ -6,46 +6,7 @@ import random
 
 import pytest
 
-from repro.simulator import (
-    ConstantLatency,
-    ExponentialLatency,
-    NetworkModel,
-    PAPER_LOSSY,
-    RELIABLE,
-    TransportStats,
-    UniformLatency,
-)
-
-
-class TestLatencyModels:
-    def test_constant(self, rng):
-        assert ConstantLatency(0.5).sample(rng) == 0.5
-
-    def test_constant_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ConstantLatency(-1.0)
-
-    def test_uniform_range(self, rng):
-        model = UniformLatency(0.1, 0.2)
-        for _ in range(100):
-            assert 0.1 <= model.sample(rng) <= 0.2
-
-    def test_uniform_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            UniformLatency(0.2, 0.1)
-        with pytest.raises(ValueError):
-            UniformLatency(-0.1, 0.2)
-
-    def test_exponential_positive(self, rng):
-        model = ExponentialLatency(0.1)
-        samples = [model.sample(rng) for _ in range(200)]
-        assert all(s >= 0 for s in samples)
-        mean = sum(samples) / len(samples)
-        assert 0.05 < mean < 0.2
-
-    def test_exponential_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ExponentialLatency(0.0)
+from repro.simulator import PAPER_LOSSY, RELIABLE, NetworkModel, TransportStats
 
 
 class TestNetworkModel:
