@@ -21,12 +21,13 @@ population in one **arena** per simulation instead:
   through one batched pool write (:meth:`_VarPool.write_many`) and
   reselects every touched leaf row in one padded frame, so no Python
   step runs per receiver;
-* :class:`ArenaState` is a two-word handle ``(arena, rank)`` exposing
-  one node's fields as properties over the slabs, for the two
-  transitions that stay per node (a node's start and the SELECTPEER
-  fallback) and for reading one node's tables -- the engine suite
-  replays every exchange through ``BootstrapNode`` and compares its
-  tables with these rows after every wave;
+* the chunk start writes every starting node of a chunk the same way:
+  one slab write empties their prefix windows and occupancy rows, and
+  one padded reselect seeds their leaf rows;
+* :class:`ArenaState` is a read-only two-word handle ``(arena, rank)``
+  exposing one node's fields as properties over the slabs -- the
+  engine suite replays every start and exchange through
+  ``BootstrapNode`` and compares its tables with these rows;
 * :class:`SlabMeasure` recomputes convergence deficits for all dirty
   ranks in one slab scan instead of a Python loop per node, against
   perfect tables that :func:`perfect_tables` derives for the whole
@@ -358,29 +359,24 @@ class Arena:
 
 
 class ArenaState:
-    """A node handle: one node's fields as properties over the arena
-    slabs.
+    """A read-only node handle: one node's fields as properties over
+    the arena slabs.
 
     Scalar getters that feed Python ring arithmetic (``succ_max`` and
     friends) return built-in ints -- the 64-bit ring mask overflows
-    ``int64`` -- while array-valued fields return slab views
-    (``slot_count`` is the one the kernels write in place).
+    ``int64`` -- while array-valued fields return slab views.
 
-    The id-table getters (``leaf``/``prefix_ids``/``prefix_slots``)
-    slice the slabs afresh on every access, so a handle never pins a
-    superseded pool buffer and the batched wave writers can rewrite
-    whole slab rows and pool windows without telling any handle.  A
-    handle caches nothing: the wave kernels build every message's
-    known union afresh from the leaf and prefix dense slabs.  Under
-    the NEWSCAST sampler the node's view is its rank's row of
-    :attr:`Arena.views`, which only the cycle's slab passes read and
-    write (the handle has no view property).
-
-    Every table setter marks the rank's cached deficit stale
-    (``stats_dirty``), and the ``prefix_slots`` setter re-derives the
-    rank's occupancy row from the slots it writes, so no write through
-    a handle can leave :class:`SlabMeasure`'s deficit -- or the cycle's
-    settled-receiver test built on it -- describing the old tables.
+    The handle has no setters: the batched writers (the chunk start,
+    the wave absorb's prefix install and leaf reselect) write the
+    arena's columns for many ranks at once, and each marks the ranks
+    it writes stale (``stats_dirty``), so :class:`SlabMeasure`'s cached
+    deficit -- and the cycle's settled-receiver test built on it --
+    never describes old tables.  The id-table getters
+    (``leaf``/``prefix_ids``/``prefix_slots``) slice the slabs afresh
+    on every access, so a handle never pins a superseded pool buffer
+    and caches nothing.  Under the NEWSCAST sampler the node's view is
+    its rank's row of :attr:`Arena.views`, which only the cycle's slab
+    passes read and write (the handle has no view property).
     """
 
     __slots__ = ("arena", "rank", "node_id")
@@ -391,137 +387,65 @@ class ArenaState:
         self.node_id = node_id
 
     @property
-    def own_u64(self):
-        """This node's identifier as a one-element uint64 view."""
-        r = self.rank
-        return self.arena.node_ids[r:r + 1]
-
-    @property
     def leaf(self):
         """Sorted leaf-set ids: a view into the arena's leaf slab."""
         a = self.arena
         r = self.rank
         return a.leaf[r, : a.leaf_len[r]]
 
-    @leaf.setter
-    def leaf(self, arr) -> None:
-        a = self.arena
-        r = self.rank
-        a.leaf[r, : arr.size] = arr
-        a.leaf_len[r] = arr.size
-        a.leaf_dense_valid[r] = False
-        a.stats_dirty[r] = True
-
     @property
     def leaf_full(self) -> bool:
         """Whether the leaf set has reached both balanced quotas."""
         return bool(self.arena.leaf_full[self.rank])
-
-    @leaf_full.setter
-    def leaf_full(self, value) -> None:
-        self.arena.leaf_full[self.rank] = value
 
     @property
     def started(self) -> bool:
         """Whether this node has run its bootstrap seeding."""
         return bool(self.arena.started[self.rank])
 
-    @started.setter
-    def started(self, value) -> None:
-        self.arena.started[self.rank] = value
-
-    @property
-    def stats_dirty(self) -> bool:
-        """Whether cached leaf statistics need a recompute."""
-        return bool(self.arena.stats_dirty[self.rank])
-
-    @stats_dirty.setter
-    def stats_dirty(self, value) -> None:
-        self.arena.stats_dirty[self.rank] = value
-
     @property
     def succ_count(self) -> int:
         """Current number of successor-side leaf entries."""
         return int(self.arena.succ_count[self.rank])
 
-    @succ_count.setter
-    def succ_count(self, value) -> None:
-        self.arena.succ_count[self.rank] = value
-
     @property
     def succ_max(self) -> int:
-        """Balanced successor quota at the last reselect."""
+        """Worst kept successor distance (``-1`` with none)."""
         return int(self.arena.succ_max[self.rank])
-
-    @succ_max.setter
-    def succ_max(self, value) -> None:
-        self.arena.succ_max[self.rank] = value
 
     @property
     def pred_count(self) -> int:
         """Current number of predecessor-side leaf entries."""
         return int(self.arena.pred_count[self.rank])
 
-    @pred_count.setter
-    def pred_count(self, value) -> None:
-        self.arena.pred_count[self.rank] = value
-
     @property
     def pred_max(self) -> int:
-        """Balanced predecessor quota at the last reselect."""
+        """Worst kept predecessor distance (``-1`` with none)."""
         return int(self.arena.pred_max[self.rank])
-
-    @pred_max.setter
-    def pred_max(self, value) -> None:
-        self.arena.pred_max[self.rank] = value
 
     @property
     def accept_lo(self):
         """Lower edge of the leaf admission window (ring distance)."""
         return self.arena.accept_lo[self.rank]
 
-    @accept_lo.setter
-    def accept_lo(self, value) -> None:
-        self.arena.accept_lo[self.rank] = value
-
     @property
     def accept_hi(self):
         """Upper edge of the leaf admission window (ring distance)."""
         return self.arena.accept_hi[self.rank]
-
-    @accept_hi.setter
-    def accept_hi(self, value) -> None:
-        self.arena.accept_hi[self.rank] = value
 
     @property
     def prefix_ids(self):
         """Sorted resident prefix-table ids (pooled-slab view)."""
         return self.arena.p_ids.view(self.rank)
 
-    @prefix_ids.setter
-    def prefix_ids(self, arr) -> None:
-        a = self.arena
-        a.p_ids.write(self.rank, arr, a.n_ranks)
-        a.p_dense_valid[self.rank] = False
-        a.stats_dirty[self.rank] = True
-
     @property
     def prefix_slots(self):
         """Slot index of each resident id, aligned with prefix_ids."""
         return self.arena.p_slots.view(self.rank)
 
-    @prefix_slots.setter
-    def prefix_slots(self, arr) -> None:
-        a = self.arena
-        r = self.rank
-        a.p_slots.write(r, arr, a.n_ranks)
-        a.slot_count[r] = _np.bincount(arr, minlength=a.n_slots)
-        a.stats_dirty[r] = True
-
     @property
     def slot_count(self):
-        """Per-slot occupancy, a writable row view: the kernels mutate
-        it in place and never rebind it (deliberately no setter)."""
+        """Per-slot occupancy: a row view of the occupancy slab."""
         return self.arena.slot_count[self.rank]
 
 

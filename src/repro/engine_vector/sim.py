@@ -18,6 +18,13 @@ paper's protocol (Figure 2) under **wave-synchronous activation**:
   prefix-slot capping, absorb novelty scans, and convergence
   measurement -- is an array operation over a whole wave (the
   geometry kernels are shared with :mod:`repro.engine_fast.kernels`).
+* Starts and peer picks run per *chunk* of the activation order, a
+  chunk ending where the earliest flush can fall.  The chunk's
+  starting nodes clear their prefix tables and seed their leaf rows
+  together (``_NumpyOps.start_chunk``), then every pick of the chunk
+  is one pass (``_NumpyOps.select_wave``), an empty leaf set reading
+  its request sample row.  No absorb lands inside a chunk, so each
+  node starts and picks on exactly the tables its own turn would see.
 * Messages to a **settled** receiver are neither built nor absorbed.
   A node is settled when the tracker's cached deficit is valid for its
   current tables and zero on both (``_NumpyOps.settled_ranks``).  In a
@@ -119,22 +126,9 @@ class _Layer:
 #: one pass (a conflict-free batch runs ~20-40 exchanges at N=512).
 _PICK_CHUNK = 64
 
-#: The SELECTPEER fallback row handed over when the leaf set, not the
-#: row, decides the pick.
-_NO_IDS = _np.empty(0, dtype=_np.uint64)
-
-
 def _as_ids(ids: list[int]):
     """A list of identifiers as a uint64 array."""
     return _np.fromiter(ids, dtype=_np.uint64, count=len(ids))
-
-
-def _not_in_sorted(sorted_arr, values):
-    """Boolean mask of *values* entries absent from *sorted_arr*."""
-    if sorted_arr.size == 0:
-        return _np.ones(values.size, dtype=bool)
-    pos = _np.searchsorted(sorted_arr, values)
-    return sorted_arr[_np.minimum(pos, sorted_arr.size - 1)] != values
 
 
 def _first_occurrence(keys):
@@ -153,15 +147,15 @@ def _first_occurrence(keys):
 class _NumpyOps:
     """Array-native node transitions over the population's arena.
 
-    A cycle runs :meth:`select_wave`, :meth:`create_wave_flat` and
+    A cycle runs :meth:`start_chunk` and :meth:`select_wave` per chunk
+    of its activation order and :meth:`create_wave_flat` and
     :meth:`absorb_wave_flat` per wave, and the tracker measures through
-    :meth:`slab_measurer`.  Node handles are
+    :meth:`slab_measurer`.  Node handles are read-only
     :class:`~repro.engine_vector.arena.ArenaState` views over the
-    arena's slabs.  The only per-node transitions are a node's start
-    (:meth:`start_node`) and the SELECTPEER fallback
-    (:meth:`select_peer`).  Each transition equals the paper's
-    protocol applied to the same state: the engine suite replays every
-    exchange through ``BootstrapNode`` and compares.
+    arena's slabs; every transition writes the slabs for a whole chunk
+    or wave at once.  Each transition equals the paper's protocol
+    applied to the same state: the engine suite replays every start,
+    pick and exchange through ``BootstrapNode`` and compares.
     """
 
     def __init__(self, config: BootstrapConfig, capacity: int = 64) -> None:
@@ -331,36 +325,47 @@ class _NumpyOps:
 
     # -- protocol transitions ------------------------------------------
 
-    def start_node(self, state: ArenaState, samples) -> None:
-        """Protocol start: wipe the prefix table, seed the leaf set."""
-        state.prefix_ids = _np.empty(0, dtype=_np.uint64)
-        state.prefix_slots = _np.empty(0, dtype=_np.int64)
-        fresh = _np.unique(samples)
-        fresh = fresh[fresh != state.own_u64[0]]
-        fresh = fresh[_not_in_sorted(state.leaf, fresh)]
-        if fresh.size:
-            self._merge_fresh(state, fresh)
-        state.started = True
+    def start_chunk(self, states, seeds) -> None:
+        """The protocol's start for a chunk of nodes at once: "clear
+        their prefix table" and "initialize their leaf sets with a set
+        of random nodes".
 
-    def select_peer(self, state: ArenaState, u: float, fallback):
-        """SELECTPEER: uniform over the closest half of the ranked
-        leaf set; an empty leaf set falls back to the first id of the
-        *fallback* sample row that is not the node itself."""
-        leaf = state.leaf
-        if leaf.size:
-            fw = (leaf - state.own_u64[0]) & self._mu
-            # The leaf row is id-sorted, so a stable sort by ring
-            # distance is the ``(distance, id)`` ranking.
-            ranked = leaf[
-                _np.argsort(_np.minimum(fw, (-fw) & self._mu), kind="stable")
-            ]
-            half = (ranked.size + 1) // 2
-            return int(ranked[min(int(u * half), half - 1)])
-        own = state.node_id
-        for nid in fallback.tolist():
-            if nid != own:
-                return nid
-        return None
+        *seeds* is ``(rows, lens)``: node ``j``'s seed ids are
+        ``rows[j, :lens[j]]``, in any order and possibly repeated.  The
+        prefix windows and occupancy rows are emptied in one slab write
+        each.  The seeds that are novel for their node -- not its own
+        id, not already in the leaf row it may have absorbed into
+        before its turn, first copy only -- join every node's leaf row
+        through one :meth:`_reselect_leaves` frame."""
+        a = self.arena
+        m = len(states)
+        ranks = _np.fromiter(
+            (state.rank for state in states), dtype=_np.intp, count=m
+        )
+        a.p_ids.len[ranks] = 0
+        a.p_slots.len[ranks] = 0
+        a.p_dense_valid[ranks] = False
+        a.slot_count[ranks] = 0
+        a.stats_dirty[ranks] = True
+        a.started[ranks] = True
+        rows, lens = seeds
+        valid = kernels._arange(rows.shape[1])[None, :] < lens[:, None]
+        valid &= rows != a.node_ids[ranks][:, None]
+        seg = _np.nonzero(valid)[0]
+        ids = rows[valid]
+        order = _np.lexsort((ids, seg))
+        seg = seg[order]
+        ids = ids[order]
+        novel = _np.ones(ids.size, dtype=bool)
+        _np.not_equal(ids[1:], ids[:-1], out=novel[1:])
+        novel[1:] |= seg[1:] != seg[:-1]
+        held = ranks[seg]
+        novel &= ~(
+            (a.leaf[held] == ids[:, None])
+            & (kernels._arange(self._c)[None, :] < a.leaf_len[held][:, None])
+        ).any(axis=1)
+        if novel.any():
+            self._reselect_leaves(ranks, seg[novel], ids[novel])
 
     def _union_wave(self, ranks, universe, samples):
         """Every job's CREATEMESSAGE union in one sort.
@@ -715,9 +720,9 @@ class _NumpyOps:
         a.stats_dirty[t_ranks] = True
 
     def _reselect_leaves(self, ranks, f_seg, f_ids) -> None:
-        """UPDATELEAFSET's balanced reselect for every touched receiver
-        of a wave as one padded frame (:meth:`_merge_fresh` is the same
-        reselect for one node, at its start).
+        """UPDATELEAFSET's balanced reselect for every touched rank of a
+        wave -- or every seeded node of a start chunk
+        (:meth:`start_chunk`) -- as one padded frame.
 
         Row ``i`` holds a touched rank's leaf row followed by its fresh
         candidates (*f_seg* non-decreasing).  One row-wise sort by ring
@@ -730,9 +735,9 @@ class _NumpyOps:
         sort restores id order.  Only rows whose leaf actually changed
         are written, with their side counts, worst kept distances,
         fullness and admission windows, and only they drop their
-        dense cache and dirty their deficit: a
-        rejected-everything reselect leaves the rank untouched, exactly
-        like :meth:`_set_leaf`'s short-circuit."""
+        dense cache and dirty their deficit: a rejected-everything
+        reselect leaves the rank untouched, its dense cache and cached
+        deficit still valid."""
         a = self.arena
         c = self._c
         mu = self._mu
@@ -869,8 +874,7 @@ class _NumpyOps:
           associative fold: take-counts are monotone in the candidate
           set, so an id a sequential intermediate window would have
           dropped is dropped by the final reselect too (and ids the
-          stale wave-start window over-admits are exactly those, see
-          :meth:`_set_leaf`).
+          stale wave-start window over-admits are exactly those).
 
         The result equals ``BootstrapNode.absorb`` (UPDATELEAFSET, then
         UPDATEPREFIXTABLE) replayed per spec in arrival order, on every
@@ -942,62 +946,6 @@ class _NumpyOps:
             _np.repeat(aseg, plen),
             universe,
         )
-
-    def _merge_fresh(self, state: ArenaState, fresh) -> None:
-        """Reselect one node's leaf membership after novel candidates
-        (:meth:`start_node`'s seeding; the wave absorb reselects
-        through :meth:`_reselect_leaves`)."""
-        candidates = _np.concatenate((state.leaf, fresh))
-        if candidates.size <= self._c:
-            self._set_leaf(state, _np.sort(candidates))
-        else:
-            self._set_leaf(
-                state,
-                _np.sort(
-                    kernels.select_balanced_arrays(
-                        candidates,
-                        state.node_id,
-                        self._mask,
-                        self._half_ring,
-                        self._half_c,
-                    )
-                ),
-            )
-
-    def _set_leaf(self, state: ArenaState, arr) -> None:
-        if arr.size == state.leaf.size and _np.array_equal(arr, state.leaf):
-            # The balanced reselect rejected every candidate: nothing
-            # changed, so the dense cache and the tracker's cached
-            # deficit both stay valid.
-            return
-        state.leaf = arr
-        fw = (arr - state.own_u64[0]) & self._mu
-        succ = fw <= self._half_u
-        n_succ = int(succ.sum())
-        state.succ_count = n_succ
-        state.pred_count = arr.size - n_succ
-        state.succ_max = int(fw[succ].max()) if n_succ else -1
-        if arr.size - n_succ:
-            state.pred_max = int((((-fw) & self._mu)[~succ]).max())
-        else:
-            state.pred_max = -1
-        state.leaf_full = arr.size >= self._c
-        if state.leaf_full:
-            # Admission window: a short side accepts
-            # its whole half-ring, a full side only below/above its
-            # worst kept distance.
-            if state.succ_count < self._half_c:
-                state.accept_lo = _np.uint64(self._half_ring + 1)
-            else:
-                state.accept_lo = _np.uint64(state.succ_max)
-            if state.pred_count < self._half_c:
-                state.accept_hi = self._half_u
-            else:
-                # pred_max >= 1 when the side is full, so this always
-                # fits the ring's unsigned width.
-                state.accept_hi = _np.uint64(
-                    self._mask - state.pred_max + 1
-                )
 
     # -- wave-absorb slab gathers -----------------------------------------
 
@@ -1099,45 +1047,36 @@ class _NumpyOps:
             kernels._arange(ranks.size), lens
         ) * u_size + dense
 
-    def select_wave(self, states, u):
-        """SELECTPEER for one chunk of the shuffled order in a single
-        kernel pass.
+    def select_wave(self, states, u, fallback):
+        """SELECTPEER for one chunk of started nodes in a single pass,
+        one pre-drawn uniform of *u* each.
 
-        Returns one entry per state: the peer id where the batched
-        path decides, ``None`` where the scalar path must (a missing
-        or unstarted node, or an empty leaf set falling back to the
-        fresh samples).  Each pick is bit-identical to
-        :meth:`select_peer` on the same pre-drawn uniform:
-        the ranking keys match and ``floor(u * half)`` is the same
-        IEEE product either way.
+        A non-empty leaf set picks uniformly over its closest half: the
+        chunk's leaf rows are ranked in one row-wise stable sort by
+        ring distance and each row reads column ``min(int(u * half),
+        half - 1)`` of its ranking.  An empty leaf set falls back to the
+        peer sampling service: ``fallback(rows)`` hands over the sample
+        rows ``(ids, lens)`` of the chunk rows *rows* that need one,
+        and the pick is the first id of the row that is not the node
+        itself (``None`` if there is none).  Returns one entry per
+        state.
         """
-        out = [None] * len(states)
         a = self.arena
-        started = a.started
-        leaf_len = a.leaf_len
-        idx = []
-        rks = []
-        for j, state in enumerate(states):
-            if state is None:
-                continue
-            r = state.rank
-            if started[r] and leaf_len[r] > 0:
-                idx.append(j)
-                rks.append(r)
-        if not idx:
-            return out
-        ranks = _np.array(rks, dtype=_np.intp)
-        # Rank the chunk's leaf rows in one row-wise stable sort by ring
-        # distance: the rows are id-sorted, so ties keep id order -- the
+        m = len(states)
+        ranks = _np.fromiter(
+            (state.rank for state in states), dtype=_np.intp, count=m
+        )
+        # The rows are id-sorted, so ties keep id order -- the
         # ``(distance, id)`` ranking -- and padding, at a sentinel
         # distance no real entry reaches, ranks last.
         leaf = a.leaf[ranks]
         lens = a.leaf_len[ranks]
+        own = a.node_ids[ranks]
         if self._mask == 0xFFFFFFFFFFFFFFFF:
-            fw = leaf - a.node_ids[ranks][:, None]
+            fw = leaf - own[:, None]
             bw = -fw
         else:
-            fw = (leaf - a.node_ids[ranks][:, None]) & self._mu
+            fw = (leaf - own[:, None]) & self._mu
             bw = (-fw) & self._mu
         dist = _np.minimum(fw, bw)
         dist[kernels._arange(leaf.shape[1])[None, :] >= lens[:, None]] = (
@@ -1145,12 +1084,22 @@ class _NumpyOps:
         )
         order = _np.argsort(dist, axis=1, kind="stable")
         half = (lens + 1) // 2
-        pick = _np.minimum((u[idx] * half).astype(_np.intp), half - 1)
-        rows = kernels._arange(ranks.size)
-        peers = leaf[rows, order[rows, pick]]
-        for j, peer in zip(idx, peers.tolist()):
-            out[j] = peer
-        return out
+        pick = _np.minimum((u * half).astype(_np.intp), half - 1)
+        rows = kernels._arange(m)
+        peers = leaf[rows, order[rows, pick]].tolist()
+        empty = _np.flatnonzero(lens == 0)
+        if empty.size:
+            ids, f_lens = fallback(empty)
+            usable = (ids != own[empty][:, None]) & (
+                kernels._arange(ids.shape[1])[None, :] < f_lens[:, None]
+            )
+            for j, row, ok in zip(
+                empty.tolist(), ids.tolist(), usable.tolist(), strict=True
+            ):
+                peers[j] = next(
+                    (nid for nid, hit in zip(row, ok, strict=True) if hit), None
+                )
+        return peers
 
 
 # ----------------------------------------------------------------------
@@ -1262,7 +1211,6 @@ class VectorBootstrapSimulation:
         self.registry = FastRegistry()
         self.nodes: dict[int, object] = {}
         self._next_address = 0
-        self._unstarted: set = set()
         self._pool = None
         # Every identifier ever admitted, in admission order; the
         # sorted numpy form is the wave absorb's dense id universe
@@ -1304,7 +1252,6 @@ class VectorBootstrapSimulation:
             self._news.dirty = True
         state = self._ops.new_state(node_id)
         self.nodes[node_id] = state
-        self._unstarted.add(node_id)
         self._boot.dirty = True
         return state
 
@@ -1344,7 +1291,6 @@ class VectorBootstrapSimulation:
         # so no live consumer still resolves the stale handle.
         self._ops.release_state(state)
         self.registry.remove(node_id)
-        self._unstarted.discard(node_id)
         self._boot.dirty = True
         if self._news is not None:
             # The view row goes with the rank; the next node to claim
@@ -1440,6 +1386,13 @@ class VectorBootstrapSimulation:
         if n == 0:
             layer.cycle += 1
             return
+        states = [nodes[nid] for nid in order]
+        ranks = _np.fromiter(
+            (state.rank for state in states), dtype=_np.intp, count=n
+        )
+        # Activation positions of the nodes that start this cycle.
+        to_start = _np.flatnonzero(~ops.arena.started[ranks])
+        n_start = to_start.size
         cr = self._cr
         oracle = self.sampler_kind == "oracle"
         peer_u = draws.floats(n)
@@ -1448,11 +1401,14 @@ class VectorBootstrapSimulation:
         if drop_p:
             req_coins = draws.floats(n)
             rep_coins = draws.floats(n)
-        n_start = len(self._unstarted)
-        start_rows = None
+        # Start seeds: row ``k`` for the ``k``-th starting node in
+        # activation order.  The fallback picks of empty leaf sets read
+        # the node's request sample row: id-sorted for the oracle, in
+        # draw order for NEWSCAST.
         if oracle:
             if n_start:
                 start_rows = self._pool[draws.index_matrix(n, n_start, self._c)]
+                start_lens = _np.full(n_start, self._c, dtype=_np.intp)
             # Request row ``i`` and reply row ``n + i`` of exchange
             # ``i``: ids drawn with replacement from the live pool, and
             # their dense universe indices.
@@ -1461,41 +1417,30 @@ class VectorBootstrapSimulation:
                 self._pool[index],
                 self._wave_universe().searchsorted(self._pool)[index],
             )
+
+            def fallback(rows):
+                return (
+                    _np.sort(sample_buf[0][rows], axis=1),
+                    _np.full(rows.size, cr, dtype=_np.intp),
+                )
+
         else:
             start_f = draws.float_matrix(n_start, self._c) if n_start else None
             sample_f = draws.float_matrix(2 * n, cr)
             if n_start:
-                # Every unstarted node starts this cycle, in activation
-                # order, each seeded from its view with the next float
-                # row; the views stand still during the cycle, so one
-                # gather draws every seed row.
-                unstarted = self._unstarted
-                rows, lens = ops.view_samples(
-                    _np.array(
-                        [nodes[nid].rank for nid in order if nid in unstarted],
-                        dtype=_np.intp,
-                    ),
-                    self._c,
-                    start_f,
+                # The views stand still during the bootstrap cycle, so
+                # one gather draws every seed row.
+                start_rows, start_lens = ops.view_samples(
+                    ranks[to_start], self._c, start_f
                 )
-                start_rows = [
-                    row[:size]
-                    for row, size in zip(rows, lens.tolist(), strict=True)
-                ]
+
+            def fallback(rows):
+                return ops.view_samples(ranks[rows], cr, sample_f[rows])
+
         stats = layer.stats
         get = nodes.get
-        select_peer = ops.select_peer
-        select_wave = ops.select_wave
-        create_wave_flat = ops.create_wave_flat
-        absorb_wave_flat = ops.absorb_wave_flat
         wave = self._wave or max(1, n // 16)
         pending: list[tuple] = []
-        # Batched SELECTPEER bookkeeping: picks are precomputed one
-        # wave-sized chunk at a time and invalidated whenever node
-        # state mutates across nodes (a flush); a ``None`` pick defers
-        # to the scalar path, which decides identically.
-        sel_buf: list = []
-        sel_lo = sel_hi = 0
 
         # Settled receivers are fixed points while the network is
         # static: no message can change a node holding its perfect
@@ -1512,7 +1457,6 @@ class VectorBootstrapSimulation:
                 settled = mask.tolist()
 
         def flush() -> None:
-            nonlocal sel_hi
             # The drop coins are read before anything is built: a lost
             # request builds neither message, a lost reply builds no
             # reply, and nothing is built for a settled receiver, while
@@ -1545,8 +1489,6 @@ class VectorBootstrapSimulation:
                     rows.append(n + i_)
             pending.clear()
             if not jobs:
-                # Nothing is built or absorbed: every table, and so
-                # every precomputed peer pick, stays as it was.
                 return
             universe_w = self._wave_universe()
             row_idx = _np.array(rows, dtype=_np.intp)
@@ -1569,65 +1511,52 @@ class VectorBootstrapSimulation:
                 )
                 ids = rows_w[kernels._arange(rows_w.shape[1]) < lens[:, None]]
                 samples_w = (ids, universe_w.searchsorted(ids), lens)
-            wave_buf = create_wave_flat(jobs, universe_w, samples_w)
-            absorb_wave_flat(wave_buf, specs, universe_w)
-            # Absorbs may have reshaped leaf sets: any precomputed
-            # peer picks past this point are stale.
-            sel_hi = 0
+            wave_buf = ops.create_wave_flat(jobs, universe_w, samples_w)
+            ops.absorb_wave_flat(wave_buf, specs, universe_w)
 
-        start_ptr = 0
-        for i, nid in enumerate(order):
-            state = get(nid)
-            if state is None:
-                continue
-            if not state.started:
-                ops.start_node(state, start_rows[start_ptr])
-                start_ptr += 1
-                self._unstarted.discard(nid)
-            if i >= sel_hi:
-                hi = min(i + wave, n)
-                sel_buf = select_wave(
-                    [get(chunk_nid) for chunk_nid in order[i:hi]],
-                    peer_u[i:hi],
+        # The order runs in chunks, each ending where the earliest flush
+        # can fall (``wave - len(pending)`` nodes on), so no absorb
+        # lands between a chunk's starts and picks and its nodes'
+        # turns: a node that absorbed before its turn still clears its
+        # prefix table at its turn, and each pick sees the tables the
+        # sequential walk would.
+        start_at = 0
+        lo = 0
+        while lo < n:
+            hi = min(lo + wave - len(pending), n)
+            end = start_at + int(to_start[start_at:].searchsorted(hi))
+            if end > start_at:
+                ops.start_chunk(
+                    [states[p] for p in to_start[start_at:end].tolist()],
+                    (start_rows[start_at:end], start_lens[start_at:end]),
                 )
-                sel_lo = i
-                sel_hi = hi
-            peer_id = sel_buf[i - sel_lo]
-            if peer_id is None:
-                # Scalar fallback: the node started this chunk or its
-                # leaf set is empty.  Only an empty leaf set reads the
-                # fallback row: the node's request samples, id-sorted
-                # for the oracle, in draw order for NEWSCAST.
-                if state.leaf.size:
-                    fallback = _NO_IDS
-                elif oracle:
-                    fallback = _np.sort(sample_buf[0][i])
-                else:
-                    rows, lens = ops.view_samples(
-                        _np.array([state.rank], dtype=_np.intp),
-                        cr,
-                        sample_f[i:i + 1],
-                    )
-                    fallback = rows[0, : lens[0]]
-                peer_id = select_peer(state, peer_u[i], fallback)
-            if peer_id is None:
-                continue
-            target = get(peer_id)
-            stats.exchanges += 1
-            stats.requests_sent += 1
-            if target is None:
-                # Void target: the request's content is unobservable
-                # (nobody absorbs it) and the batched samples are
-                # pre-drawn, so the message build is skipped outright.
-                if drop_p and req_coins[i] < drop_p:
-                    stats.requests_dropped += 1
-                else:
-                    stats.void_requests += 1
-                stats.suppressed_replies += 1
-                continue
-            pending.append((i, nid, state, peer_id, target))
+                start_at = end
+            picks = ops.select_wave(
+                states[lo:hi],
+                peer_u[lo:hi],
+                lambda rows, base=lo: fallback(rows + base),
+            )
+            for i, peer_id in enumerate(picks, lo):
+                if peer_id is None:
+                    continue
+                target = get(peer_id)
+                stats.exchanges += 1
+                stats.requests_sent += 1
+                if target is None:
+                    # Void target: the request's content is
+                    # unobservable (nobody absorbs it) and the batched
+                    # samples are pre-drawn, so the message build is
+                    # skipped outright.
+                    if drop_p and req_coins[i] < drop_p:
+                        stats.requests_dropped += 1
+                    else:
+                        stats.void_requests += 1
+                    stats.suppressed_replies += 1
+                    continue
+                pending.append((i, order[i], states[i], peer_id, target))
             if len(pending) >= wave:
                 flush()
+            lo = hi
         if pending:
             flush()
         layer.cycle += 1

@@ -39,6 +39,7 @@ uncached speed and nothing more.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -116,10 +117,13 @@ class WireMessage:
 
 def _pack_fixed(desc: NodeDescriptor, addr_kind: int) -> bytes:
     try:
-        return _DESC_FIXED.pack(desc.node_id, float(desc.timestamp), addr_kind)
+        timestamp = float(desc.timestamp)
+        if not math.isfinite(timestamp):
+            raise ValueError("non-finite timestamp")
+        return _DESC_FIXED.pack(desc.node_id, timestamp, addr_kind)
     except (struct.error, TypeError, ValueError, OverflowError) as exc:
-        # An id outside u64 or a timestamp that is not a number: the
-        # caller catches exactly CodecError, like the receive path.
+        # An id outside u64 or a timestamp that is not a finite number:
+        # the caller catches exactly CodecError, like the receive path.
         raise CodecError(
             f"unencodable node id / timestamp: "
             f"{desc.node_id!r} / {desc.timestamp!r}"
@@ -165,6 +169,10 @@ def _decode_descriptor(
         node_id, timestamp, addr_kind = _DESC_FIXED.unpack_from(data, offset)
     except struct.error as exc:
         raise CodecError(f"truncated descriptor at offset {offset}") from exc
+    if not math.isfinite(timestamp):
+        # An ``inf`` stamp would win every freshest-wins merge forever,
+        # and a NaN one compares false against everything.
+        raise CodecError(f"non-finite timestamp at offset {offset}")
     offset += _DESC_FIXED.size
     if addr_kind == 0:
         try:

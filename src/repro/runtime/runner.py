@@ -147,8 +147,31 @@ class SweepGrid:
             # means -- and would break the positional replicas-per-size
             # mapping silently.
             raise ValueError(f"grid sizes must be distinct, got {self.sizes}")
+        for size in self.sizes:
+            if isinstance(size, bool) or not isinstance(size, int) or size < 2:
+                raise ValueError(
+                    f"grid sizes must be integers >= 2, got {size!r}"
+                )
         if not self.drop_rates:
             raise ValueError("grid needs at least one drop rate")
+        for drop in self.drop_rates:
+            # ``not 0 <= drop < 1`` also catches NaN.
+            if (
+                isinstance(drop, bool)
+                or not isinstance(drop, (int, float))
+                or not 0.0 <= drop < 1.0
+            ):
+                raise ValueError(
+                    f"grid drop rates must lie in [0, 1), got {drop!r}"
+                )
+        if (
+            isinstance(self.max_cycles, bool)
+            or not isinstance(self.max_cycles, int)
+            or self.max_cycles < 1
+        ):
+            raise ValueError(
+                f"max_cycles must be an integer >= 1, got {self.max_cycles!r}"
+            )
         self._validate_replicas()
         self._validate_axis(
             "sampler", self.sampler, "oracle", "samplers", self.samplers,
@@ -375,7 +398,7 @@ class SweepGrid:
             drop_rates=tuple(data.get("drop_rates", (0.0,))),  # type: ignore
             replicas=replicas,
             base_seed=int(data.get("base_seed", 1)),  # type: ignore
-            max_cycles=int(data.get("max_cycles", 60)),  # type: ignore
+            max_cycles=data.get("max_cycles", 60),  # type: ignore
             config=config,
             samplers=tuple(data.get("samplers", ("oracle",))),  # type: ignore
             schedule_sets=tuple(

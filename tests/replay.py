@@ -1,19 +1,25 @@
 """Exchange-log replay: the vector engine against ``BootstrapNode``.
 
-:class:`ExchangeReplay` pins the vector engine's wave kernels to the
-paper's protocol (Figure 2) itself.  It wraps one simulation's ops
+:class:`ExchangeReplay` pins the vector engine's batched kernels to
+the paper's protocol (Figure 2) itself.  It wraps one simulation's ops
 instance and intercepts every transition the cycle path makes:
 
 * ``new_state`` -- a node admitted, or a killed id re-admitted;
-* ``start_node`` with its seed ids;
+* each ``start_chunk`` -- the chunk's starting nodes in activation
+  order, each with its seed ids;
 * each ``create_wave_flat`` job -- sender, peer, and the job's sample
   ids sliced from the wave's ragged sample slab;
 * each ``absorb_wave_flat`` spec, in arrival order;
-* each ``select_wave`` / ``select_peer`` pick with its uniform draw;
+* each ``select_wave`` pick with its uniform draw, and the fallback
+  sample row an empty leaf set reads;
 * each cycle's ``settled_ranks`` query.
 
 Each is replayed through one ``BootstrapNode`` per id, fed its samples
 by a :class:`ScriptedSampler`, and checked as it happens:
+
+* every start, replayed through ``BootstrapNode.start`` in activation
+  order, leaves the node's leaf ids and prefix ids equal to the
+  arena's, and no node starts ahead of the chunk that picks for it;
 
 * every message's payload ids, in order, equal
   ``BootstrapNode.create_message``'s, and its slots equal
@@ -21,7 +27,9 @@ by a :class:`ScriptedSampler`, and checked as it happens:
 * after every wave, every receiver's leaf ids and prefix ids equal the
   arena's;
 * every pick from a non-empty leaf set equals
-  ``leaf_set.closest_half()[min(int(u * half), half - 1)]``;
+  ``leaf_set.closest_half()[min(int(u * half), half - 1)]``, and every
+  pick from an empty one equals ``BootstrapNode.select_peer``'s
+  fallback fed the engine's sample row without the node's own id;
 * every node the engine reports settled holds, in its replayed node,
   exactly the perfect tables of ``sim.reference``, and no message of
   that cycle is built for it -- so the messages the engine skips are
@@ -164,12 +172,16 @@ class ExchangeReplay:
     Construct it on a fresh simulation (before its first cycle); it
     wraps the simulation's ops instance in place and asserts at every
     transition (see the module docstring).  :attr:`messages`,
-    :attr:`receivers` and :attr:`picks` count what was checked, and
-    :attr:`skipped` the settled receivers, one per node and cycle.
+    :attr:`receivers`, :attr:`picks` and :attr:`fallbacks` (picks from
+    an empty leaf set) count what was checked, :attr:`skipped` the
+    settled receivers, one per node and cycle, and
+    :attr:`absorbed_starts` / :attr:`spawned_starts` the starts of
+    nodes that absorbed a message before their turn / joined after the
+    simulation was built.
     """
 
     WRAPPED = (
-        "new_state", "start_node", "select_wave", "select_peer",
+        "new_state", "start_chunk", "select_wave",
         "create_wave_flat", "absorb_wave_flat", "settled_ranks",
     )
 
@@ -183,6 +195,9 @@ class ExchangeReplay:
             assert not state.started and not state.leaf.size
             self.nodes[node_id] = self._fresh(node_id)
         self.messages = self.receivers = self.picks = self.skipped = 0
+        self.fallbacks = self.absorbed_starts = self.spawned_starts = 0
+        self._initial = set(self.nodes)
+        self._unpicked: set[int] = set()
         self._wave = None
         self._settled: set[int] = set()
         self._settled_cycle = None
@@ -209,37 +224,68 @@ class ExchangeReplay:
         self.nodes[node_id] = self._fresh(node_id)
         return state
 
-    def start_node(self, state, samples) -> None:
-        self._ops["start_node"](state, samples)
-        node = self.nodes[state.node_id]
-        self.sampler.script(samples.tolist())
-        node.start()
-        assert_tables_equal(node, state, self.sim.cycle)
+    def start_chunk(self, states, seeds) -> None:
+        self._ops["start_chunk"](states, seeds)
+        rows, lens = seeds
+        for state, row, size in zip(states, rows, lens.tolist(), strict=True):
+            node_id = state.node_id
+            node = self.nodes[node_id]
+            if node.leaf_set.member_ids() or node.prefix_table.member_ids():
+                self.absorbed_starts += 1
+            if node_id not in self._initial:
+                self.spawned_starts += 1
+            self.sampler.script(row[:size].tolist())
+            node.start()
+            assert state.started
+            assert_tables_equal(node, state, self.sim.cycle)
+            self._unpicked.add(node_id)
 
-    def select_wave(self, states, u):
-        picks = self._ops["select_wave"](states, u)
-        for state, draw, pick in zip(states, u.tolist(), picks, strict=True):
-            if pick is not None:
+    def select_wave(self, states, u, fallback):
+        rows_read = {}
+
+        def recorded(rows):
+            ids, lens = fallback(rows)
+            for j, row, size in zip(rows.tolist(), ids, lens.tolist(), strict=True):
+                rows_read[j] = row[:size].tolist()
+            return ids, lens
+
+        # A node starts at its turn: no node is started ahead of the
+        # chunk that picks for it.
+        self._unpicked.difference_update(state.node_id for state in states)
+        assert not self._unpicked, f"cycle {self.sim.cycle}: started early"
+        picks = self._ops["select_wave"](states, u, recorded)
+        for j, (state, draw, pick) in enumerate(
+            zip(states, u.tolist(), picks, strict=True)
+        ):
+            node = self.nodes[state.node_id]
+            assert node.started, f"cycle {self.sim.cycle}: unstarted pick"
+            if node.leaf_set.closest_half():
                 self._check_pick(state, draw, pick)
+            else:
+                self._check_fallback(state, rows_read.pop(j), pick)
+        assert not rows_read, f"cycle {self.sim.cycle}: unused fallback rows"
         return picks
-
-    def select_peer(self, state, u, fallback):
-        pick = self._ops["select_peer"](state, u, fallback)
-        if self.nodes[state.node_id].leaf_set.closest_half():
-            self._check_pick(state, float(u), pick)
-        else:
-            assert not state.leaf.size, f"cycle {self.sim.cycle}"
-        return pick
 
     def _check_pick(self, state, u: float, pick: int) -> None:
         candidates = self.nodes[state.node_id].leaf_set.closest_half()
         half = len(candidates)
-        assert half, f"cycle {self.sim.cycle}: pick from an empty leaf set"
         expected = candidates[min(int(u * half), half - 1)].node_id
         assert pick == expected, (
             f"cycle {self.sim.cycle}: SELECTPEER of {state.node_id:#x}"
         )
         self.picks += 1
+
+    def _check_fallback(self, state, row: list[int], pick) -> None:
+        """An empty leaf set asks the sampling service for one peer;
+        the engine's sample row, without the node itself, is what the
+        service answers."""
+        node_id = state.node_id
+        self.sampler.script([nid for nid in row if nid != node_id])
+        expected = self.nodes[node_id].select_peer()
+        assert pick == (None if expected is None else expected.node_id), (
+            f"cycle {self.sim.cycle}: fallback SELECTPEER of {node_id:#x}"
+        )
+        self.fallbacks += 1
 
     def settled_ranks(self):
         mask = self._ops["settled_ranks"]()

@@ -258,6 +258,22 @@ class TestScenariosCLI:
         assert code == 2
         assert "known scenarios" in captured.err
 
+    def test_run_unrunnable_spec_file(self, capsys, tmp_path):
+        """A spec file whose grid names a fractional size exits 2 with
+        one line on stderr before any shard starts."""
+        code = main(["scenarios", "show", "figure3"])
+        document = json.loads(capsys.readouterr().out)
+        assert code == 0
+        document["grid"]["sizes"] = [16.5]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code = main(["scenarios", "run", "--spec-file", str(path), "--smoke"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "grid sizes must be integers >= 2" in captured.err
+
 
 class TestChaosCLI:
     def test_list_prints_catalogue(self, capsys):

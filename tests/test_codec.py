@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,14 @@ class TestEncodingErrors:
         with pytest.raises(CodecError):
             encode_message(LAYER_BOOTSTRAP, 0, bad, ())
 
+    @pytest.mark.parametrize("address", [0, ("h", 80)])
+    @pytest.mark.parametrize("timestamp", [math.inf, -math.inf, math.nan])
+    def test_non_finite_timestamp(self, timestamp, address):
+        # A frame this side refuses to decode is not sent either.
+        bad = NodeDescriptor(node_id=1, address=address, timestamp=timestamp)
+        with pytest.raises(CodecError, match="timestamp"):
+            encode_message(LAYER_BOOTSTRAP, 0, bad, ())
+
     def test_bool_port_rejected(self):
         # Like a bool address: True is not port 1.
         bad = NodeDescriptor(node_id=1, address=("h", True))
@@ -183,6 +192,22 @@ class TestDecodingErrors:
         with pytest.raises(CodecError):
             decode_message(b"")
 
+    @pytest.mark.parametrize("address", [5, ("h", 80)])
+    @pytest.mark.parametrize("timestamp", [math.inf, -math.inf, math.nan])
+    def test_non_finite_timestamp_rejected(self, timestamp, address):
+        """An ``inf`` stamp would win every freshest-wins view merge
+        forever, and a NaN one compares false against everything: the
+        record is refused, cold and with a finite twin interned."""
+        frame = stamped_frame(timestamp, address)
+        codec._forget_interned()
+        for _ in range(2):
+            with pytest.raises(CodecError, match="non-finite timestamp"):
+                decode_message(frame)
+            decode_message(stamped_frame(2.0, address))
+        assert all(
+            math.isfinite(desc.timestamp) for desc in codec._interned.values()
+        )
+
     @given(st.binary(max_size=200))
     @settings(max_examples=200)
     def test_fuzz_never_crashes(self, data):
@@ -192,6 +217,21 @@ class TestDecodingErrors:
             decode_message(data)
         except CodecError:
             pass
+
+
+def stamped_frame(timestamp: float, address) -> bytes:
+    """A NEWSCAST frame from node 1 carrying node 99 stamped
+    *timestamp* -- any float, patched into the wire record, since the
+    encoder refuses non-finite stamps."""
+    frame = encode_message(
+        LAYER_NEWSCAST,
+        0,
+        make_descriptor(1, address=0, timestamp=1.0),
+        (make_descriptor(99, address=address, timestamp=2.0),),
+    )
+    finite = struct.pack(">d", 2.0)
+    assert frame.count(finite) == 1
+    return frame.replace(finite, struct.pack(">d", timestamp))
 
 
 def sweep_frames():
@@ -372,22 +412,21 @@ class TestInternTable:
         assert decode_message(frame).sender is wire.sender
         assert encode_message(1, 0, wire.sender, wire.descriptors) == frame
 
-    def test_zero_negative_zero_and_nan_stay_distinct(self):
+    def test_zero_and_negative_zero_stay_distinct(self):
         def stamped(timestamp):
             return encode_message(
                 LAYER_NEWSCAST, 0, make_descriptor(1, 2, timestamp), ()
             )
 
-        frames = [stamped(0.0), stamped(-0.0), stamped(math.nan)]
-        assert len(set(frames)) == 3
+        frames = [stamped(0.0), stamped(-0.0)]
+        assert len(set(frames)) == 2
         for _ in range(2):  # cold, then warm
-            zero, negative, nan = (
+            zero, negative = (
                 decode_message(frame).sender.timestamp for frame in frames
             )
             assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
             assert negative == 0.0 and math.copysign(1.0, negative) == -1.0
-            assert math.isnan(nan)
-        assert len(codec._interned) == 3
+        assert len(codec._interned) == 2
 
     def test_encode_reuses_only_what_the_table_holds(self):
         frame = sweep_frames()[1]

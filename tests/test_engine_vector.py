@@ -39,6 +39,7 @@ fail on systematic drift, not on the known sampling noise.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -50,7 +51,7 @@ from repro.core import BootstrapConfig, IDSpace  # noqa: E402
 from repro.core.leafset import select_balanced_ids  # noqa: E402
 from repro.engine_fast import kernels  # noqa: E402
 from repro.engine_vector import VectorBootstrapSimulation  # noqa: E402
-from repro.engine_vector.arena import SlabMeasure  # noqa: E402
+from repro.engine_vector.arena import ArenaState, SlabMeasure  # noqa: E402
 from repro.engine_vector.sim import _NumpyOps  # noqa: E402
 from repro.runtime import (  # noqa: E402
     RunSpec,
@@ -686,7 +687,16 @@ class TestBatchedAbsorbExactness:
         # A killed id re-admitted while dead copies of it sit in tables:
         # it must enter the id universe once, as a fresh node.
         dict(size=40, drop=0.1, sampler="newscast", events="respawn"),
+        # Every node killed, one joins alone -- its start seeds nothing,
+        # so its leaf set stays empty and SELECTPEER falls back to the
+        # sampling service -- then more join.
+        dict(size=24, drop=0.0, sampler="oracle", events="emptied"),
+        dict(size=24, drop=0.1, sampler="newscast", events="emptied"),
     ]
+
+    #: Replays by config id, so the positive controls reuse the runs
+    #: of the per-config tests (each run is deterministic).
+    _runs: dict = {}
 
     @staticmethod
     def _replay(*, size, drop, sampler, events, wave=None, config=FAST,
@@ -716,24 +726,53 @@ class TestBatchedAbsorbExactness:
                 sim.kill_node(victim)
             if events == "respawn" and cycle == 10:
                 sim.spawn_node(victim)
+            if events == "emptied" and cycle == 4:
+                for node_id in sim.live_ids:
+                    sim.kill_node(node_id)
+                sim.spawn_node()
+            if events == "emptied" and cycle == 5:
+                for _ in range(size // 4):
+                    sim.spawn_node()
             sim.run_cycle()
         replay.check_all()
         return sim, replay
 
-    @pytest.mark.parametrize(
-        "config", CONFIGS,
-        ids=lambda c: f"n{c['size']}-d{c['drop']}-{c['sampler']}"
+    @staticmethod
+    def _config_id(c) -> str:
+        return (
+            f"n{c['size']}-d{c['drop']}-{c['sampler']}"
             + ("" if c["events"] == "none" else f"-{c['events']}")
             + (f"-w{c['wave']}" if c.get("wave") else "")
-            + (f"-{c['config'].id_bits}bit" if c.get("config") else ""),
-    )
+            + (f"-{c['config'].id_bits}bit" if c.get("config") else "")
+        )
+
+    @classmethod
+    def _run(cls, config):
+        key = cls._config_id(config)
+        if key not in cls._runs:
+            cls._runs[key] = cls._replay(**config)
+        return cls._runs[key]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=_config_id.__func__)
     def test_batch_equals_single(self, config):
-        sim, replay = self._replay(**config)
+        sim, replay = self._run(config)
         assert replay.messages and replay.receivers and replay.picks
         if config["events"] == "respawn":
             universe = sim._wave_universe()
             assert np.all(universe[1:] > universe[:-1])
             assert universe.size == len(set(sim._ids_ever))
+
+    def test_every_batched_path_runs(self):
+        """Positive controls over the matrix: the replay checked starts
+        of nodes that absorbed a message before their turn, starts of
+        nodes that joined mid-run, and picks from an empty leaf set."""
+        totals = Counter()
+        for config in self.CONFIGS:
+            _, replay = self._run(config)
+            totals["absorbed"] += replay.absorbed_starts
+            totals["spawned"] += replay.spawned_starts
+            totals["fallback"] += replay.fallbacks
+        assert min(totals.values()) > 0 and len(totals) == 3, totals
 
 
 class TestTrackerRecomputationRegression:
@@ -792,69 +831,72 @@ class TestTrackerRecomputationRegression:
 
 
 class TestWaveAbsorbIsBatched:
-    """The wave absorb lands a whole wave's prefix admissions and leaf
-    reselects in the arena as slab passes: the per-node transitions
-    (``_merge_fresh``, ``_set_leaf``) run only inside ``start_node``.
-    Warm cycles are where tables change most, so that is where a per-node
-    fallback would show."""
+    """Every leaf write is a slab pass: the wave absorb reselects a
+    whole wave's touched leaf rows in one padded frame, and the chunk
+    start seeds a whole chunk's starting nodes in another.  No per-node
+    leaf transition exists, and node handles cannot write.  Warm cycles
+    are where tables change most, so that is where a per-node path
+    would show."""
 
-    TRANSITIONS = ("_merge_fresh", "_set_leaf")
+    PER_NODE = ("start_node", "select_peer", "_merge_fresh", "_set_leaf")
 
     def _warm_run(self, monkeypatch):
-        """Three warm cycles, counting each transition's calls made
-        inside and outside ``start_node``."""
+        """Three warm cycles from a fresh 64-node network, counting
+        chunk starts, the nodes they start, and ``_reselect_leaves``
+        calls made inside and outside a chunk start."""
         sim = VectorBootstrapSimulation(64, seed=5, config=FAST)
-        calls = {
-            inside: dict.fromkeys(self.TRANSITIONS, 0)
-            for inside in (True, False)
-        }
+        counts = Counter()
         starting = []
+        reselect = _NumpyOps._reselect_leaves
+        start_chunk = _NumpyOps.start_chunk
 
-        def counted(name, original):
-            def wrapper(self, *args):
-                calls[bool(starting)][name] += 1
-                return original(self, *args)
+        def counted_reselect(self, *args):
+            counts["start reselects" if starting else "absorb reselects"] += 1
+            return reselect(self, *args)
 
-            return wrapper
-
-        for name in self.TRANSITIONS:
-            monkeypatch.setattr(
-                _NumpyOps, name, counted(name, getattr(_NumpyOps, name))
-            )
-        start_node = _NumpyOps.start_node
-
-        def start(self, *args):
+        def counted_start(self, states, seeds):
+            counts["chunks"] += 1
+            counts["started"] += len(states)
             starting.append(True)
             try:
-                return start_node(self, *args)
+                return start_chunk(self, states, seeds)
             finally:
                 starting.pop()
 
-        monkeypatch.setattr(_NumpyOps, "start_node", start)
+        monkeypatch.setattr(_NumpyOps, "_reselect_leaves", counted_reselect)
+        monkeypatch.setattr(_NumpyOps, "start_chunk", counted_start)
         before = snapshot(sim)
         for _ in range(3):
             sim.run_cycle()
         # Warm indeed: every node started and tables are still filling.
         assert not sim.measure().is_perfect
         assert snapshot(sim) != before
-        return calls
+        return counts
 
     def test_wave_absorb_calls_no_per_node_transition(self, monkeypatch):
-        calls = self._warm_run(monkeypatch)
-        assert calls[False] == dict.fromkeys(self.TRANSITIONS, 0)
+        for name in self.PER_NODE:
+            assert not hasattr(_NumpyOps, name), name
+        setters = [
+            name
+            for name, value in vars(ArenaState).items()
+            if isinstance(value, property) and value.fset is not None
+        ]
+        assert setters == []
+        assert self._warm_run(monkeypatch)["absorb reselects"] > 0
 
-    def test_start_node_calls_them(self, monkeypatch):
-        """Positive control: the same counters see both transitions
-        inside ``start_node``, their one remaining caller."""
-        calls = self._warm_run(monkeypatch)
-        assert all(calls[True][name] > 0 for name in self.TRANSITIONS), calls
+    def test_starts_reselect_once_per_chunk(self, monkeypatch):
+        """Positive control: the chunk start seeds all of a chunk's
+        starting nodes through one reselect, never one per node."""
+        counts = self._warm_run(monkeypatch)
+        assert counts["started"] == 64
+        assert 0 < counts["start reselects"] <= counts["chunks"]
+        assert counts["chunks"] < counts["started"]
 
     def test_reselect_that_rejects_everything_keeps_caches(self):
         """In one batched reselect, a row whose candidates all lose is
-        left untouched -- leaf, clean deficit, valid dense cache -- the
-        short-circuit ``_set_leaf`` takes per node, while a row given a
-        closer candidate is rewritten, dirty, and drops its dense
-        cache."""
+        left untouched -- leaf, clean deficit, valid dense cache --
+        while a row given a closer candidate is rewritten, dirty, and
+        drops its dense cache."""
         sim = converged_sim(seed=19)
         ops = sim._ops
         arena = ops.arena

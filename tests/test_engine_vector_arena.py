@@ -20,10 +20,10 @@ arena (``repro.engine_vector.arena``); this module pins it three ways:
 * **the lifecycle** -- freed-rank recycling under churn, slab doubling
   when the population outgrows the initial capacity, variable-length
   window relocation and pool compaction, and empty-population cycles;
-* **settled receivers** -- a table write through a node handle
-  invalidates the cached deficit, messages to settled nodes are
-  skipped only while the network is static, and the transport
-  accounting does not notice;
+* **settled receivers** -- a batched start invalidates the started
+  ranks' cached deficits, messages to settled nodes are skipped only
+  while the network is static, and the transport accounting does not
+  notice;
 * **built means absorbed** -- under drops every message the cycle
   builds is absorbed exactly once, with the transport accounting of
   the full exchanges;
@@ -142,10 +142,10 @@ DIGESTS = {
 SKIPPING_SCHEDULES = {"catastrophe", "massive-join"}
 
 
-def trajectory_digest(sampler: str, drop: float, schedule: str) -> tuple[str, int]:
+def trajectory_digest(sampler: str, drop: float, schedule: str):
     """The row's sha256, from a run replayed through ``BootstrapNode``
-    as it goes (the replay asserts at every wave), and the replay's
-    count of settled receivers whose messages the engine skipped."""
+    as it goes (the replay asserts at every start and wave), and the
+    replay with its counts of what it checked."""
     size, schedules = DIGEST_SCHEDULES[schedule]
     sim = VectorBootstrapSimulation(
         size,
@@ -161,19 +161,23 @@ def trajectory_digest(sampler: str, drop: float, schedule: str) -> tuple[str, in
         (node_id, leaf, prefix) for node_id, (leaf, prefix) in snapshot(sim).items()
     )
     payload = repr(([s.as_row() for s in result.samples], result.transport, tables))
-    return hashlib.sha256(payload.encode()).hexdigest(), replay.skipped
+    return hashlib.sha256(payload.encode()).hexdigest(), replay
 
 
 class TestTrajectoryDigests:
     @pytest.mark.parametrize("row", sorted(DIGESTS))
     def test_row_unchanged(self, row):
         sampler, drop, schedule = row.split("/")
-        digest, skipped = trajectory_digest(sampler, float(drop), schedule)
+        digest, replay = trajectory_digest(sampler, float(drop), schedule)
         assert digest == DIGESTS[row]
         if schedule in SKIPPING_SCHEDULES:
-            assert skipped > 0
+            assert replay.skipped > 0
         else:
-            assert skipped == 0
+            assert replay.skipped == 0
+        # Every row starts nodes that absorbed before their turn; every
+        # row whose schedule joins nodes starts them mid-run.
+        assert replay.absorbed_starts > 0
+        assert (replay.spawned_starts > 0) == (schedule != "catastrophe")
 
 
 def oracle_sample(sim) -> ConvergenceSample:
@@ -434,30 +438,35 @@ def _converged(size: int, seed: int) -> VectorBootstrapSimulation:
     return sim
 
 
-class TestHandleWritesDirtyTheDeficit:
-    """A table write through an ``ArenaState`` handle must reach the
-    next measurement: a stale cached deficit would both misreport the
-    sample and make the node look settled."""
+class TestBatchedStartDirtiesTheDeficit:
+    """Node handles cannot write; the chunk start writes the arena's
+    columns for many ranks at once and must still reach the next
+    measurement: a stale cached deficit would both misreport the sample
+    and make the node look settled."""
 
-    def test_leaf_write(self):
+    def test_start_clears_occupancy(self):
         sim = _converged(64, 3)
-        state = next(iter(sim.nodes.values()))
-        state.leaf = state.leaf[:-1].copy()
-        assert sim.measure().missing_leaf == 1
-        assert sim.measure() == oracle_sample(sim)
-
-    def test_prefix_write_rederives_occupancy(self):
-        sim = _converged(64, 3)
-        state = next(iter(sim.nodes.values()))
-        ids = state.prefix_ids[1:].copy()
-        slots = state.prefix_slots[1:].copy()
-        state.prefix_ids = ids
-        state.prefix_slots = slots
-        assert state.slot_count.tolist() == (
-            np.bincount(slots, minlength=state.slot_count.size).tolist()
-        )
-        assert sim.measure().missing_prefix == 1
-        assert sim.measure() == oracle_sample(sim)
+        ops = sim._ops
+        states = list(sim.nodes.values())[:3]
+        ranks = np.array([state.rank for state in states])
+        assert ops.settled_ranks()[ranks].all()
+        # Seeded with their own leaf ids, the leaf rows stay as they
+        # are: only the prefix tables are cleared.
+        leaves = [state.leaf.copy() for state in states]
+        lens = np.array([leaf.size for leaf in leaves])
+        rows = np.zeros((len(states), int(lens.max())), dtype=np.uint64)
+        for row, leaf in zip(rows, leaves, strict=True):
+            row[: leaf.size] = leaf
+        ops.start_chunk(states, (rows, lens))
+        for state, leaf in zip(states, leaves, strict=True):
+            assert state.leaf.tolist() == leaf.tolist()
+            assert state.prefix_ids.size == state.prefix_slots.size == 0
+            assert not state.slot_count.any()
+        assert ops.arena.stats_dirty[ranks].all()
+        assert not ops.settled_ranks()[ranks].any()
+        sample = sim.measure()
+        assert sample.missing_leaf == 0 and sample.missing_prefix > 0
+        assert sample == oracle_sample(sim)
 
 
 class _KernelSpy:

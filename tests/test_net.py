@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import math
 import random
+import struct
 
 import pytest
 
@@ -101,6 +103,39 @@ class TestAsyncPeer:
             peer.on_datagram(b"garbage", 99)
             assert peer.frames_bad == 1
             assert peer.frames_in == 1
+            await peer.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("timestamp", [math.inf, math.nan])
+    def test_non_finite_timestamp_counted_view_untouched(self, timestamp):
+        """A NEWSCAST frame carrying an ``inf``- or NaN-stamped record
+        is a bad frame: nothing of it reaches the view, where an ``inf``
+        entry would win every later merge and ride every payload."""
+
+        async def scenario():
+            hub = LoopbackHub()
+            peer = AsyncPeer(
+                make_descriptor(1, address=0),
+                PAPER_CONFIG.with_overrides(cycle_length=0.05),
+                rng=random.Random(0),
+            )
+            peer.attach(LoopbackTransport(hub, 0, peer.on_datagram))
+            peer.seed([make_descriptor(7, address=7, timestamp=3.0)])
+            before = peer.newscast.view.descriptors()
+            frame = codec.encode_message(
+                codec.LAYER_NEWSCAST,
+                0,
+                make_descriptor(2, address=9, timestamp=1.0),
+                (make_descriptor(99, address=99, timestamp=2.0),),
+            )
+            finite = struct.pack(">d", 2.0)
+            assert frame.count(finite) == 1
+            bad = frame.replace(finite, struct.pack(">d", timestamp))
+            peer.on_datagram(bad, 9)
+            assert peer.frames_bad == 1
+            assert peer.frames_in == 1
+            assert peer.newscast.view.descriptors() == before
             await peer.stop()
 
         run(scenario())

@@ -281,6 +281,32 @@ class TestMultiAxisGrid:
         with pytest.raises(ValueError, match="distinct"):
             fast_grid(sizes=(24, 24), replicas=(2, 5))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sizes", [0]),
+            ("sizes", [-4]),
+            ("sizes", [1]),
+            ("sizes", [16.5]),
+            ("sizes", ["16"]),
+            ("sizes", [True]),
+            ("drop_rates", [float("nan")]),
+            ("drop_rates", [1.0]),
+            ("drop_rates", [-0.1]),
+            ("drop_rates", ["0.1"]),
+            ("max_cycles", -3),
+            ("max_cycles", 0),
+            ("max_cycles", 2.5),
+        ],
+    )
+    def test_unrunnable_grid_rejected_when_built(self, field, value):
+        """A grid whose runs could only fail (or, for a fractional
+        size, run as a nonsense network) is refused at build time, not
+        as a shard error after the pool has started."""
+        document = {**fast_grid().to_dict(), field: value}
+        with pytest.raises(ValueError, match=field.replace("_", "[ _]")):
+            SweepGrid.from_dict(json.loads(json.dumps(document)))
+
     def test_per_size_replicas(self):
         grid = fast_grid(
             sizes=(24, 32), drop_rates=(0.0,), replicas=(2, 1)
