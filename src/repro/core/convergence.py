@@ -10,6 +10,13 @@ and aggregates the deficits.
 Under churn the live identifier set changes; the tracker can be rebuilt
 against a new reference while keeping the sample history, and entries
 pointing at departed nodes are not counted as present.
+
+Each measurement also lists the nodes it found perfect
+(:attr:`ConvergenceTracker.settled`), straight from the per-node
+deficit loop.  In a static network perfect tables are a fixed point of
+UPDATELEAFSET + UPDATEPREFIXTABLE, so the cycle engines use that list
+to skip messages addressed to those nodes (see
+:mod:`repro.simulator.bootstrap_sim` for the gates).
 """
 
 from __future__ import annotations
@@ -78,6 +85,10 @@ class ConvergenceTracker:
     nodes:
         The live protocol nodes, keyed or listed in any order; only
         nodes whose identifier is in the reference are measured.
+
+    After each :meth:`measure`, :attr:`settled` lists the measured
+    nodes whose deficit was zero (perfect tables), in measurement
+    order.
     """
 
     def __init__(
@@ -91,6 +102,7 @@ class ConvergenceTracker:
         ]
         self._live_ids = set(reference.ids)
         self.samples: list[ConvergenceSample] = []
+        self.settled: list[BootstrapNode] = []
 
     @property
     def reference(self) -> ReferenceTables:
@@ -107,20 +119,26 @@ class ConvergenceTracker:
         self._live_ids = set(reference.ids)
 
     def measure(self, cycle: float) -> ConvergenceSample:
-        """Take one network-wide measurement and append it to
-        :attr:`samples`."""
+        """Take one network-wide measurement, append it to
+        :attr:`samples` and list the perfect nodes in :attr:`settled`."""
         reference = self._reference
         live = self._live_ids
         missing_leaf = 0
         missing_prefix = 0
+        settled = self.settled = []
         for node in self._nodes:
             current = node.leaf_set.member_ids()
             if not current.issubset(live):
                 current &= live
-            missing_leaf += reference.leaf_missing(node.node_id, current)
-            missing_prefix += reference.prefix_missing(
+            leaf = reference.leaf_missing(node.node_id, current)
+            prefix = reference.prefix_missing(
                 node.node_id, self._live_occupancy(node)
             )
+            if leaf or prefix:
+                missing_leaf += leaf
+                missing_prefix += prefix
+            else:
+                settled.append(node)
         total_leaf, total_prefix = reference.totals()
         sample = ConvergenceSample(
             cycle=cycle,

@@ -164,6 +164,9 @@ class LeafSet:
         the set itself.
     size:
         Paper's ``c``: total capacity.  ``c/2`` per direction.
+
+    ``version`` changes whenever an entry is added, removed or
+    replaced, so a stamp taken from the set can tell when it is stale.
     """
 
     __slots__ = (
@@ -176,6 +179,7 @@ class LeafSet:
         "_closest",
         "_succ_bound",
         "_pred_bound",
+        "version",
     )
 
     def __init__(self, space: IDSpace, own_id: int, size: int) -> None:
@@ -194,6 +198,7 @@ class LeafSet:
         # selection only if its side-relative distance is below its
         # side's bound.  See _set_bounds.
         self._succ_bound = self._pred_bound = space.size
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -242,6 +247,7 @@ class LeafSet:
             return False
         self._closest = None
         self._succ_bound = self._pred_bound = self._mask + 1
+        self.version += 1
         return True
 
     # ------------------------------------------------------------------
@@ -297,6 +303,7 @@ class LeafSet:
                     merged = {node_id: merged[node_id] for node_id in members}
                 self._members = merged
                 self._closest = None
+                self.version += 1
             return False
 
         selected = self._select(merged)
@@ -304,6 +311,7 @@ class LeafSet:
         self._members = selected
         self._closest = None
         self._set_bounds()
+        self.version += 1
         return changed
 
     def _set_bounds(self) -> None:

@@ -254,6 +254,17 @@ class BootstrapNode:
         """
         return self._create_message(peer, is_reply=is_reply)
 
+    def skip_message(self) -> None:
+        """CREATEMESSAGE's random draws, without the message.
+
+        The ``cr`` samples come from this node's sampler stream, which
+        its later picks and messages read too; a cycle engine that
+        skips a build (its receiver is settled, see
+        :mod:`repro.simulator.bootstrap_sim`) still draws them, so the
+        rest of the run stays identical.
+        """
+        self._sampler.sample(self.config.random_samples)
+
     def _create_message(
         self,
         peer: NodeDescriptor,
@@ -399,10 +410,14 @@ class BootstrapNode:
         peer = self.select_peer()
         if peer is None:
             return None
+        return peer, self.request(peer)
+
+    def request(self, peer: NodeDescriptor) -> BootstrapMessage:
+        """The active thread's message to *peer*, counted as sent."""
         request = self.create_message(peer, is_reply=False)
         self.stats.requests_sent += 1
         self.stats.descriptors_sent += request.payload_size
-        return peer, request
+        return request
 
     def handle_request(self, message: BootstrapMessage) -> BootstrapMessage:
         """One iteration of the passive thread.
@@ -411,10 +426,15 @@ class BootstrapNode:
         passive lines 3-4), then absorbs the received descriptors.
         """
         self.stats.requests_received += 1
-        reply = self.create_message(message.sender, is_reply=True)
+        reply = self.reply(message.sender)
+        self.absorb(message)
+        return reply
+
+    def reply(self, requester: NodeDescriptor) -> BootstrapMessage:
+        """The passive thread's answer to *requester*, counted as sent."""
+        reply = self.create_message(requester, is_reply=True)
         self.stats.replies_sent += 1
         self.stats.descriptors_sent += reply.payload_size
-        self.absorb(message)
         return reply
 
     def handle_reply(self, message: BootstrapMessage) -> None:

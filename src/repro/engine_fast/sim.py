@@ -31,6 +31,19 @@ model, the failure schedules, and the result/sample dataclasses --
 the differential harness therefore compares genuinely independent
 implementations of the *protocol kernel*, not two copies of one code
 path.
+
+Settled receivers
+-----------------
+Like the reference engine (see :mod:`repro.simulator.bootstrap_sim`
+for the argument), the cycle builds no request to a target and no
+reply to a requester that the last :meth:`measure` found perfect, and
+such a receiver absorbs nothing; the skipped build still draws its
+``cr`` samples.  The gates are the reference's: measured, no node ever
+killed, no membership change since that measurement, and the node had
+started.  No table write happens outside this engine (there is no
+``restart`` and no maintenance layer over flat state), so no table
+stamps are needed: a settled node's state changes only through the
+absorbs the rule skips.
 """
 
 from __future__ import annotations
@@ -75,7 +88,9 @@ class FastConvergenceTracker:
 
     Produces the same :class:`ConvergenceSample` values as
     :class:`repro.core.convergence.ConvergenceTracker` -- the deficits
-    are sums over id sets, which is all the fast engine stores.
+    are sums over id sets, which is all the fast engine stores -- and
+    the same :attr:`settled` list: the measured states with zero
+    deficit.
     """
 
     def __init__(
@@ -86,6 +101,7 @@ class FastConvergenceTracker:
     ) -> None:
         self._digit_bits = digit_bits
         self.samples: list[ConvergenceSample] = []
+        self.settled: list[FastNodeState] = []
         self.rebind(reference, states)
 
     def rebind(
@@ -114,25 +130,26 @@ class FastConvergenceTracker:
         return packed
 
     def measure(self, cycle: float) -> ConvergenceSample:
-        """Take one network-wide measurement and append it to
-        :attr:`samples` (same metric as the reference tracker)."""
+        """Take one network-wide measurement, append it to
+        :attr:`samples` and list the perfect states in :attr:`settled`
+        (same metric as the reference tracker)."""
         reference = self._reference
         live = self._live
         missing_leaf = 0
         missing_prefix = 0
+        settled = self.settled = []
         for state in self._states:
             members = state.leaf_members
             current = members if members <= live else members & live
-            missing_leaf += len(
-                reference.perfect_leaf_ids(state.node_id) - current
-            )
+            leaf = len(reference.perfect_leaf_ids(state.node_id) - current)
+            prefix = 0
             slots = state.prefix_slots
             if state.prefix_ids <= live:
                 for slot, needed in self._perfect_slots(state.node_id):
                     held = slots.get(slot)
                     have = len(held) if held else 0
                     if have < needed:
-                        missing_prefix += needed - have
+                        prefix += needed - have
             else:
                 for slot, needed in self._perfect_slots(state.node_id):
                     held = slots.get(slot)
@@ -140,7 +157,12 @@ class FastConvergenceTracker:
                         sum(1 for nid in held if nid in live) if held else 0
                     )
                     if have < needed:
-                        missing_prefix += needed - have
+                        prefix += needed - have
+            if leaf or prefix:
+                missing_leaf += leaf
+                missing_prefix += prefix
+            else:
+                settled.append(state)
         total_leaf, total_prefix = reference.totals()
         sample = ConvergenceSample(
             cycle=cycle,
@@ -235,6 +257,10 @@ class FastBootstrapSimulation:
             self.reference, self.nodes.values(), self._digit_bits
         )
         self._membership_dirty = False
+        # Settled receivers (module docstring): ids recorded at each
+        # measure while _settle holds, which a kill ends for good.
+        self._settled: set[int] = set()
+        self._settle = True
 
     # ------------------------------------------------------------------
     # Node admission / removal (same seed-tree names as the reference)
@@ -304,6 +330,8 @@ class FastBootstrapSimulation:
             self.newscast.pop(node_id, None)
             self._news.dirty = True
         self._membership_dirty = True
+        self._settle = False
+        self._settled = set()
         return True
 
     def spawn_node(self, node_id: int | None = None) -> FastNodeState:
@@ -324,6 +352,7 @@ class FastBootstrapSimulation:
             )
             self.newscast[node_id].merge([(nid, 0.0) for nid in ids])
         self._membership_dirty = True
+        self._settled = set()
         return state
 
     def absorb_pool(self, ids: Iterable[int]) -> list[FastNodeState]:
@@ -605,6 +634,8 @@ class FastBootstrapSimulation:
         select_peer = self._select_peer
         create_message = self._create_message
         absorb = self._absorb
+        settled = self._settled
+        cr = self._cr
         for nid in scratch:
             state = get(nid)
             if state is None:
@@ -614,7 +645,12 @@ class FastBootstrapSimulation:
             peer_id = select_peer(state)
             if peer_id is None:
                 continue
-            request = create_message(state, peer_id)
+            # Settled receivers (module docstring): no build, same draws.
+            if peer_id in settled:
+                state.sampler.sample(cr)
+                request = None
+            else:
+                request = create_message(state, peer_id)
             stats.exchanges += 1
             stats.requests_sent += 1
             if drop_p and rand() < drop_p:
@@ -626,13 +662,19 @@ class FastBootstrapSimulation:
                 stats.void_requests += 1
                 stats.suppressed_replies += 1
                 continue
-            reply = create_message(target, nid)
-            absorb(target, request, nid)
+            if nid in settled:
+                target.sampler.sample(cr)
+                reply = None
+            else:
+                reply = create_message(target, nid)
+            if request is not None:
+                absorb(target, request, nid)
             stats.replies_sent += 1
             if drop_p and rand() < drop_p:
                 stats.replies_dropped += 1
                 continue
-            absorb(state, reply, peer_id)
+            if reply is not None:
+                absorb(state, reply, peer_id)
         layer.cycle += 1
 
     def _newscast_cycle(self) -> None:
@@ -686,10 +728,15 @@ class FastBootstrapSimulation:
 
     def measure(self) -> ConvergenceSample:
         """Measure convergence now (rebuilding the reference first if
-        membership changed)."""
+        membership changed) and record the settled nodes."""
         if self._membership_dirty:
             self._refresh_reference()
-        return self.tracker.measure(float(self._boot.cycle))
+        sample = self.tracker.measure(float(self._boot.cycle))
+        if self._settle:
+            self._settled = {
+                state.node_id for state in self.tracker.settled if state.started
+            }
+        return sample
 
     def run(
         self,

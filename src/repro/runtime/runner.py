@@ -172,6 +172,12 @@ class SweepGrid:
             raise ValueError(
                 f"max_cycles must be an integer >= 1, got {self.max_cycles!r}"
             )
+        if isinstance(self.base_seed, bool) or not isinstance(
+            self.base_seed, int
+        ):
+            raise ValueError(
+                f"base_seed must be an integer, got {self.base_seed!r}"
+            )
         self._validate_replicas()
         self._validate_axis(
             "sampler", self.sampler, "oracle", "samplers", self.samplers,
@@ -192,6 +198,10 @@ class SweepGrid:
 
     def _validate_replicas(self) -> None:
         """Replicas: one count, or one count per size."""
+        if isinstance(self.replicas, bool):
+            raise ValueError(
+                f"replicas must be an integer >= 1, got {self.replicas!r}"
+            )
         if isinstance(self.replicas, int):
             if self.replicas < 1:
                 raise ValueError(
@@ -204,7 +214,10 @@ class SweepGrid:
                 f"per-size replicas must align with sizes: got "
                 f"{len(counts)} counts for {len(self.sizes)} sizes"
             )
-        if any((not isinstance(c, int)) or c < 1 for c in counts):
+        if any(
+            isinstance(c, bool) or not isinstance(c, int) or c < 1
+            for c in counts
+        ):
             raise ValueError(
                 f"per-size replicas must be integers >= 1, got {counts!r}"
             )
@@ -397,7 +410,7 @@ class SweepGrid:
             sizes=tuple(data["sizes"]),  # type: ignore[arg-type]
             drop_rates=tuple(data.get("drop_rates", (0.0,))),  # type: ignore
             replicas=replicas,
-            base_seed=int(data.get("base_seed", 1)),  # type: ignore
+            base_seed=data.get("base_seed", 1),  # type: ignore[arg-type]
             max_cycles=data.get("max_cycles", 60),  # type: ignore
             config=config,
             samplers=tuple(data.get("samplers", ("oracle",))),  # type: ignore

@@ -17,6 +17,38 @@ start the bootstrapping protocol at each node at a different random time
 within an interval of length Δ. ... The protocol is then run until the
 perfect leaf sets and prefix tables are found at all nodes, based on the
 actual set of IDs in the network."
+
+Settled receivers
+-----------------
+The protocol "has no stopping criterion", so a run keeps gossiping
+after its nodes have found their perfect tables, and in a static
+network those tables are a fixed point of UPDATELEAFSET +
+UPDATEPREFIXTABLE.  Each :meth:`BootstrapSimulation.measure` therefore
+records the nodes it found perfect (:attr:`ConvergenceTracker.settled`)
+in a :class:`~repro.simulator.actors.SettledNodes` shared with the
+actors, which then build no request to a settled target, no reply to
+a settled requester, and absorb nothing at a settled receiver.  A
+skipped build still draws its ``cr`` samples, and SELECTPEER, drop
+coins and :class:`TransportStats` run for every exchange, so samples,
+transport counters and ``converged_at`` are identical to building
+everything.  A node is skipped only when all of these hold:
+
+* the network has been measured (an unmeasured run skips nothing);
+* no node was ever killed (dead ids circulate after a kill, and a
+  perfect node re-admits them, so it is no fixed point);
+* membership has not changed since that measurement (a spawn empties
+  the set until the next one);
+* the node had started when it was measured;
+* the node factory is the default :class:`BootstrapNode` (ablation
+  variants override CREATEMESSAGE, and some draw randomness in it);
+* the node's leaf set and prefix table are unchanged since that
+  measurement (``restart`` and the maintenance layer write them from
+  outside the engine).
+
+What differs: a settled node stops absorbing fresher advertisements,
+so the descriptor timestamps it holds may be older (nothing in a cycle
+engine reads them), and :class:`~repro.core.protocol.ProtocolStats`
+counts only the messages that were actually built.
 """
 
 from __future__ import annotations
@@ -31,7 +63,7 @@ from ..core.protocol import BootstrapNode
 from ..core.reference import ReferenceTables
 from ..sampling.newscast import NewscastNode
 from ..sampling.oracle import MembershipRegistry, OracleSampler
-from .actors import BootstrapActor, NewscastActor
+from .actors import BootstrapActor, NewscastActor, SettledNodes
 from .engine import CycleEngine
 from .network import NetworkModel, RELIABLE
 from .random_source import RandomSource
@@ -187,6 +219,10 @@ class BootstrapSimulation:
         self.newscast: dict[int, NewscastNode] = {}
         self._next_address = 0
         self._node_factory = node_factory or BootstrapNode
+        # Settled receivers (module docstring): recorded at each
+        # measure while _settle holds, which a kill ends for good.
+        self._settled = SettledNodes()
+        self._settle = self._node_factory is BootstrapNode
 
         self.engine = CycleEngine(
             network, self._source.derive("bootstrap-engine")
@@ -251,7 +287,9 @@ class BootstrapSimulation:
             self._source.derive(("node", node_id)),
         )
         self.nodes[node_id] = node
-        self.engine.add_actor(node_id, BootstrapActor(node))
+        actor = BootstrapActor(node)
+        actor.settled = self._settled
+        self.engine.add_actor(node_id, actor)
         return node
 
     def _seed_newscast_views(self) -> None:
@@ -291,6 +329,8 @@ class BootstrapSimulation:
             self.newscast.pop(node_id, None)
             self.newscast_engine.remove_actor(node_id)
         self._membership_dirty = True
+        self._settle = False
+        self._settled.clear()
         return True
 
     def spawn_node(self, node_id: int | None = None) -> BootstrapNode:
@@ -316,6 +356,7 @@ class BootstrapSimulation:
                 )
             )
         self._membership_dirty = True
+        self._settled.clear()
         return node
 
     def absorb_pool(self, ids: Iterable[int]) -> list[BootstrapNode]:
@@ -353,10 +394,13 @@ class BootstrapSimulation:
 
     def measure(self) -> ConvergenceSample:
         """Measure convergence now (rebuilding the reference first if
-        membership changed)."""
+        membership changed) and record the settled nodes."""
         if self._membership_dirty:
             self._refresh_reference()
-        return self.tracker.measure(float(self.engine.cycle))
+        sample = self.tracker.measure(float(self.engine.cycle))
+        if self._settle:
+            self._settled.record(self.tracker.settled)
+        return sample
 
     def run(
         self,

@@ -274,6 +274,21 @@ class TestScenariosCLI:
         assert captured.err.count("\n") == 1
         assert "grid sizes must be integers >= 2" in captured.err
 
+    def test_run_fractional_base_seed_spec_file(self, capsys, tmp_path):
+        """A fractional base seed is refused, not truncated: 7.5 would
+        otherwise run silently as seed 7."""
+        code = main(["scenarios", "show", "figure3"])
+        document = json.loads(capsys.readouterr().out)
+        assert code == 0
+        document["grid"]["base_seed"] = 7.5
+        path = tmp_path / "bad_seed.json"
+        path.write_text(json.dumps(document))
+        code = main(["scenarios", "run", "--spec-file", str(path), "--smoke"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "base_seed must be an integer, got 7.5\n"
+
 
 class TestChaosCLI:
     def test_list_prints_catalogue(self, capsys):

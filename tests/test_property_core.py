@@ -11,8 +11,10 @@ example-based suites cannot enumerate:
 * ``PrefixTable`` slot-occupancy bounds and fill-only semantics;
 * kernel/core agreement on arbitrary (not merely random-unique) ids;
 * perfect tables are fixed points of UPDATELEAFSET + UPDATEPREFIXTABLE
-  over a static id set -- and stop being one once an id is killed (the
-  vector engine skips messages to settled receivers on exactly this).
+  over a static id set, on ``BootstrapNode`` and on the fast engine's
+  flat ``FastNodeState`` -- and stop being one once an id is killed
+  (every cycle engine skips messages to settled receivers on exactly
+  this).
 
 Guarded on the optional ``hypothesis`` dependency: the module skips
 cleanly where only the core test requirements are installed.
@@ -41,7 +43,7 @@ from repro.core import (  # noqa: E402
 )
 from repro.core.descriptor import dedupe_by_id, freshest_by_id  # noqa: E402
 from repro.core.leafset import select_balanced_ids  # noqa: E402
-from repro.engine_fast import kernels  # noqa: E402
+from repro.engine_fast import FastBootstrapSimulation, kernels  # noqa: E402
 
 SPACE = IDSpace()  # 64-bit, hex digits (the paper's geometry)
 SMALL_SPACE = IDSpace(bits=8, digit_bits=2)  # dense collisions
@@ -294,3 +296,67 @@ class TestPerfectTablesAreFixedPoints:
             )
         )
         assert killed in node.leaf_set.member_ids()
+
+
+def _perfect_state(config, live, own, fill_order):
+    """The fast engine's twin of :func:`_perfect_node`: a
+    ``FastNodeState`` holding its perfect tables for *live*, with the
+    simulation whose ``_absorb`` applies messages to it."""
+    sim = FastBootstrapSimulation(ids=live, config=config)
+    state = sim.nodes[own]
+    reference = sim.reference
+    sim._leaf_update(state, sorted(reference.perfect_leaf_ids(own)), None)
+    space = config.space
+    others = [nid for nid in fill_order if nid != own]
+    slots = kernels.prefix_slots(
+        others, own, space.bits, space.digit_bits, space.digit_base - 1
+    )
+    for nid, slot in zip(others, slots, strict=True):
+        held = state.prefix_slots.setdefault(slot, [])
+        if len(held) < config.entries_per_slot:
+            held.append(nid)
+            state.prefix_ids.add(nid)
+    assert state.leaf_members == reference.perfect_leaf_ids(own)
+    assert {slot: len(held) for slot, held in state.prefix_slots.items()} == {
+        (row << space.digit_bits) | col: count
+        for (row, col), count in reference.perfect_prefix_counts(own).items()
+    }
+    return sim, state
+
+
+class TestPerfectFastStatesAreFixedPoints:
+    @COMMON
+    @given(network=static_networks(), data=st.data())
+    def test_no_message_from_the_live_set_changes_them(self, network, data):
+        """The fast engine's ``_absorb`` leaves a perfect state alone
+        for any message of live ids: close part, slotted tail part and
+        envelope sender, duplicates included (a message never carries
+        its destination's own id)."""
+        config, ids, own = network
+        sim, state = _perfect_state(
+            config, ids, own, data.draw(st.permutations(ids))
+        )
+        leaf = set(state.leaf_members)
+        slots = {slot: list(held) for slot, held in state.prefix_slots.items()}
+        prefix = set(state.prefix_ids)
+        others = st.sampled_from([nid for nid in ids if nid != own])
+        space = config.space
+        messages = data.draw(
+            st.lists(
+                st.tuples(
+                    others,
+                    st.lists(others, max_size=30),
+                    st.lists(others, max_size=30),
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        for sender, close, tail in messages:
+            tail_slots = kernels.prefix_slots(
+                tail, own, space.bits, space.digit_bits, space.digit_base - 1
+            )
+            sim._absorb(state, (close, tail, tail_slots), sender)
+            assert state.leaf_members == leaf
+            assert state.prefix_slots == slots
+            assert state.prefix_ids == prefix

@@ -646,3 +646,23 @@ class TestLeafSetMatchesAlwaysReselect:
         table.add(NodeDescriptor(node_id=0, address="own"))
         assert not table.forget(3 << 60)
         assert table.version == before
+
+    def test_leaf_set_version_moves_on_every_change(self, space):
+        ls = LeafSet(space, 0, 2)
+        seen = [ls.version]
+        ls.update([NodeDescriptor(node_id=10, address="a")])
+        seen.append(ls.version)
+        # Same membership, fresher advertisement: a replaced entry.
+        ls.update([NodeDescriptor(node_id=10, address="b", timestamp=1.0)])
+        seen.append(ls.version)
+        ls.remove(10)
+        seen.append(ls.version)
+        assert len(set(seen)) == 4
+        # Nothing held changes, nothing to invalidate.
+        before = ls.version
+        ls.update([NodeDescriptor(node_id=0, address="own")])
+        ls.update([NodeDescriptor(node_id=20, address="c")])
+        moved = ls.version
+        ls.update([NodeDescriptor(node_id=20, address="c")])
+        assert not ls.remove(30)
+        assert moved != before and ls.version == moved

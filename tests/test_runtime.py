@@ -297,6 +297,11 @@ class TestMultiAxisGrid:
             ("max_cycles", -3),
             ("max_cycles", 0),
             ("max_cycles", 2.5),
+            ("base_seed", 7.5),
+            ("base_seed", "7"),
+            ("base_seed", True),
+            ("replicas", True),
+            ("replicas", [True, 1]),
         ],
     )
     def test_unrunnable_grid_rejected_when_built(self, field, value):
