@@ -44,6 +44,19 @@ started.  No table write happens outside this engine (there is no
 ``restart`` and no maintenance layer over flat state), so no table
 stamps are needed: a settled node's state changes only through the
 absorbs the rule skips.
+
+Work nobody reads
+-----------------
+Each message is built after its drop coin, in both gossip layers: a
+lost request builds neither message, a lost reply builds no reply,
+and a skipped bootstrap build still draws its ``cr`` samples, so the
+sampler streams stay in step with the reference engine's.  A reply is
+still built before the request it answers is absorbed.  Every built
+message is therefore absorbed exactly once (barring a request to a
+killed node).  :class:`FastConvergenceTracker` recomputes only the
+nodes whose ``FastNodeState.version`` moved since their last
+measurement; the engine bumps it wherever leaf membership or prefix
+ids change (``_set_leaf``, ``_absorb``, ``_start_node``).
 """
 
 from __future__ import annotations
@@ -90,7 +103,8 @@ class FastConvergenceTracker:
     :class:`repro.core.convergence.ConvergenceTracker` -- the deficits
     are sums over id sets, which is all the fast engine stores -- and
     the same :attr:`settled` list: the measured states with zero
-    deficit.
+    deficit.  Like the reference tracker it recomputes only the states
+    whose ``version`` moved since their last measurement.
     """
 
     def __init__(
@@ -115,6 +129,11 @@ class FastConvergenceTracker:
         # static between rebinds, so the trie walk and the slot packing
         # are paid once per node instead of once per measurement.
         self._packed_perfect: dict[int, list] = {}
+        # Per state (aligned with _states): (version, leaf, prefix)
+        # of its last measurement, valid while the reference is.
+        self._deficits: list[tuple[int, int, int] | None] = [None] * len(
+            self._states
+        )
 
     def _perfect_slots(self, node_id: int) -> list:
         packed = self._packed_perfect.get(node_id)
@@ -133,37 +152,24 @@ class FastConvergenceTracker:
         """Take one network-wide measurement, append it to
         :attr:`samples` and list the perfect states in :attr:`settled`
         (same metric as the reference tracker)."""
-        reference = self._reference
-        live = self._live
+        deficits = self._deficits
+        deficit = self._deficit
         missing_leaf = 0
         missing_prefix = 0
         settled = self.settled = []
-        for state in self._states:
-            members = state.leaf_members
-            current = members if members <= live else members & live
-            leaf = len(reference.perfect_leaf_ids(state.node_id) - current)
-            prefix = 0
-            slots = state.prefix_slots
-            if state.prefix_ids <= live:
-                for slot, needed in self._perfect_slots(state.node_id):
-                    held = slots.get(slot)
-                    have = len(held) if held else 0
-                    if have < needed:
-                        prefix += needed - have
+        for index, state in enumerate(self._states):
+            cached = deficits[index]
+            if cached is not None and cached[0] == state.version:
+                _, leaf, prefix = cached
             else:
-                for slot, needed in self._perfect_slots(state.node_id):
-                    held = slots.get(slot)
-                    have = (
-                        sum(1 for nid in held if nid in live) if held else 0
-                    )
-                    if have < needed:
-                        prefix += needed - have
+                leaf, prefix = deficit(state)
+                deficits[index] = (state.version, leaf, prefix)
             if leaf or prefix:
                 missing_leaf += leaf
                 missing_prefix += prefix
             else:
                 settled.append(state)
-        total_leaf, total_prefix = reference.totals()
+        total_leaf, total_prefix = self._reference.totals()
         sample = ConvergenceSample(
             cycle=cycle,
             missing_leaf=missing_leaf,
@@ -173,6 +179,29 @@ class FastConvergenceTracker:
         )
         self.samples.append(sample)
         return sample
+
+    def _deficit(self, state: FastNodeState) -> tuple[int, int]:
+        """``(missing leaf, missing prefix)`` of one state, counting
+        only live ids."""
+        live = self._live
+        members = state.leaf_members
+        current = members if members <= live else members & live
+        leaf = len(self._reference.perfect_leaf_ids(state.node_id) - current)
+        prefix = 0
+        slots = state.prefix_slots
+        if state.prefix_ids <= live:
+            for slot, needed in self._perfect_slots(state.node_id):
+                held = slots.get(slot)
+                have = len(held) if held else 0
+                if have < needed:
+                    prefix += needed - have
+        else:
+            for slot, needed in self._perfect_slots(state.node_id):
+                held = slots.get(slot)
+                have = sum(1 for nid in held if nid in live) if held else 0
+                if have < needed:
+                    prefix += needed - have
+        return leaf, prefix
 
 
 class FastBootstrapSimulation:
@@ -381,6 +410,7 @@ class FastBootstrapSimulation:
         start step wipes that prefix state (but keeps the leaf set)."""
         state.prefix_slots.clear()
         state.prefix_ids.clear()
+        state.version += 1
         self._leaf_update(state, state.sampler.sample(self._c), None)
         state.started = True
 
@@ -483,6 +513,7 @@ class FastBootstrapSimulation:
         ranking and per-side admission bounds."""
         state.leaf_members = members
         state.leaf_sorted = None
+        state.version += 1
         own = state.node_id
         mask = self._mask
         half_ring = self._half_ring
@@ -524,6 +555,7 @@ class FastBootstrapSimulation:
         own = state.node_id
         members = state.leaf_members
         prefix_ids = state.prefix_ids
+        held_before = len(prefix_ids)
         table = state.prefix_slots
         digit_bits = self._digit_bits
         base_mask = self._base_mask
@@ -597,6 +629,8 @@ class FastBootstrapSimulation:
         # processed last, matching the reference's payload-then-sender
         # order (it competes for prefix slots after the tail ids).
         scan_unslotted((sender_id,))
+        if len(prefix_ids) != held_before:
+            state.version += 1
         if fresh and effective:
             self._merge_fresh(state, members, fresh)
 
@@ -645,34 +679,36 @@ class FastBootstrapSimulation:
             peer_id = select_peer(state)
             if peer_id is None:
                 continue
-            # Settled receivers (module docstring): no build, same draws.
+            stats.exchanges += 1
+            stats.requests_sent += 1
+            # Each message is built after its coin (module docstring);
+            # a lost or settled-bound one still draws its samples.
+            if drop_p and rand() < drop_p:
+                state.sampler.sample(cr)
+                stats.requests_dropped += 1
+                stats.suppressed_replies += 1
+                continue
             if peer_id in settled:
                 state.sampler.sample(cr)
                 request = None
             else:
                 request = create_message(state, peer_id)
-            stats.exchanges += 1
-            stats.requests_sent += 1
-            if drop_p and rand() < drop_p:
-                stats.requests_dropped += 1
-                stats.suppressed_replies += 1
-                continue
             target = get(peer_id)
             if target is None:
                 stats.void_requests += 1
                 stats.suppressed_replies += 1
                 continue
-            if nid in settled:
+            stats.replies_sent += 1
+            lost = drop_p and rand() < drop_p
+            if lost:
+                stats.replies_dropped += 1
+            if lost or nid in settled:
                 target.sampler.sample(cr)
                 reply = None
             else:
                 reply = create_message(target, nid)
             if request is not None:
                 absorb(target, request, nid)
-            stats.replies_sent += 1
-            if drop_p and rand() < drop_p:
-                stats.replies_dropped += 1
-                continue
             if reply is not None:
                 absorb(state, reply, peer_id)
         layer.cycle += 1
@@ -701,24 +737,25 @@ class FastBootstrapSimulation:
             peer_id = view.select_peer()
             if peer_id is None:
                 continue
-            request = view.payload()
             stats.exchanges += 1
             stats.requests_sent += 1
             if drop_p and rand() < drop_p:
                 stats.requests_dropped += 1
                 stats.suppressed_replies += 1
                 continue
+            request = view.payload()
             target = get(peer_id)
             if target is None:
                 stats.void_requests += 1
                 stats.suppressed_replies += 1
                 continue
-            reply = target.payload()
-            target.merge(request)
             stats.replies_sent += 1
             if drop_p and rand() < drop_p:
                 stats.replies_dropped += 1
+                target.merge(request)
                 continue
+            reply = target.payload()
+            target.merge(request)
             view.merge(reply)
         layer.cycle += 1
 

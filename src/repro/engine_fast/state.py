@@ -19,6 +19,7 @@ below name the mirrored reference method for each such site.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 __all__ = [
     "randbelow_of",
@@ -197,10 +198,11 @@ class FastNewscastView:
             if current is None or ts > current:
                 entries[nid] = ts
         if len(entries) > self.capacity:
-            survivors = sorted(
-                entries.items(), key=lambda p: (-p[1], p[0])
-            )[: self.capacity]
-            self.entries = dict(survivors)
+            # Ids are unique, so sorting the pairs orders them by id;
+            # the stable timestamp sort then gives (-timestamp, id).
+            survivors = sorted(entries.items())
+            survivors.sort(key=itemgetter(1), reverse=True)
+            self.entries = dict(survivors[: self.capacity])
 
     def sample(self, count: int) -> list[int]:
         """Mirror of ``PartialView.random_sample`` (the bootstrap layer's
@@ -220,7 +222,10 @@ class FastNodeState:
     ``leaf_sorted`` caches the distance-ranked leaf ids between
     membership changes, as the reference ``LeafSet.closest_half()``
     caches its list.  ``prefix_slots`` keys are
-    packed ``(row << digit_bits) | column`` ints.
+    packed ``(row << digit_bits) | column`` ints.  ``version`` changes
+    whenever the leaf membership or the prefix ids do (the engine
+    bumps it), so a stamp taken from the state can tell when it is
+    stale.
     """
 
     __slots__ = (
@@ -238,6 +243,7 @@ class FastNodeState:
         "prefix_slots",
         "prefix_ids",
         "started",
+        "version",
     )
 
     def __init__(self, node_id: int, rng: random.Random, sampler) -> None:
@@ -261,3 +267,4 @@ class FastNodeState:
         self.prefix_slots: dict[int, list[int]] = {}
         self.prefix_ids: set = set()
         self.started = False
+        self.version = 0

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 from ..core.descriptor import NodeDescriptor
 
 __all__ = ["PartialView"]
+
+_node_id = attrgetter("node_id")
+_timestamp = attrgetter("timestamp")
 
 
 class PartialView:
@@ -91,10 +95,14 @@ class PartialView:
         if len(entries) > self._capacity:
             # Keep the freshest `capacity` entries; ties broken by id so
             # the outcome is deterministic for deterministic inputs.
-            survivors = sorted(
-                entries.values(), key=lambda d: (-d.timestamp, d.node_id)
-            )[: self._capacity]
-            self._entries = {d.node_id: d for d in survivors}
+            # Two stable C-keyed sorts (id, then timestamp descending)
+            # give the (-timestamp, id) order without a Python key call
+            # per entry.
+            survivors = sorted(entries.values(), key=_node_id)
+            survivors.sort(key=_timestamp, reverse=True)
+            self._entries = {
+                d.node_id: d for d in survivors[: self._capacity]
+            }
 
     # ------------------------------------------------------------------
     # Sampling

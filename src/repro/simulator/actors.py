@@ -17,6 +17,15 @@ settled receiver absorbs nothing.  The skipped build still draws its
 ``cr`` samples (:meth:`BootstrapNode.skip_message`); peer selection,
 drop coins and transport accounting run as before.  The simulation
 owns the gates (see its module docstring).
+
+Build after the coin
+--------------------
+Both actors build through the engine's lazy hooks
+(:meth:`~repro.simulator.engine.RequestReplyActor.pick`, ``respond``,
+``send``), so a message the network loses is never built.  A lost
+bootstrap message still draws its ``cr`` samples, and an answer is
+still built from the responder's pre-exchange state: its draft carries
+the request, which ``send`` applies only after building the answer.
 """
 
 from __future__ import annotations
@@ -79,8 +88,8 @@ class SettledNodes:
 
 class Unbuilt:
     """A message the cycle engine did not build because its receiver is
-    settled.  Only the sender travels, so a target can still tell whom
-    it answers."""
+    settled (or the network lost it).  Only the sender travels, so a
+    target can still tell whom it answers."""
 
     __slots__ = ("sender",)
 
@@ -88,7 +97,24 @@ class Unbuilt:
         self.sender = sender
 
 
-class BootstrapActor(RequestReplyActor):
+class _BuildsAfterCoin(RequestReplyActor):
+    """The eager exchange API over the lazy hooks: a direct caller
+    gets every message built, as if the network delivered it."""
+
+    __slots__ = ()
+
+    def begin_exchange(self) -> tuple[Hashable, object] | None:
+        picked = self.pick()
+        if picked is None:
+            return None
+        target_key, draft = picked
+        return target_key, self.send(draft, True)
+
+    def answer(self, request: object) -> object:
+        return self.send(self.respond(request), True)
+
+
+class BootstrapActor(_BuildsAfterCoin):
     """Drives a :class:`BootstrapNode` through the cycle engine.
 
     The loosely synchronised start (paper Section 4, last paragraph) is
@@ -99,58 +125,72 @@ class BootstrapActor(RequestReplyActor):
 
     ``settled`` holds the ids of the settled nodes (module docstring);
     it is empty unless a simulation shares its :class:`SettledNodes`,
-    so an actor on its own builds every message.
+    so an actor on its own builds every delivered message.  A lost
+    message goes unbuilt only while CREATEMESSAGE is the protocol's
+    own (``skips_lost``): ablation variants override it, and some
+    draw randomness in it that :meth:`BootstrapNode.skip_message`
+    does not.
     """
 
-    __slots__ = ("node", "settled")
+    __slots__ = ("node", "settled", "skips_lost")
 
     def __init__(self, node: BootstrapNode) -> None:
         self.node = node
         self.settled: Container[int] = frozenset()
+        self.skips_lost = (
+            type(node).create_message is BootstrapNode.create_message
+        )
 
     def set_time(self, now: float) -> None:
         self.node.set_time(now)
 
-    def begin_exchange(
+    def pick(
         self,
-    ) -> tuple[Hashable, BootstrapMessage | Unbuilt] | None:
+    ) -> tuple[Hashable, tuple[NodeDescriptor, None]] | None:
         node = self.node
         if not node.started:
             node.start()
         peer = node.select_peer()
         if peer is None:
             return None
-        if peer.node_id in self.settled:
-            node.skip_message()
-            return peer.node_id, Unbuilt(node.descriptor)
-        return peer.node_id, node.request(peer)
+        return peer.node_id, (peer, None)
 
-    def answer(
+    def respond(
         self, request: BootstrapMessage | Unbuilt
+    ) -> tuple[NodeDescriptor, BootstrapMessage | Unbuilt]:
+        return request.sender, request
+
+    def send(
+        self,
+        draft: tuple[NodeDescriptor, BootstrapMessage | Unbuilt | None],
+        delivered: bool,
     ) -> BootstrapMessage | Unbuilt:
+        peer, request = draft
         node = self.node
-        requester = request.sender
-        if requester.node_id in self.settled:
+        if peer.node_id in self.settled or (self.skips_lost and not delivered):
             node.skip_message()
-            reply: BootstrapMessage | Unbuilt = Unbuilt(node.descriptor)
+            message: BootstrapMessage | Unbuilt = Unbuilt(node.descriptor)
+        elif request is None:
+            message = node.request(peer)
         else:
-            reply = node.reply(requester)
-        if type(request) is not Unbuilt:
+            message = node.reply(peer)
+        if request is not None and type(request) is not Unbuilt:
             node.stats.requests_received += 1
             node.absorb(request)
-        return reply
+        return message
 
     def complete(self, reply: BootstrapMessage | Unbuilt) -> None:
         if type(reply) is not Unbuilt:
             self.node.handle_reply(reply)
 
 
-class NewscastActor(RequestReplyActor):
+class NewscastActor(_BuildsAfterCoin):
     """Drives a :class:`NewscastNode` through the cycle engine.
 
     The payload of an exchange is the tuple of descriptors produced by
     :meth:`NewscastNode.gossip_payload`; answers are built from the
     responder's pre-merge view, mirroring a symmetric UDP exchange.
+    A payload the network loses is never built.
     """
 
     __slots__ = ("node",)
@@ -161,16 +201,20 @@ class NewscastActor(RequestReplyActor):
     def set_time(self, now: float) -> None:
         self.node.set_time(now)
 
-    def begin_exchange(self) -> tuple[Hashable, tuple] | None:
+    def pick(self) -> tuple[Hashable, None] | None:
         peer = self.node.select_peer()
         if peer is None:
             return None
-        return peer.node_id, self.node.gossip_payload()
+        return peer.node_id, None
 
-    def answer(self, request: Iterable) -> tuple:
-        reply = self.node.gossip_payload()
-        self.node.merge(request)
-        return reply
+    def respond(self, request: Iterable) -> Iterable:
+        return request
+
+    def send(self, draft: Iterable | None, delivered: bool) -> tuple | None:
+        payload = self.node.gossip_payload() if delivered else None
+        if draft is not None:
+            self.node.merge(draft)
+        return payload
 
     def complete(self, reply: Iterable) -> None:
         self.node.merge(reply)

@@ -49,6 +49,13 @@ What differs: a settled node stops absorbing fresher advertisements,
 so the descriptor timestamps it holds may be older (nothing in a cycle
 engine reads them), and :class:`~repro.core.protocol.ProtocolStats`
 counts only the messages that were actually built.
+
+Independently of settling, both engines build each message only after
+its drop coin delivered it (see :mod:`repro.simulator.engine`): a lost
+message is never built, but its ``cr`` samples are still drawn, so
+``ProtocolStats`` counts no lost message either.  Ablation node
+factories, whose CREATEMESSAGE may draw more than the samples, still
+build their lost messages.
 """
 
 from __future__ import annotations

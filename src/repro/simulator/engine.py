@@ -13,6 +13,13 @@ abstraction, :class:`RequestReplyActor`, and applies the message-loss
 model with the paper's coupling (a dropped request suppresses the
 answer).
 
+Messages are built after their drop coin: the engine tosses a
+message's coin first and asks the actor for the message only once the
+network delivers it (:meth:`RequestReplyActor.send`), so a lost
+request builds neither message and a lost answer builds no answer.
+Coins come from the engine's stream and message contents from the
+actors' own, so the order of the two never shows in a trajectory.
+
 The engine knows nothing about identifiers beyond using them as
 directory keys, and nothing about payloads at all.
 """
@@ -37,6 +44,12 @@ class RequestReplyActor(Generic[Payload]):
     :class:`~repro.core.protocol.BootstrapNode`, a
     :class:`~repro.sampling.newscast.NewscastNode`, ...) to the engine's
     three-phase exchange.
+
+    The engine drives an exchange through :meth:`pick`, :meth:`respond`
+    and :meth:`send`, which let an actor build a message only once its
+    drop coin has delivered it.  Their defaults hand out the messages
+    :meth:`begin_exchange` and :meth:`answer` build eagerly, so an
+    actor that implements only those two works unchanged.
 
     The empty ``__slots__`` keeps concrete actors dict-free when they
     declare their own slots (a population is one actor per node, so the
@@ -65,6 +78,31 @@ class RequestReplyActor(Generic[Payload]):
     def complete(self, reply: Payload) -> None:
         """Active-thread completion: apply the received answer."""
         raise NotImplementedError
+
+    def pick(self) -> tuple[Hashable, object] | None:
+        """Active-thread step up to the send: ``(target_key, draft)``,
+        or ``None`` to skip this cycle.  :meth:`send` turns the draft
+        into the request.  Default: :meth:`begin_exchange`, whose
+        request is its own draft."""
+        return self.begin_exchange()
+
+    def respond(self, request: Payload) -> object | None:
+        """Passive-thread step up to the send: the draft of the answer
+        to *request*, or ``None`` for no answer (then no coin is tossed
+        for one).  Default: :meth:`answer`, built and applied at once."""
+        return self.answer(request)
+
+    def send(self, draft: object, delivered: bool) -> Payload | None:
+        """The message *draft* stands for, once the engine knows
+        whether the network delivers it.
+
+        An actor that builds lazily builds only a *delivered* message;
+        an answer's draft also applies the request it answers, after
+        building the answer from the pre-exchange state.  The return
+        value of an undelivered message is ignored.  Default: the
+        draft itself (built eagerly by :meth:`pick`/:meth:`respond`).
+        """
+        return draft  # type: ignore[return-value]
 
     def on_no_reply(self, target_key: Hashable) -> None:
         """Timeout notification: the exchange this actor initiated with
@@ -197,34 +235,39 @@ class CycleEngine:
 
     def run_exchange(self, actor: RequestReplyActor) -> None:
         """Drive a single request/answer exchange for *actor*, applying
-        the loss model with the paper's request/answer coupling."""
-        begun = actor.begin_exchange()
-        if begun is None:
+        the loss model with the paper's request/answer coupling.  Each
+        message is built after its coin (module docstring)."""
+        picked = actor.pick()
+        if picked is None:
             return
-        target_key, request = begun
+        target_key, draft = picked
         stats = self.stats
         network = self.network
         rng = self._rng
         stats.exchanges += 1
         stats.requests_sent += 1
         if network.should_drop(rng):
+            actor.send(draft, False)
             stats.requests_dropped += 1
             stats.suppressed_replies += 1
             actor.on_no_reply(target_key)
             return
+        request = actor.send(draft, True)
         target = self._directory.get(target_key)
         if target is None:
             stats.void_requests += 1
             stats.suppressed_replies += 1
             actor.on_no_reply(target_key)
             return
-        reply = target.answer(request)
-        if reply is None:
+        answer = target.respond(request)
+        if answer is None:
             stats.suppressed_replies += 1
             actor.on_no_reply(target_key)
             return
         stats.replies_sent += 1
-        if network.should_drop(rng):
+        delivered = not network.should_drop(rng)
+        reply = target.send(answer, delivered)
+        if not delivered:
             stats.replies_dropped += 1
             actor.on_no_reply(target_key)
             return

@@ -60,6 +60,21 @@ class ExperimentSpec:
             raise ValueError(
                 f"engine must be one of {ENGINE_KINDS}, got {self.engine!r}"
             )
+        # A size below 2 is left to the engines (a failing run is a
+        # shard failure), but a float or bool size would silently
+        # build a network of another size.
+        if isinstance(self.size, bool) or not isinstance(self.size, int):
+            raise ValueError(f"size must be an integer, got {self.size!r}")
+        for name in ("max_cycles", "measure_every"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, int)
+                or value < 1
+            ):
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
 
     def with_seed(self, seed: int) -> ExperimentSpec:
         """This spec under a different master seed."""

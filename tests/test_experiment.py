@@ -32,6 +32,23 @@ class TestSpec:
         assert desc["drop"] == 0.2
         assert desc["c"] == 8
 
+    @pytest.mark.parametrize("size", [8.7, 32.0, True, "32", None])
+    def test_non_integer_size_is_rejected(self, size):
+        # 8.7 used to build a 9-node network on every engine.
+        with pytest.raises(ValueError, match="size must be an integer"):
+            ExperimentSpec(size=size)
+
+    def test_small_size_is_left_to_the_run(self):
+        spec = ExperimentSpec(size=1, config=FAST)
+        with pytest.raises(ValueError, match="size >= 2"):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("field", ["max_cycles", "measure_every"])
+    @pytest.mark.parametrize("value", [0, -3, 2.0, True])
+    def test_cycle_counts_are_checked_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            ExperimentSpec(size=32, **{field: value})
+
 
 class TestRunning:
     def test_run_experiment(self):
