@@ -87,7 +87,7 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
         default="reference",
         help=(
             "cycle-engine implementation; 'fast' is the array-backed "
-            "kernel (bit-identical trajectories, >=2x throughput), "
+            "kernel (bit-identical trajectories, faster), "
             "'vector' batches whole cycles in numpy (seeded-but-"
             "different stream, statistically equivalent, >=5x)"
         ),

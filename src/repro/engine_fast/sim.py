@@ -1,8 +1,8 @@
 """The array-backed cycle engine (drop-in twin of the reference one).
 
-:class:`FastBootstrapSimulation` exposes the same constructor, the same
-membership-mutation surface (``kill_node``/``spawn_node``/
-``absorb_pool``), and the same ``run``/``measure`` API as
+:class:`FastBootstrapSimulation` shares the simulation shell
+(:class:`~repro.simulator.bootstrap_sim.CycleSimulation`: constructor
+checks, spawn identifiers, ``run``) with
 :class:`repro.simulator.bootstrap_sim.BootstrapSimulation`, and produces
 **bit-identical** :class:`~repro.simulator.bootstrap_sim.SimulationResult`
 trajectories for any ``(seed, size, network, sampler, schedules)``.
@@ -67,9 +67,8 @@ from collections.abc import Iterable, Sequence
 from ..core.config import BootstrapConfig, PAPER_CONFIG
 from ..core.convergence import ConvergenceSample
 from ..core.reference import ReferenceTables
-from ..simulator.bootstrap_sim import SAMPLER_KINDS, SimulationResult
+from ..simulator.bootstrap_sim import CycleSimulation
 from ..simulator.network import NetworkModel, RELIABLE, TransportStats
-from ..simulator.random_source import RandomSource
 from . import kernels
 from .state import (
     FastNewscastView,
@@ -204,7 +203,7 @@ class FastConvergenceTracker:
         return leaf, prefix
 
 
-class FastBootstrapSimulation:
+class FastBootstrapSimulation(CycleSimulation):
     """Array-backed twin of :class:`BootstrapSimulation`.
 
     Accepts the same parameters (minus ``node_factory``, which is the
@@ -225,20 +224,17 @@ class FastBootstrapSimulation:
         sampler: str = "oracle",
         newscast_view_size: int = 30,
     ) -> None:
-        if sampler not in SAMPLER_KINDS:
-            raise ValueError(
-                f"sampler must be one of {SAMPLER_KINDS}, got {sampler!r}"
-            )
-        if ids is None:
-            if size is None or size < 2:
-                raise ValueError("need size >= 2 or an explicit id list")
-        self.config = config
-        self.seed = seed
-        self.network = network
-        self.sampler_kind = sampler
-        self._source = RandomSource(seed)
-        space = config.space
-        self._space = space
+        super().__init__(
+            size, ids, config, seed, network, sampler, newscast_view_size
+        )
+        self.reference = self._perfect_tables()
+        self.tracker = FastConvergenceTracker(
+            self.reference, self.nodes.values(), self._digit_bits
+        )
+
+    def _open(self) -> None:
+        space = self._space
+        config = self.config
         # Cached geometry and parameters for the exchange hot path.
         self._mask = space.size - 1
         self._half_ring = space.half
@@ -252,64 +248,30 @@ class FastBootstrapSimulation:
         self._slot_tables = kernels.slot_tables(space.bits, space.digit_bits)
         self._row_of, self._shift_of = self._slot_tables
 
-        if ids is None:
-            id_list = space.random_unique_ids(size, self._source.derive("ids"))
-        else:
-            id_list = list(ids)
-            if len(set(id_list)) != len(id_list):
-                raise ValueError("identifier list contains duplicates")
-            for node_id in id_list:
-                space.validate(node_id)
-            if len(id_list) < 2:
-                raise ValueError("need at least 2 identifiers")
-
         self.registry = FastRegistry()
-        self.nodes: dict[int, FastNodeState] = {}
         self.newscast: dict[int, FastNewscastView] = {}
-        self._next_address = 0
-
         self._boot = _Layer(self._source.derive("bootstrap-engine"))
         self._news: _Layer | None = None
-        if sampler == "newscast":
+        if self.sampler_kind == "newscast":
             self._news = _Layer(self._source.derive("newscast-engine"))
-        self._newscast_view_size = newscast_view_size
-
-        for node_id in id_list:
-            self._admit(node_id)
-        if sampler == "newscast":
-            self._seed_newscast_views()
-
-        self.reference = ReferenceTables(
-            space, id_list, config.leaf_set_size, config.entries_per_slot
-        )
-        self.tracker = FastConvergenceTracker(
-            self.reference, self.nodes.values(), self._digit_bits
-        )
-        self._membership_dirty = False
         # Settled receivers (module docstring): ids recorded at each
         # measure while _settle holds, which a kill ends for good.
         self._settled: set[int] = set()
         self._settle = True
 
     # ------------------------------------------------------------------
-    # Node admission / removal (same seed-tree names as the reference)
+    # Membership (same seed-tree names as the reference)
     # ------------------------------------------------------------------
 
     def _admit(self, node_id: int) -> FastNodeState:
-        # Same validation point as the reference (BootstrapNode's
-        # constructor): a bad id raises cleanly instead of corrupting
-        # the geometry tables mid-cycle.
-        self._space.validate(node_id)
-        self._next_address += 1
         self.registry.add(node_id)
-        if self.sampler_kind == "newscast":
+        if self._news is not None:
             view = FastNewscastView(
                 node_id,
                 self._newscast_view_size,
                 self._source.derive(("newscast", node_id)),
             )
             self.newscast[node_id] = view
-            assert self._news is not None
             self._news.dirty = True
             node_sampler = view
         else:
@@ -323,33 +285,18 @@ class FastBootstrapSimulation:
         )
         self.nodes[node_id] = state
         self._boot.dirty = True
+        self._settled = set()
         return state
 
-    def _seed_newscast_views(self) -> None:
-        rng = self._source.derive("newscast-seed")
-        for view in self.newscast.values():
-            ids = self.registry.sample(
-                self._newscast_view_size, rng, exclude_id=view.own_id
-            )
-            view.merge([(nid, 0.0) for nid in ids])
-
-    # ------------------------------------------------------------------
-    # Membership mutation (the schedule-facing surface)
-    # ------------------------------------------------------------------
-
-    @property
-    def population(self) -> int:
-        """Current number of live nodes."""
-        return len(self.nodes)
-
-    @property
-    def live_ids(self) -> list[int]:
-        """Identifiers of live nodes (admission order, like the
-        reference's node dict)."""
-        return list(self.nodes)
+    def _seed_view(self, node_id: int, rng: random.Random) -> None:
+        ids = self.registry.sample(
+            self._newscast_view_size, rng, exclude_id=node_id
+        )
+        self.newscast[node_id].merge([(nid, 0.0) for nid in ids])
 
     def kill_node(self, node_id: int) -> bool:
-        """Crash *node_id* (mirrors ``BootstrapSimulation.kill_node``)."""
+        """Crash *node_id*: it stops sending, answering, and being a
+        valid table entry.  Returns whether the node was live."""
         state = self.nodes.pop(node_id, None)
         if state is None:
             return False
@@ -362,41 +309,6 @@ class FastBootstrapSimulation:
         self._settle = False
         self._settled = set()
         return True
-
-    def spawn_node(self, node_id: int | None = None) -> FastNodeState:
-        """Join a brand-new node (mirrors the reference's seed-stream
-        derivation: ``("spawn", next_address)`` before admission)."""
-        if node_id is None:
-            rng = self._source.derive(("spawn", self._next_address))
-            node_id = self._space.random_id(rng)
-            while node_id in self.nodes:
-                node_id = self._space.random_id(rng)
-        elif node_id in self.nodes:
-            raise ValueError(f"identifier {node_id:#x} already live")
-        state = self._admit(node_id)
-        if self.sampler_kind == "newscast":
-            rng = self._source.derive(("newscast-join", node_id))
-            ids = self.registry.sample(
-                self._newscast_view_size, rng, exclude_id=node_id
-            )
-            self.newscast[node_id].merge([(nid, 0.0) for nid in ids])
-        self._membership_dirty = True
-        self._settled = set()
-        return state
-
-    def absorb_pool(self, ids: Iterable[int]) -> list[FastNodeState]:
-        """Merge a pool of identifiers into this network."""
-        return [self.spawn_node(node_id) for node_id in ids]
-
-    def _refresh_reference(self) -> None:
-        self.reference = ReferenceTables(
-            self._space,
-            self.nodes.keys(),
-            self.config.leaf_set_size,
-            self.config.entries_per_slot,
-        )
-        self.tracker.rebind(self.reference, self.nodes.values())
-        self._membership_dirty = False
 
     # ------------------------------------------------------------------
     # Protocol transitions over flat state
@@ -638,11 +550,6 @@ class FastBootstrapSimulation:
     # Cycle execution
     # ------------------------------------------------------------------
 
-    @property
-    def cycle(self) -> int:
-        """Number of completed cycles."""
-        return self._boot.cycle
-
     def run_cycle(self) -> None:
         """One Δ interval: NEWSCAST gossips first (when live), then
         every bootstrap node performs one exchange -- the reference
@@ -760,7 +667,7 @@ class FastBootstrapSimulation:
         layer.cycle += 1
 
     # ------------------------------------------------------------------
-    # Measurement and experiment running (reference API)
+    # Measurement
     # ------------------------------------------------------------------
 
     def measure(self) -> ConvergenceSample:
@@ -774,53 +681,3 @@ class FastBootstrapSimulation:
                 state.node_id for state in self.tracker.settled if state.started
             }
         return sample
-
-    def run(
-        self,
-        max_cycles: int = 60,
-        *,
-        stop_when_perfect: bool = True,
-        schedules: Sequence[object] = (),
-        measure_every: int = 1,
-    ) -> SimulationResult:
-        """Run the experiment (same semantics and parameters as
-        ``BootstrapSimulation.run``)."""
-        if max_cycles < 1:
-            raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
-        if measure_every < 1:
-            raise ValueError(
-                f"measure_every must be >= 1, got {measure_every}"
-            )
-        started_at = self._boot.cycle
-        for cycle_index in range(max_cycles):
-            for schedule in schedules:
-                schedule.apply(self, cycle_index)
-            self.run_cycle()
-            if (cycle_index + 1) % measure_every == 0:
-                sample = self.measure()
-                if stop_when_perfect and sample.is_perfect:
-                    break
-        if not self.tracker.samples:
-            self.measure()
-        return self._result(started_at)
-
-    def _result(self, started_at: int = 0) -> SimulationResult:
-        converged_at = next(
-            (
-                s.cycle
-                for s in self.tracker.samples
-                if s.cycle > started_at and s.is_perfect
-            ),
-            None,
-        )
-        return SimulationResult(
-            samples=tuple(self.tracker.samples),
-            converged_at=converged_at,
-            population=self.population,
-            transport=self._boot.stats.snapshot(),
-            config=self.config,
-            seed=self.seed,
-            cycles_run=self._boot.cycle - started_at,
-            started_at_cycle=started_at,
-            engine="fast",
-        )

@@ -1,10 +1,11 @@
 """The vectorised-semantics cycle engine (``engine="vector"``).
 
 :class:`VectorBootstrapSimulation` is the third engine behind the
-engine seam.  It exposes the same constructor, membership-mutation
-surface (``kill_node``/``spawn_node``/``absorb_pool``) and
-``run``/``measure`` API as the reference and fast engines, and runs the
-paper's protocol (Figure 2) under **wave-synchronous activation**:
+engine seam.  It shares the simulation shell
+(:class:`~repro.simulator.bootstrap_sim.CycleSimulation`: constructor
+checks, spawn identifiers, ``run``) with the reference and fast
+engines, and runs the paper's protocol (Figure 2) under
+**wave-synchronous activation**:
 
 * A cycle activates the nodes in a uniformly random order, in waves.
   Every message of a wave is built (CREATEMESSAGE) from wave-start
@@ -87,7 +88,7 @@ engines.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as _np
 
@@ -96,9 +97,9 @@ from ..core.convergence import ConvergenceSample
 from ..core.reference import ReferenceTables
 from ..engine_fast import kernels
 from ..engine_fast.state import FastRegistry
-from ..simulator.bootstrap_sim import SAMPLER_KINDS, SimulationResult
+from ..simulator.bootstrap_sim import CycleSimulation
 from ..simulator.network import NetworkModel, RELIABLE, TransportStats
-from ..simulator.random_source import RandomSource, derive_seed
+from ..simulator.random_source import derive_seed
 from .arena import Arena, ArenaState, SlabMeasure, ViewSlab
 from .rng import NumpyDrawSource
 
@@ -1147,7 +1148,7 @@ class VectorConvergenceTracker:
         return sample
 
 
-class VectorBootstrapSimulation:
+class VectorBootstrapSimulation(CycleSimulation):
     """Whole-cycle-batched twin of :class:`BootstrapSimulation`.
 
     Same parameters and experiment surface as the other engines; see
@@ -1169,19 +1170,8 @@ class VectorBootstrapSimulation:
         newscast_view_size: int = 30,
         wave: int | None = None,
     ) -> None:
-        if sampler not in SAMPLER_KINDS:
-            raise ValueError(
-                f"sampler must be one of {SAMPLER_KINDS}, got {sampler!r}"
-            )
         if wave is not None and wave < 1:
             raise ValueError(f"wave must be >= 1, got {wave}")
-        if ids is None:
-            if size is None or size < 2:
-                raise ValueError("need size >= 2 or an explicit id list")
-        self.config = config
-        self.seed = seed
-        self.network = network
-        self.sampler_kind = sampler
         # Wave size: how many exchanges are message-built together
         # from wave-start state per batch (None = ``max(1, n // 16)``,
         # scaling with the population so the ``W/n`` staleness ratio
@@ -1190,63 +1180,41 @@ class VectorBootstrapSimulation:
         self._ops = _NumpyOps(
             config, capacity=len(ids) if ids is not None else int(size or 0)
         )
-        self._source = RandomSource(seed)
         self._draws = NumpyDrawSource(derive_seed(seed, "vector-rng"))
-        space = config.space
-        self._space = space
-        self._c = config.leaf_set_size
-        self._cr = config.random_samples
+        super().__init__(
+            size, ids, config, seed, network, sampler, newscast_view_size
+        )
+        self.tracker = VectorConvergenceTracker(
+            self._ops, self.nodes.values()
+        )
 
-        if ids is None:
-            id_list = space.random_unique_ids(size, self._source.derive("ids"))
-        else:
-            id_list = list(ids)
-            if len(set(id_list)) != len(id_list):
-                raise ValueError("identifier list contains duplicates")
-            for node_id in id_list:
-                space.validate(node_id)
-            if len(id_list) < 2:
-                raise ValueError("need at least 2 identifiers")
-
+    def _open(self) -> None:
+        self._c = self.config.leaf_set_size
+        self._cr = self.config.random_samples
         self.registry = FastRegistry()
-        self.nodes: dict[int, object] = {}
-        self._next_address = 0
         self._pool = None
         # Every identifier ever admitted, in admission order; the
         # sorted numpy form is the wave absorb's dense id universe
         # (dead ids stay -- they persist in tables and messages).
         self._ids_ever: list[int] = []
         self._universe = None
-
+        self._reference: ReferenceTables | None = None
+        self._ever_killed = False
         self._boot = _Layer()
         self._news: _Layer | None = None
-        if sampler == "newscast":
+        if self.sampler_kind == "newscast":
             self._news = _Layer()
             arena = self._ops.arena
-            arena.views = ViewSlab(arena.capacity, newscast_view_size)
-        self._newscast_view_size = newscast_view_size
-
-        for node_id in id_list:
-            self._admit(node_id)
-        if sampler == "newscast":
-            self._seed_newscast_views()
-
-        self._reference: ReferenceTables | None = None
-        self.tracker = VectorConvergenceTracker(
-            self._ops, self.nodes.values()
-        )
-        self._membership_dirty = False
-        self._ever_killed = False
+            arena.views = ViewSlab(arena.capacity, self._newscast_view_size)
 
     # ------------------------------------------------------------------
-    # Node admission / removal (same seed-tree names as the reference)
+    # Membership (same seed-tree names as the reference)
     # ------------------------------------------------------------------
 
     def _admit(self, node_id: int):
-        self._space.validate(node_id)
-        self._next_address += 1
         self._ids_ever.append(node_id)
         self._universe = None
+        self._reference = None
         self.registry.add(node_id)
         if self._news is not None:
             self._news.dirty = True
@@ -1255,34 +1223,17 @@ class VectorBootstrapSimulation:
         self._boot.dirty = True
         return state
 
-    def _seed_newscast_views(self) -> None:
-        """Initial NEWSCAST views: same seed-tree derivation as the
-        reference, so all engines start from identical views."""
-        rng = self._source.derive("newscast-seed")
-        for node_id, state in self.nodes.items():
-            self._ops.seed_view(
-                state.rank,
-                self.registry.sample(
-                    self._newscast_view_size, rng, exclude_id=node_id
-                ),
-            )
-
-    # ------------------------------------------------------------------
-    # Membership mutation (the schedule-facing surface)
-    # ------------------------------------------------------------------
-
-    @property
-    def population(self) -> int:
-        """Current number of live nodes."""
-        return len(self.nodes)
-
-    @property
-    def live_ids(self) -> list[int]:
-        """Identifiers of live nodes (admission order)."""
-        return list(self.nodes)
+    def _seed_view(self, node_id: int, rng) -> None:
+        self._ops.seed_view(
+            self.nodes[node_id].rank,
+            self.registry.sample(
+                self._newscast_view_size, rng, exclude_id=node_id
+            ),
+        )
 
     def kill_node(self, node_id: int) -> bool:
-        """Crash *node_id* (mirrors ``BootstrapSimulation.kill_node``)."""
+        """Crash *node_id*: it stops sending, answering, and being a
+        valid table entry.  Returns whether the node was live."""
         state = self.nodes.pop(node_id, None)
         if state is None:
             return False
@@ -1301,33 +1252,6 @@ class VectorBootstrapSimulation:
         self._ever_killed = True
         return True
 
-    def spawn_node(self, node_id: int | None = None):
-        """Join a brand-new node (same seed-tree derivations as the
-        reference, so spawned identifiers match across engines)."""
-        if node_id is None:
-            rng = self._source.derive(("spawn", self._next_address))
-            node_id = self._space.random_id(rng)
-            while node_id in self.nodes:
-                node_id = self._space.random_id(rng)
-        elif node_id in self.nodes:
-            raise ValueError(f"identifier {node_id:#x} already live")
-        state = self._admit(node_id)
-        if self._news is not None:
-            rng = self._source.derive(("newscast-join", node_id))
-            self._ops.seed_view(
-                state.rank,
-                self.registry.sample(
-                    self._newscast_view_size, rng, exclude_id=node_id
-                ),
-            )
-        self._reference = None
-        self._membership_dirty = True
-        return state
-
-    def absorb_pool(self, ids: Iterable[int]) -> list[object]:
-        """Merge a pool of identifiers into this network."""
-        return [self.spawn_node(node_id) for node_id in ids]
-
     def _wave_universe(self):
         """The sorted dense id universe of the wave kernels."""
         universe = self._universe
@@ -1345,24 +1269,13 @@ class VectorBootstrapSimulation:
         oracle), built on first access after a membership change.  The
         engine's own measurement never builds them: its slab measurer
         packs the same tables as arrays."""
-        reference = self._reference
-        if reference is None:
-            reference = self._reference = ReferenceTables(
-                self._space,
-                self.nodes.keys(),
-                self.config.leaf_set_size,
-                self.config.entries_per_slot,
-            )
-        return reference
+        if self._reference is None:
+            self._reference = self._perfect_tables()
+        return self._reference
 
     # ------------------------------------------------------------------
     # Cycle execution
     # ------------------------------------------------------------------
-
-    @property
-    def cycle(self) -> int:
-        """Number of completed cycles."""
-        return self._boot.cycle
 
     def run_cycle(self) -> None:
         """One Δ interval: NEWSCAST gossips first (when live), then
@@ -1648,7 +1561,7 @@ class VectorBootstrapSimulation:
         layer.cycle += 1
 
     # ------------------------------------------------------------------
-    # Measurement and experiment running (reference API)
+    # Measurement
     # ------------------------------------------------------------------
 
     def measure(self) -> ConvergenceSample:
@@ -1659,54 +1572,4 @@ class VectorBootstrapSimulation:
             self._membership_dirty = False
         return self.tracker.measure(
             float(self._boot.cycle), self._ever_killed
-        )
-
-    def run(
-        self,
-        max_cycles: int = 60,
-        *,
-        stop_when_perfect: bool = True,
-        schedules: Sequence[object] = (),
-        measure_every: int = 1,
-    ) -> SimulationResult:
-        """Run the experiment (same semantics and parameters as
-        ``BootstrapSimulation.run``)."""
-        if max_cycles < 1:
-            raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
-        if measure_every < 1:
-            raise ValueError(
-                f"measure_every must be >= 1, got {measure_every}"
-            )
-        started_at = self._boot.cycle
-        for cycle_index in range(max_cycles):
-            for schedule in schedules:
-                schedule.apply(self, cycle_index)
-            self.run_cycle()
-            if (cycle_index + 1) % measure_every == 0:
-                sample = self.measure()
-                if stop_when_perfect and sample.is_perfect:
-                    break
-        if not self.tracker.samples:
-            self.measure()
-        return self._result(started_at)
-
-    def _result(self, started_at: int = 0) -> SimulationResult:
-        converged_at = next(
-            (
-                s.cycle
-                for s in self.tracker.samples
-                if s.cycle > started_at and s.is_perfect
-            ),
-            None,
-        )
-        return SimulationResult(
-            samples=tuple(self.tracker.samples),
-            converged_at=converged_at,
-            population=self.population,
-            transport=self._boot.stats.snapshot(),
-            config=self.config,
-            seed=self.seed,
-            cycles_run=self._boot.cycle - started_at,
-            started_at_cycle=started_at,
-            engine="vector",
         )

@@ -424,7 +424,7 @@ class _ChordActor(RequestReplyActor):
     def set_time(self, now: float) -> None:
         self.node.set_time(now)
 
-    def begin_exchange(self):
+    def pick(self):
         if not self.node.started:
             self.node.start()
         begun = self.node.initiate_exchange()
@@ -433,7 +433,7 @@ class _ChordActor(RequestReplyActor):
         peer, message = begun
         return peer.node_id, message
 
-    def answer(self, request):
+    def respond(self, request):
         return self.node.handle_request(request)
 
     def complete(self, reply):

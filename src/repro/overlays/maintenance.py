@@ -215,13 +215,13 @@ class MaintenanceActor(RequestReplyActor):
         self.maintenance.node.set_time(now)
         self.maintenance.set_time(now)
 
-    def begin_exchange(self) -> tuple[Hashable, ProbeMessage] | None:
+    def pick(self) -> tuple[Hashable, ProbeMessage] | None:
         target = self.maintenance.select_probe_target()
         if target is None:
             return None
         return target.node_id, self.maintenance.probe_payload()
 
-    def answer(self, request: ProbeMessage) -> ProbeMessage:
+    def respond(self, request: ProbeMessage) -> ProbeMessage:
         reply = self.maintenance.probe_payload()
         self.maintenance.absorb(request)
         return reply

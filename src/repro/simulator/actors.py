@@ -97,24 +97,7 @@ class Unbuilt:
         self.sender = sender
 
 
-class _BuildsAfterCoin(RequestReplyActor):
-    """The eager exchange API over the lazy hooks: a direct caller
-    gets every message built, as if the network delivered it."""
-
-    __slots__ = ()
-
-    def begin_exchange(self) -> tuple[Hashable, object] | None:
-        picked = self.pick()
-        if picked is None:
-            return None
-        target_key, draft = picked
-        return target_key, self.send(draft, True)
-
-    def answer(self, request: object) -> object:
-        return self.send(self.respond(request), True)
-
-
-class BootstrapActor(_BuildsAfterCoin):
+class BootstrapActor(RequestReplyActor):
     """Drives a :class:`BootstrapNode` through the cycle engine.
 
     The loosely synchronised start (paper Section 4, last paragraph) is
@@ -184,7 +167,7 @@ class BootstrapActor(_BuildsAfterCoin):
             self.node.handle_reply(reply)
 
 
-class NewscastActor(_BuildsAfterCoin):
+class NewscastActor(RequestReplyActor):
     """Drives a :class:`NewscastNode` through the cycle engine.
 
     The payload of an exchange is the tuple of descriptors produced by

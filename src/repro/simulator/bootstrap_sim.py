@@ -75,7 +75,12 @@ from .engine import CycleEngine
 from .network import NetworkModel, RELIABLE
 from .random_source import RandomSource
 
-__all__ = ["BootstrapSimulation", "SimulationResult", "SAMPLER_KINDS"]
+__all__ = [
+    "BootstrapSimulation",
+    "CycleSimulation",
+    "SimulationResult",
+    "SAMPLER_KINDS",
+]
 
 SAMPLER_KINDS = ("oracle", "newscast")
 
@@ -155,7 +160,219 @@ class SimulationResult:
         return self.transport["sent"] / (self.cycles_run * self.population)
 
 
-class BootstrapSimulation:
+class CycleSimulation:
+    """The engine-independent shell of a cycle-driven simulation.
+
+    It validates the constructor arguments shared by every engine,
+    derives the identifiers from the seed tree (the initial set, and
+    a spawned one from ``("spawn", a)``, where *a* is the address the
+    newcomer gets: the count of earlier admissions), keeps the
+    membership surface and runs the paper's experiment loop.  Membership
+    randomness is therefore the same on every engine: a seed simulates
+    the *same network* on all of them.
+
+    An engine supplies the rest:
+
+    * ``_open()`` -- its state before the first admission;
+    * ``_admit(node_id)`` -- wire up one new, already validated node
+      (``_next_address`` is its address) and return its handle;
+    * ``_seed_view(node_id, rng)`` -- fill one NEWSCAST view with a
+      registry sample drawn from *rng*;
+    * ``kill_node``, ``run_cycle`` and ``measure``;
+    * ``tracker`` (with its ``samples``) and ``_boot``, the bootstrap
+      gossip layer: its completed ``cycle`` count and its
+      :class:`~repro.simulator.network.TransportStats` ``stats``.
+    """
+
+    engine_name: str
+
+    def __init__(
+        self,
+        size: int | None,
+        ids: Sequence[int] | None,
+        config: BootstrapConfig,
+        seed: int,
+        network: NetworkModel,
+        sampler: str,
+        newscast_view_size: int,
+    ) -> None:
+        if sampler not in SAMPLER_KINDS:
+            raise ValueError(
+                f"sampler must be one of {SAMPLER_KINDS}, got {sampler!r}"
+            )
+        if ids is None and (size is None or size < 2):
+            raise ValueError("need size >= 2 or an explicit id list")
+        self.config = config
+        self.seed = seed
+        self.network = network
+        self.sampler_kind = sampler
+        self._source = RandomSource(seed)
+        self._space = space = config.space
+        self._newscast_view_size = newscast_view_size
+
+        if ids is None:
+            id_list = space.random_unique_ids(size, self._source.derive("ids"))
+        else:
+            id_list = list(ids)
+            if len(set(id_list)) != len(id_list):
+                raise ValueError("identifier list contains duplicates")
+            for node_id in id_list:
+                space.validate(node_id)
+            if len(id_list) < 2:
+                raise ValueError("need at least 2 identifiers")
+
+        self.nodes: dict[int, object] = {}
+        self._next_address = 0
+        self._membership_dirty = False
+        self._open()
+        for node_id in id_list:
+            self._admit(node_id)
+            self._next_address += 1
+        if sampler == "newscast":
+            # The steady state a long-running sampling layer provides:
+            # every view holds uniform random live peers.
+            rng = self._source.derive("newscast-seed")
+            for node_id in self.nodes:
+                self._seed_view(node_id, rng)
+
+    # ------------------------------------------------------------------
+    # Membership (failure schedules, merge/split scenarios)
+    # ------------------------------------------------------------------
+
+    @property
+    def population(self) -> int:
+        """Current number of live nodes."""
+        return len(self.nodes)
+
+    @property
+    def live_ids(self) -> list[int]:
+        """Identifiers of live nodes, in admission order."""
+        return list(self.nodes)
+
+    def spawn_node(self, node_id: int | None = None):
+        """Join a brand-new node (fresh identifier unless given).
+
+        A given identifier is checked before anything is admitted, so
+        a rejected one leaves the network as it was.  The newcomer's
+        sampling endpoint is functional immediately (oracle) or seeded
+        with random live peers (NEWSCAST join); its bootstrap protocol
+        starts at its first activation, next cycle.
+        """
+        if node_id is None:
+            rng = self._source.derive(("spawn", self._next_address))
+            node_id = self._space.random_id(rng)
+            while node_id in self.nodes:
+                node_id = self._space.random_id(rng)
+        elif node_id in self.nodes:
+            raise ValueError(f"identifier {node_id:#x} already live")
+        else:
+            self._space.validate(node_id)
+        node = self._admit(node_id)
+        self._next_address += 1
+        if self.sampler_kind == "newscast":
+            rng = self._source.derive(("newscast-join", node_id))
+            self._seed_view(node_id, rng)
+        self._membership_dirty = True
+        return node
+
+    def absorb_pool(self, ids: Iterable[int]) -> list:
+        """Merge a pool of identifiers into this network (the paper's
+        network-merge scenario).  Returns the new nodes."""
+        return [self.spawn_node(node_id) for node_id in ids]
+
+    def _perfect_tables(self) -> ReferenceTables:
+        """The perfect leaf sets and prefix tables of the live ids."""
+        return ReferenceTables(
+            self._space,
+            self.nodes.keys(),
+            self.config.leaf_set_size,
+            self.config.entries_per_slot,
+        )
+
+    def _refresh_reference(self) -> None:
+        """Rebuild the perfect-table oracle after membership changed
+        (the engines whose tracker measures against it)."""
+        self.reference = self._perfect_tables()
+        self.tracker.rebind(self.reference, self.nodes.values())
+        self._membership_dirty = False
+
+    # ------------------------------------------------------------------
+    # The experiment
+    # ------------------------------------------------------------------
+
+    @property
+    def cycle(self) -> int:
+        """Number of completed cycles."""
+        return self._boot.cycle
+
+    def run(
+        self,
+        max_cycles: int = 60,
+        *,
+        stop_when_perfect: bool = True,
+        schedules: Sequence[object] = (),
+        measure_every: int = 1,
+    ) -> SimulationResult:
+        """Run the experiment.
+
+        Parameters
+        ----------
+        max_cycles:
+            Budget; the paper notes the protocol "has no stopping
+            criterion" and is simply run "for a fixed number of cycles
+            that are known to be sufficient".
+        stop_when_perfect:
+            End early at the first perfect measurement (how the paper's
+            plots end).
+        schedules:
+            Failure/churn schedule objects (see
+            :mod:`repro.simulator.failures`); ``apply(sim, i)`` runs at
+            the start of cycle *i*, before its ``run_cycle``.
+        measure_every:
+            Measurement period in cycles (1 = the paper's plots).
+        """
+        if max_cycles < 1:
+            raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
+        if measure_every < 1:
+            raise ValueError(
+                f"measure_every must be >= 1, got {measure_every}"
+            )
+        started_at = self.cycle
+        for cycle_index in range(max_cycles):
+            for schedule in schedules:
+                schedule.apply(self, cycle_index)
+            self.run_cycle()
+            if (cycle_index + 1) % measure_every == 0:
+                sample = self.measure()
+                if stop_when_perfect and sample.is_perfect:
+                    break
+        if not self.tracker.samples:
+            self.measure()
+        return self._result(started_at)
+
+    def _result(self, started_at: int = 0) -> SimulationResult:
+        converged_at = next(
+            (
+                s.cycle
+                for s in self.tracker.samples
+                if s.cycle > started_at and s.is_perfect
+            ),
+            None,
+        )
+        return SimulationResult(
+            samples=tuple(self.tracker.samples),
+            converged_at=converged_at,
+            population=self.population,
+            transport=self._boot.stats.snapshot(),
+            config=self.config,
+            seed=self.seed,
+            cycles_run=self.cycle - started_at,
+            started_at_cycle=started_at,
+            engine=self.engine_name,
+        )
+
+
+class BootstrapSimulation(CycleSimulation):
     """Cycle-driven simulation of one bootstrap run.
 
     Parameters
@@ -182,6 +399,8 @@ class BootstrapSimulation:
         variants here (they must share ``BootstrapNode``'s interface).
     """
 
+    engine_name = "reference"
+
     def __init__(
         self,
         size: int | None = None,
@@ -194,88 +413,43 @@ class BootstrapSimulation:
         newscast_view_size: int = 30,
         node_factory: type | None = None,
     ) -> None:
-        if sampler not in SAMPLER_KINDS:
-            raise ValueError(
-                f"sampler must be one of {SAMPLER_KINDS}, got {sampler!r}"
-            )
-        if ids is None:
-            if size is None or size < 2:
-                raise ValueError("need size >= 2 or an explicit id list")
-        self.config = config
-        self.seed = seed
-        self.network = network
-        self.sampler_kind = sampler
-        self._source = RandomSource(seed)
-        self._space = config.space
-
-        if ids is None:
-            id_list = self._space.random_unique_ids(
-                size, self._source.derive("ids")
-            )
-        else:
-            id_list = list(ids)
-            if len(set(id_list)) != len(id_list):
-                raise ValueError("identifier list contains duplicates")
-            for node_id in id_list:
-                self._space.validate(node_id)
-            if len(id_list) < 2:
-                raise ValueError("need at least 2 identifiers")
-
-        self.registry = MembershipRegistry()
-        self.nodes: dict[int, BootstrapNode] = {}
-        self.newscast: dict[int, NewscastNode] = {}
-        self._next_address = 0
         self._node_factory = node_factory or BootstrapNode
+        super().__init__(
+            size, ids, config, seed, network, sampler, newscast_view_size
+        )
+        self.reference = self._perfect_tables()
+        self.tracker = ConvergenceTracker(
+            self.reference, self.nodes.values()
+        )
+
+    def _open(self) -> None:
+        self.registry = MembershipRegistry()
+        self.newscast: dict[int, NewscastNode] = {}
         # Settled receivers (module docstring): recorded at each
         # measure while _settle holds, which a kill ends for good.
         self._settled = SettledNodes()
         self._settle = self._node_factory is BootstrapNode
-
-        self.engine = CycleEngine(
-            network, self._source.derive("bootstrap-engine")
+        self.engine = self._boot = CycleEngine(
+            self.network, self._source.derive("bootstrap-engine")
         )
         self.newscast_engine: CycleEngine | None = None
-        if sampler == "newscast":
+        if self.sampler_kind == "newscast":
             self.newscast_engine = CycleEngine(
-                network, self._source.derive("newscast-engine")
+                self.network, self._source.derive("newscast-engine")
             )
-        self._newscast_view_size = newscast_view_size
-
-        for node_id in id_list:
-            self._admit(node_id)
-        if sampler == "newscast":
-            self._seed_newscast_views()
-
-        self.reference = ReferenceTables(
-            self._space,
-            id_list,
-            config.leaf_set_size,
-            config.entries_per_slot,
-        )
-        self.tracker = ConvergenceTracker(
-            self.reference, self.nodes.values()
-        )
-        self._membership_dirty = False
-
-    # ------------------------------------------------------------------
-    # Node admission / removal (the membership the registry reflects)
-    # ------------------------------------------------------------------
 
     def _admit(self, node_id: int) -> BootstrapNode:
         """Create and wire up one node (registry, sampler, engines)."""
-        address = self._next_address
-        self._next_address += 1
-        descriptor = NodeDescriptor(node_id=node_id, address=address)
+        descriptor = NodeDescriptor(node_id=node_id, address=self._next_address)
         self.registry.add(descriptor)
 
-        if self.sampler_kind == "newscast":
+        if self.newscast_engine is not None:
             newscast_node = NewscastNode(
                 descriptor,
                 self._source.derive(("newscast", node_id)),
                 view_size=self._newscast_view_size,
             )
             self.newscast[node_id] = newscast_node
-            assert self.newscast_engine is not None
             self.newscast_engine.add_actor(
                 node_id, NewscastActor(newscast_node)
             )
@@ -297,32 +471,15 @@ class BootstrapSimulation:
         actor = BootstrapActor(node)
         actor.settled = self._settled
         self.engine.add_actor(node_id, actor)
+        self._settled.clear()
         return node
 
-    def _seed_newscast_views(self) -> None:
-        """Initialise NEWSCAST views with uniform random live peers:
-        the steady state a long-running sampling layer provides."""
-        rng = self._source.derive("newscast-seed")
-        for node in self.newscast.values():
-            node.seed_view(
-                self.registry.sample_descriptors(
-                    self._newscast_view_size, rng, exclude_id=node.node_id
-                )
+    def _seed_view(self, node_id: int, rng) -> None:
+        self.newscast[node_id].seed_view(
+            self.registry.sample_descriptors(
+                self._newscast_view_size, rng, exclude_id=node_id
             )
-
-    # ------------------------------------------------------------------
-    # Membership mutation (failure schedules, merge/split scenarios)
-    # ------------------------------------------------------------------
-
-    @property
-    def population(self) -> int:
-        """Current number of live nodes."""
-        return len(self.nodes)
-
-    @property
-    def live_ids(self) -> list[int]:
-        """Identifiers of live nodes."""
-        return list(self.nodes)
+        )
 
     def kill_node(self, node_id: int) -> bool:
         """Crash *node_id*: it stops sending, answering, and being a
@@ -340,57 +497,9 @@ class BootstrapSimulation:
         self._settled.clear()
         return True
 
-    def spawn_node(self, node_id: int | None = None) -> BootstrapNode:
-        """Join a brand-new node (fresh identifier unless given).
-
-        The newcomer's sampling endpoint is functional immediately
-        (oracle) or seeded with random live peers (NEWSCAST join); its
-        bootstrap protocol starts at its first activation, next cycle.
-        """
-        if node_id is None:
-            rng = self._source.derive(("spawn", self._next_address))
-            node_id = self._space.random_id(rng)
-            while node_id in self.nodes:
-                node_id = self._space.random_id(rng)
-        elif node_id in self.nodes:
-            raise ValueError(f"identifier {node_id:#x} already live")
-        node = self._admit(node_id)
-        if self.sampler_kind == "newscast":
-            rng = self._source.derive(("newscast-join", node_id))
-            self.newscast[node_id].seed_view(
-                self.registry.sample_descriptors(
-                    self._newscast_view_size, rng, exclude_id=node_id
-                )
-            )
-        self._membership_dirty = True
-        self._settled.clear()
-        return node
-
-    def absorb_pool(self, ids: Iterable[int]) -> list[BootstrapNode]:
-        """Merge a pool of identifiers into this network (the paper's
-        network-merge scenario).  Returns the new nodes."""
-        new_nodes = [self.spawn_node(node_id) for node_id in ids]
-        return new_nodes
-
-    def _refresh_reference(self) -> None:
-        """Rebuild the perfect-table oracle after membership changed."""
-        self.reference = ReferenceTables(
-            self._space,
-            self.nodes.keys(),
-            self.config.leaf_set_size,
-            self.config.entries_per_slot,
-        )
-        self.tracker.rebind(self.reference, self.nodes.values())
-        self._membership_dirty = False
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    @property
-    def cycle(self) -> int:
-        """Number of completed cycles."""
-        return self.engine.cycle
 
     def run_cycle(self) -> None:
         """One Δ interval: the sampling layer gossips (if live), then
@@ -408,69 +517,3 @@ class BootstrapSimulation:
         if self._settle:
             self._settled.record(self.tracker.settled)
         return sample
-
-    def run(
-        self,
-        max_cycles: int = 60,
-        *,
-        stop_when_perfect: bool = True,
-        schedules: Sequence[object] = (),
-        measure_every: int = 1,
-    ) -> SimulationResult:
-        """Run the experiment.
-
-        Parameters
-        ----------
-        max_cycles:
-            Budget; the paper notes the protocol "has no stopping
-            criterion" and is simply run "for a fixed number of cycles
-            that are known to be sufficient".
-        stop_when_perfect:
-            End early at the first perfect measurement (how the paper's
-            plots end).
-        schedules:
-            Failure/churn schedule objects (see
-            :mod:`repro.simulator.failures`), applied at the start of
-            each cycle.
-        measure_every:
-            Measurement period in cycles (1 = the paper's plots).
-        """
-        if max_cycles < 1:
-            raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
-        if measure_every < 1:
-            raise ValueError(
-                f"measure_every must be >= 1, got {measure_every}"
-            )
-        started_at = self.engine.cycle
-        for cycle_index in range(max_cycles):
-            for schedule in schedules:
-                schedule.apply(self, cycle_index)
-            self.run_cycle()
-            if (cycle_index + 1) % measure_every == 0:
-                sample = self.measure()
-                if stop_when_perfect and sample.is_perfect:
-                    break
-        if not self.tracker.samples:
-            self.measure()
-        return self._result(started_at)
-
-    def _result(self, started_at: int = 0) -> SimulationResult:
-        converged_at = next(
-            (
-                s.cycle
-                for s in self.tracker.samples
-                if s.cycle > started_at and s.is_perfect
-            ),
-            None,
-        )
-        return SimulationResult(
-            samples=tuple(self.tracker.samples),
-            converged_at=converged_at,
-            population=self.population,
-            transport=self.engine.stats.snapshot(),
-            config=self.config,
-            seed=self.seed,
-            cycles_run=self.engine.cycle - started_at,
-            started_at_cycle=started_at,
-            engine="reference",
-        )

@@ -47,9 +47,9 @@ class RequestReplyActor(Generic[Payload]):
 
     The engine drives an exchange through :meth:`pick`, :meth:`respond`
     and :meth:`send`, which let an actor build a message only once its
-    drop coin has delivered it.  Their defaults hand out the messages
-    :meth:`begin_exchange` and :meth:`answer` build eagerly, so an
-    actor that implements only those two works unchanged.
+    drop coin has delivered it.  An actor that builds eagerly returns
+    its finished messages from :meth:`pick` and :meth:`respond` and
+    keeps the default :meth:`send`.
 
     The empty ``__slots__`` keeps concrete actors dict-free when they
     declare their own slots (a population is one actor per node, so the
@@ -62,35 +62,18 @@ class RequestReplyActor(Generic[Payload]):
     def set_time(self, now: float) -> None:
         """Advance the actor's logical clock (start of every cycle)."""
 
-    def begin_exchange(self) -> tuple[Hashable, Payload] | None:
-        """Active-thread step: pick a partner and build the request.
-
-        Returns ``(target_key, request)`` or ``None`` to skip this
-        cycle.
-        """
-        raise NotImplementedError
-
-    def answer(self, request: Payload) -> Payload | None:
-        """Passive-thread step: build the answer (from pre-exchange
-        state), then apply the request.  ``None`` means no answer."""
-        raise NotImplementedError
-
-    def complete(self, reply: Payload) -> None:
-        """Active-thread completion: apply the received answer."""
-        raise NotImplementedError
-
     def pick(self) -> tuple[Hashable, object] | None:
         """Active-thread step up to the send: ``(target_key, draft)``,
         or ``None`` to skip this cycle.  :meth:`send` turns the draft
-        into the request.  Default: :meth:`begin_exchange`, whose
-        request is its own draft."""
-        return self.begin_exchange()
+        into the request."""
+        raise NotImplementedError
 
     def respond(self, request: Payload) -> object | None:
         """Passive-thread step up to the send: the draft of the answer
         to *request*, or ``None`` for no answer (then no coin is tossed
-        for one).  Default: :meth:`answer`, built and applied at once."""
-        return self.answer(request)
+        for one).  An eager actor builds the answer from pre-exchange
+        state, then applies the request."""
+        raise NotImplementedError
 
     def send(self, draft: object, delivered: bool) -> Payload | None:
         """The message *draft* stands for, once the engine knows
@@ -100,9 +83,13 @@ class RequestReplyActor(Generic[Payload]):
         an answer's draft also applies the request it answers, after
         building the answer from the pre-exchange state.  The return
         value of an undelivered message is ignored.  Default: the
-        draft itself (built eagerly by :meth:`pick`/:meth:`respond`).
+        draft itself, for an actor that builds eagerly.
         """
         return draft  # type: ignore[return-value]
+
+    def complete(self, reply: Payload) -> None:
+        """Active-thread completion: apply the received answer."""
+        raise NotImplementedError
 
     def on_no_reply(self, target_key: Hashable) -> None:
         """Timeout notification: the exchange this actor initiated with

@@ -13,6 +13,21 @@ from .conftest import make_descriptor
 FAST = BootstrapConfig(leaf_set_size=4, entries_per_slot=1, random_samples=2)
 
 
+def begin(actor):
+    """``pick`` then ``send`` as if the network delivered the request:
+    ``(target, request)``, or ``None`` when the actor skips."""
+    picked = actor.pick()
+    if picked is None:
+        return None
+    target, draft = picked
+    return target, actor.send(draft, True)
+
+
+def answer(actor, request):
+    """``respond`` then ``send`` as if the network delivered the answer."""
+    return actor.send(actor.respond(request), True)
+
+
 class StaticSampler:
     def __init__(self, descriptors):
         self.pool = list(descriptors)
@@ -35,7 +50,7 @@ class TestBootstrapActor:
     def test_lazy_start_on_first_begin(self):
         node, actor = self.make()
         assert not node.started
-        begun = actor.begin_exchange()
+        begun = begin(actor)
         assert node.started
         assert begun is not None
         target, request = begun
@@ -45,17 +60,17 @@ class TestBootstrapActor:
     def test_set_time_propagates(self):
         node, actor = self.make()
         actor.set_time(5.5)
-        actor.begin_exchange()
+        begin(actor)
         message = node.create_message(make_descriptor(999))
         assert message.sender.timestamp == 5.5
 
     def test_answer_and_complete_roundtrip(self):
         node_a, actor_a = self.make(100)
         node_b, actor_b = self.make(200, pool=[make_descriptor(100)])
-        begun = actor_a.begin_exchange()
+        begun = begin(actor_a)
         assert begun is not None
         _, request = begun
-        reply = actor_b.answer(request)
+        reply = answer(actor_b, request)
         assert reply.is_reply
         actor_a.complete(reply)
         assert node_a.stats.replies_received == 1
@@ -66,7 +81,7 @@ class TestBootstrapActor:
             make_descriptor(1), FAST, StaticSampler([]), random.Random(1)
         )
         actor = BootstrapActor(node)
-        assert actor.begin_exchange() is None
+        assert begin(actor) is None
         assert node.started  # start still happened
 
 
@@ -80,7 +95,7 @@ class TestNewscastActor:
 
     def test_begin_exchange_targets_view_member(self):
         node, actor = self.make(1, [make_descriptor(2)])
-        begun = actor.begin_exchange()
+        begun = begin(actor)
         assert begun is not None
         target, payload = begun
         assert target == 2
@@ -89,12 +104,12 @@ class TestNewscastActor:
 
     def test_begin_none_with_empty_view(self):
         _, actor = self.make(1)
-        assert actor.begin_exchange() is None
+        assert begin(actor) is None
 
     def test_answer_merges_and_replies_pre_merge(self):
         node, actor = self.make(1, [make_descriptor(2)])
         incoming = (make_descriptor(3), make_descriptor(4))
-        reply = actor.answer(incoming)
+        reply = answer(actor, incoming)
         # Reply was built before the merge: cannot contain 3 or 4.
         assert all(d.node_id not in (3, 4) for d in reply)
         # But the view has absorbed them.
@@ -108,6 +123,6 @@ class TestNewscastActor:
     def test_set_time_stamps_payload(self):
         node, actor = self.make(1, [make_descriptor(2)])
         actor.set_time(7.0)
-        _, payload = actor.begin_exchange()
+        _, payload = begin(actor)
         own = [d for d in payload if d.node_id == 1]
         assert own[0].timestamp == 7.0

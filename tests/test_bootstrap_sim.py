@@ -121,13 +121,6 @@ class TestConvergence:
         )
         assert [s.cycle for s in result.samples] == [2, 4, 6, 8, 10]
 
-    def test_run_validates_arguments(self):
-        sim = BootstrapSimulation(8, config=FAST)
-        with pytest.raises(ValueError):
-            sim.run(0)
-        with pytest.raises(ValueError):
-            sim.run(5, measure_every=0)
-
 
 class TestMembershipMutation:
     def test_kill_node(self):

@@ -21,14 +21,14 @@ class ScriptedActor(RequestReplyActor):
     def set_time(self, now):
         self.times.append(now)
 
-    def begin_exchange(self):
+    def pick(self):
         if self.target is None:
             self.log.append("skip")
             return None
         self.log.append(f"request->{self.target}")
         return self.target, f"req:{self.name}"
 
-    def answer(self, request):
+    def respond(self, request):
         self.log.append(f"answered:{request}")
         return f"rep:{self.name}"
 
@@ -37,7 +37,7 @@ class ScriptedActor(RequestReplyActor):
 
 
 class SilentActor(ScriptedActor):
-    def answer(self, request):
+    def respond(self, request):
         self.log.append(f"ignored:{request}")
         return None
 
@@ -151,7 +151,7 @@ class TestCycles:
                 def __init__(self, name):
                     super().__init__(name, target=None)
 
-                def begin_exchange(self):
+                def pick(self):
                     order.append(self.name)
                     return None
 
@@ -169,7 +169,7 @@ class TestCycles:
                 super().__init__(name, target=None)
                 self.engine_ref = engine_ref
 
-            def begin_exchange(self):
+            def pick(self):
                 self.engine_ref.remove_actor("victim")
                 removals.append(self.name)
                 return None

@@ -240,28 +240,6 @@ class TestEngineSeam:
             == "fast"
         )
 
-    def test_fast_sim_validation_mirrors_reference(self):
-        with pytest.raises(ValueError, match="size >= 2"):
-            FastBootstrapSimulation(1, config=FAST)
-        with pytest.raises(ValueError, match="duplicates"):
-            FastBootstrapSimulation(ids=[1, 1, 2], config=FAST)
-        with pytest.raises(ValueError, match="sampler"):
-            FastBootstrapSimulation(16, config=FAST, sampler="psychic")
-        sim = FastBootstrapSimulation(16, config=FAST)
-        with pytest.raises(ValueError, match="max_cycles"):
-            sim.run(0)
-        with pytest.raises(ValueError, match="measure_every"):
-            sim.run(5, measure_every=0)
-        with pytest.raises(ValueError, match="already live"):
-            sim.spawn_node(sim.live_ids[0])
-        # Out-of-range ids are rejected at admission, exactly like the
-        # reference engine (which validates in BootstrapNode.__init__).
-        for bad in (FAST.space.size, -1):
-            with pytest.raises(ValueError, match="outside"):
-                sim.spawn_node(bad)
-            with pytest.raises(ValueError, match="outside"):
-                BootstrapSimulation(16, config=FAST, seed=3).spawn_node(bad)
-
 
 class TestKernels:
     """Kernel outputs equal the reference ``repro.core`` computations."""

@@ -376,14 +376,9 @@ class TestEngineSeam:
         assert "bootstrap" in capsys.readouterr().out
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="size >= 2"):
-            VectorBootstrapSimulation(1, config=FAST)
-        with pytest.raises(ValueError, match="sampler"):
-            VectorBootstrapSimulation(16, config=FAST, sampler="psychic")
+        # The shared checks are tests/test_simulation_shell.py's.
         with pytest.raises(ValueError, match="wave"):
             VectorBootstrapSimulation(16, config=FAST, wave=0)
-        with pytest.raises(ValueError, match="duplicates"):
-            VectorBootstrapSimulation(ids=[1, 1, 2], config=FAST)
 
 
 class TestRetiredKnobs:
