@@ -50,49 +50,7 @@ Quickstart
 True
 """
 
-from .core import (
-    BootstrapConfig,
-    BootstrapMessage,
-    BootstrapNode,
-    ConvergenceSample,
-    ConvergenceTracker,
-    IDSpace,
-    LeafSet,
-    NodeDescriptor,
-    PAPER_CONFIG,
-    PrefixTable,
-    ReferenceTables,
-)
-from .sampling import (
-    MembershipRegistry,
-    NewscastNode,
-    OracleSampler,
-    PartialView,
-    PeerSamplingService,
-)
-from .runtime import (
-    RunResult,
-    RunSpec,
-    ScheduleSpec,
-    ShardError,
-    SweepAggregate,
-    SweepGrid,
-    SweepRunner,
-)
-from .simulator import (
-    BootstrapSimulation,
-    CatastrophicFailure,
-    Churn,
-    CycleEngine,
-    ExperimentSpec,
-    MassiveJoin,
-    NetworkModel,
-    PAPER_LOSSY,
-    RELIABLE,
-    SimulationResult,
-    run_experiment,
-    run_repeats,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -138,3 +96,52 @@ __all__ = [
     "SweepGrid",
     "SweepRunner",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "BootstrapConfig",
+            "BootstrapMessage",
+            "BootstrapNode",
+            "ConvergenceSample",
+            "ConvergenceTracker",
+            "IDSpace",
+            "LeafSet",
+            "NodeDescriptor",
+            "PAPER_CONFIG",
+            "PrefixTable",
+            "ReferenceTables",
+        ),
+        ".sampling": (
+            "MembershipRegistry",
+            "NewscastNode",
+            "OracleSampler",
+            "PartialView",
+            "PeerSamplingService",
+        ),
+        ".runtime": (
+            "RunResult",
+            "RunSpec",
+            "ScheduleSpec",
+            "ShardError",
+            "SweepAggregate",
+            "SweepGrid",
+            "SweepRunner",
+        ),
+        ".simulator": (
+            "BootstrapSimulation",
+            "CatastrophicFailure",
+            "Churn",
+            "CycleEngine",
+            "ExperimentSpec",
+            "MassiveJoin",
+            "NetworkModel",
+            "PAPER_LOSSY",
+            "RELIABLE",
+            "SimulationResult",
+            "run_experiment",
+            "run_repeats",
+        ),
+    },
+)

@@ -5,17 +5,7 @@ the paper's figures and into paper-versus-measured tables, with zero
 dependencies beyond the standard library.
 """
 
-from .plotting import ascii_linear, ascii_semilog
-from .series import Series, format_dat, mean_series, write_dat
-from .stats import (
-    LinearFit,
-    Summary,
-    geometric_mean,
-    linear_fit,
-    percentile,
-    summarize,
-)
-from .tables import render_kv, render_table
+from .._lazy import lazy_exports
 
 __all__ = [
     "ascii_linear",
@@ -33,3 +23,20 @@ __all__ = [
     "render_kv",
     "render_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".plotting": ("ascii_linear", "ascii_semilog"),
+        ".series": ("Series", "format_dat", "mean_series", "write_dat"),
+        ".stats": (
+            "LinearFit",
+            "Summary",
+            "geometric_mean",
+            "linear_fit",
+            "percentile",
+            "summarize",
+        ),
+        ".tables": ("render_kv", "render_table"),
+    },
+)

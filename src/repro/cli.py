@@ -31,37 +31,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .analysis import Series, ascii_semilog, render_kv, render_table
-from .components import AggregationExperiment, BroadcastConfig, GossipBroadcast
-from .devtools import main as devtools_main
-from .runtime import (
-    CheckpointError,
-    RunSpec,
-    ScheduleSpec,
-    SweepGrid,
-    SweepRunner,
-)
-from .scenarios import (
-    ScenarioSpec,
-    all_chaos_scenarios,
-    all_scenarios,
-    convergence_rows,
-    get_chaos_scenario,
-    get_scenario,
-    render_scenario_report,
-    run_chaos_scenario,
-    run_scenario,
-)
-from .simulator import (
-    ENGINE_KINDS,
-    Churn,
-    ExperimentSpec,
-    NetworkModel,
-    build_simulation,
-)
+if TYPE_CHECKING:
+    from .analysis import Series
+    from .runtime import ScheduleSpec
+    from .scenarios import ScenarioSpec
+    from .simulator import NetworkModel
 
 __all__ = ["main"]
+
+# Each handler imports the layers it calls, so a subcommand loads
+# only those: ``python -X importtime -m repro <command>`` lists what
+# one loads, and tests/test_import_budget.py pins it.
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -78,6 +60,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine(parser: argparse.ArgumentParser) -> None:
+    from .simulator import ENGINE_KINDS
+
     # Added only to subcommands that route through build_simulation;
     # a silently ignored --engine would masquerade as a fast-engine
     # run (same convention as the sweep parser's missing --drop).
@@ -107,6 +91,8 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
 
 
 def _network(args: argparse.Namespace) -> NetworkModel:
+    from .simulator import NetworkModel
+
     return NetworkModel(drop_probability=args.drop)
 
 
@@ -121,6 +107,8 @@ def _print_run(
 ) -> None:
     """Per-run summary block shared by the bootstrap and figure
     commands."""
+    from .analysis import render_kv
+
     print(
         render_kv(
             {
@@ -136,6 +124,9 @@ def _print_run(
 
 
 def _run_one(size: int, args: argparse.Namespace) -> tuple[Series, Series]:
+    from .analysis import Series
+    from .simulator import ExperimentSpec, build_simulation
+
     sim = build_simulation(
         ExperimentSpec(
             size=size,
@@ -163,6 +154,8 @@ def _run_one(size: int, args: argparse.Namespace) -> tuple[Series, Series]:
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
     """One bootstrap run with its convergence curves."""
+    from .analysis import ascii_semilog
+
     leaf, prefix = _run_one(args.size, args)
     print(
         ascii_semilog(
@@ -179,6 +172,10 @@ def cmd_figure(args: argparse.Namespace, lossy: bool) -> int:
     The per-size runs are independent, so they are dispatched through
     the sweep runner; ``--workers N`` shards them across processes.
     """
+    from .analysis import Series, ascii_semilog
+    from .runtime import RunSpec, SweepRunner
+    from .simulator import ExperimentSpec
+
     if lossy and args.drop == 0.0:
         args.drop = 0.2
     specs = []
@@ -241,6 +238,8 @@ def _schedule_arg(text: str) -> ScheduleSpec:
     :data:`~repro.runtime.SCHEDULE_KINDS` listing on a bad kind --
     instead of a generic "invalid value".
     """
+    from .runtime import ScheduleSpec
+
     try:
         return ScheduleSpec.parse(text)
     except ValueError as exc:
@@ -254,6 +253,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     :class:`ScenarioSpec` executed by :func:`run_scenario` -- the same
     path the registry scenarios and the benchmarks use.
     """
+    from .analysis import ascii_semilog, render_table
+    from .runtime import SweepGrid
+    from .scenarios import ScenarioSpec, convergence_rows, run_scenario
+
     grid = SweepGrid(
         sizes=tuple(args.sizes),
         drop_rates=tuple(args.drops),
@@ -316,6 +319,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_scenarios_list(args: argparse.Namespace) -> int:
     """Print the scenario catalogue."""
+    from .analysis import render_table
+    from .scenarios import all_scenarios
+
     rows = [
         [
             spec.name,
@@ -336,6 +342,8 @@ def cmd_scenarios_list(args: argparse.Namespace) -> int:
 
 def _resolve_scenario(args: argparse.Namespace) -> ScenarioSpec | None:
     """Registry lookup (or ``--spec-file`` load) with errors on stderr."""
+    from .scenarios import ScenarioSpec, get_scenario
+
     spec_file = getattr(args, "spec_file", None)
     if spec_file is not None:
         if args.name is not None:
@@ -374,6 +382,9 @@ def cmd_scenarios_show(args: argparse.Namespace) -> int:
 
 def cmd_scenarios_run(args: argparse.Namespace) -> int:
     """Execute one scenario (registry or spec file), print its report."""
+    from .runtime import CheckpointError
+    from .scenarios import render_scenario_report, run_scenario
+
     spec = _resolve_scenario(args)
     if spec is None:
         return 2
@@ -419,6 +430,9 @@ def cmd_scenarios_run(args: argparse.Namespace) -> int:
 
 def cmd_chaos_list(args: argparse.Namespace) -> int:
     """Print the chaos scenario catalogue."""
+    from .analysis import render_table
+    from .scenarios import all_chaos_scenarios
+
     rows = [
         [spec.name, spec.size, len(spec.schedule), spec.title]
         for spec in all_chaos_scenarios()
@@ -435,6 +449,8 @@ def cmd_chaos_list(args: argparse.Namespace) -> int:
 
 def cmd_chaos_show(args: argparse.Namespace) -> int:
     """Dump one chaos scenario's declarative JSON form."""
+    from .scenarios import get_chaos_scenario
+
     try:
         spec = get_chaos_scenario(args.name)
     except KeyError as exc:
@@ -452,6 +468,9 @@ def cmd_chaos_run(args: argparse.Namespace) -> int:
     budget ran out first (the convergence-under-faults gate, usable
     straight from CI).
     """
+    from .analysis import render_kv
+    from .scenarios import run_chaos_scenario
+
     try:
         report = run_chaos_scenario(
             args.name, seed=args.seed, smoke=args.smoke
@@ -484,6 +503,9 @@ def cmd_chaos_run(args: argparse.Namespace) -> int:
 
 def cmd_churn(args: argparse.Namespace) -> int:
     """Steady-state table quality under continuous churn."""
+    from .analysis import render_kv
+    from .simulator import Churn, ExperimentSpec, build_simulation
+
     sim = build_simulation(
         ExperimentSpec(
             size=args.size,
@@ -515,6 +537,9 @@ def cmd_churn(args: argparse.Namespace) -> int:
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     """Gossip push-pull averaging demo."""
+    from .analysis import render_table
+    from .components import AggregationExperiment
+
     values = [float(i) for i in range(args.size)]
     experiment = AggregationExperiment(values, seed=args.seed)
     trace = experiment.run(args.max_cycles, tolerance=1e-9)
@@ -533,6 +558,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 def cmd_broadcast(args: argparse.Namespace) -> int:
     """Probabilistic-broadcast (start signal) demo."""
+    from .analysis import render_kv
+    from .components import BroadcastConfig, GossipBroadcast
+
     broadcast = GossipBroadcast(
         args.size,
         BroadcastConfig(
@@ -560,6 +588,8 @@ def cmd_broadcast(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with all subcommands."""
+    from .simulator import ENGINE_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -756,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --format, --root); main() forwards everything after `check`
     # before parsing, since REMAINDER cannot capture leading options.
     p.add_argument("check_args", nargs=argparse.REMAINDER)
-    p.set_defaults(func=lambda a: devtools_main(a.check_args))
+    p.set_defaults(func=lambda a: _check(a.check_args))
 
     p = sub.add_parser("churn", help="steady-state quality under churn")
     p.add_argument("--size", type=int, default=512)
@@ -780,11 +810,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check(arguments: list[str]) -> int:
+    from .devtools import main as devtools_main
+
+    return devtools_main(arguments)
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     arguments = list(sys.argv[1:] if argv is None else argv)
     if arguments[:1] == ["check"]:
-        return devtools_main(arguments[1:])
+        return _check(arguments[1:])
     parser = build_parser()
     args = parser.parse_args(arguments)
     return args.func(args)

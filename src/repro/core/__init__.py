@@ -6,15 +6,7 @@ protocol that jump-starts prefix-table routing substrates from scratch
 prefix tables) and the oracles used to measure convergence (Section 5).
 """
 
-from .config import BootstrapConfig, PAPER_CONFIG
-from .convergence import ConvergenceSample, ConvergenceTracker
-from .descriptor import NodeDescriptor, dedupe_by_id, freshest_by_id
-from .idspace import IDSpace
-from .leafset import LeafSet, select_balanced_ids
-from .messages import BootstrapMessage
-from .prefixtable import PrefixTable
-from .protocol import BootstrapNode, ProtocolStats, Sampler
-from .reference import DigitTrie, ReferenceTables
+from .._lazy import lazy_exports
 
 __all__ = [
     "BootstrapConfig",
@@ -35,3 +27,18 @@ __all__ = [
     "DigitTrie",
     "ReferenceTables",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("BootstrapConfig", "PAPER_CONFIG"),
+        ".convergence": ("ConvergenceSample", "ConvergenceTracker"),
+        ".descriptor": ("NodeDescriptor", "dedupe_by_id", "freshest_by_id"),
+        ".idspace": ("IDSpace",),
+        ".leafset": ("LeafSet", "select_balanced_ids"),
+        ".messages": ("BootstrapMessage",),
+        ".prefixtable": ("PrefixTable",),
+        ".protocol": ("BootstrapNode", "ProtocolStats", "Sampler"),
+        ".reference": ("DigitTrie", "ReferenceTables"),
+    },
+)

@@ -8,7 +8,9 @@ The architecture is a DAG of top-level units inside ``repro``::
         -> scenarios                     (declarative experiment layer)
         -> cli                           (composition root)
 
-with ``analysis`` and ``seams`` as leaf utilities, and the overlay /
+with ``analysis`` and ``seams`` as leaf utilities, ``_lazy`` (the
+lazy-export helper of the package ``__init__`` modules) importable by
+every unit, and the overlay /
 networking stack (``net``, ``overlays``, ``components``,
 ``baselines``, ``service``) deliberately **independent of the
 engines** -- an overlay must bootstrap from any engine's output, so it
@@ -33,8 +35,13 @@ from collections.abc import Iterator
 
 from .findings import Finding
 
-#: unit -> sibling top-level units it may import at module scope.
+#: Units every unit may import: package plumbing with no domain code.
+SHARED_UNITS = frozenset({"_lazy"})
+
+#: unit -> sibling top-level units it may import at module scope
+#: (besides :data:`SHARED_UNITS`).
 LAYER_CONTRACT: dict[str, frozenset[str]] = {
+    "_lazy": frozenset(),
     # Leaf utilities: importable by anyone, import nobody.
     "seams": frozenset(),
     "analysis": frozenset(),
@@ -251,7 +258,7 @@ def check_layering(
                 f"unit {unit!r} is not declared in the layer contract; "
                 "add it to repro.devtools.layering.LAYER_CONTRACT",
             )
-        elif target not in allowed and target in contract:
+        elif target not in allowed | SHARED_UNITS and target in contract:
             yield Finding(
                 "layering",
                 path,

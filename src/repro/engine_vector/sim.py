@@ -145,6 +145,16 @@ def _first_occurrence(keys):
     return keep
 
 
+def _remap_windows(buf, starts, lens, remap) -> None:
+    """Map every index in the windows ``buf[starts[i] : starts[i] +
+    lens[i]]`` through *remap*, in place."""
+    total = int(lens.sum())
+    if total:
+        out_starts = _np.cumsum(lens) - lens
+        at = _np.repeat(starts - out_starts, lens) + kernels._arange(total)
+        buf[at] = remap[buf[at]]
+
+
 class _NumpyOps:
     """Array-native node transitions over the population's arena.
 
@@ -964,15 +974,31 @@ class _NumpyOps:
         )
 
     def _sync_dense_universe(self, universe) -> None:
-        """Invalidate every pooled dense-index cache when the
-        membership universe was rebuilt (identity-keyed: holding the
-        reference also keeps the old object alive, so its id cannot be
-        recycled)."""
+        """Move every valid pooled dense-index cache onto *universe*
+        when the membership universe was rebuilt (identity-keyed:
+        holding the reference also keeps the old object alive, so its
+        id cannot be recycled).  A universe holds every id ever
+        admitted, so a rebuilt one contains the old one, and each
+        cached index maps through one monotone ``searchsorted``: the
+        caches stay sorted and the composite-key sorts stay valid."""
         a = self.arena
-        if a.dense_universe is not universe:
-            a.p_dense_valid[:] = False
-            a.leaf_dense_valid[:] = False
-            a.dense_universe = universe
+        old = a.dense_universe
+        if old is universe:
+            return
+        if old is not None:
+            remap = universe.searchsorted(old)
+            ranks = _np.flatnonzero(a.p_dense_valid)
+            _remap_windows(
+                a.p_dense.buf, a.p_dense.off[ranks], a.p_dense.len[ranks], remap
+            )
+            ranks = _np.flatnonzero(a.leaf_dense_valid)
+            _remap_windows(
+                a.leaf_dense.ravel(),
+                ranks * a.leaf_dense.shape[1],
+                a.leaf_len[ranks],
+                remap,
+            )
+        a.dense_universe = universe
 
     def _resident_keys(self, ranks, universe, u_size):
         """Concatenated ``segment * u_size + dense`` keys of the

@@ -6,29 +6,7 @@ and a cluster fixture that walks the paper's deployment story end to
 end (sampling warm-up -> start broadcast -> convergence).
 """
 
-from .codec import (
-    CodecError,
-    LAYER_BOOTSTRAP,
-    LAYER_NEWSCAST,
-    WireMessage,
-    decode_bootstrap,
-    decode_message,
-    encode_bootstrap,
-    encode_message,
-)
-from .chaos import (
-    CHAOS_EVENT_KINDS,
-    ChaosController,
-    ChaosEvent,
-    ChaosHub,
-    ChaosSchedule,
-    LinkFaults,
-    VirtualClockLoop,
-    run_virtual,
-)
-from .cluster import LocalCluster
-from .peer import AsyncPeer
-from .transport import LoopbackHub, LoopbackTransport, UdpTransport
+from .._lazy import lazy_exports
 
 __all__ = [
     "CodecError",
@@ -53,3 +31,32 @@ __all__ = [
     "LoopbackTransport",
     "UdpTransport",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".codec": (
+            "CodecError",
+            "LAYER_BOOTSTRAP",
+            "LAYER_NEWSCAST",
+            "WireMessage",
+            "decode_bootstrap",
+            "decode_message",
+            "encode_bootstrap",
+            "encode_message",
+        ),
+        ".chaos": (
+            "CHAOS_EVENT_KINDS",
+            "ChaosController",
+            "ChaosEvent",
+            "ChaosHub",
+            "ChaosSchedule",
+            "LinkFaults",
+            "VirtualClockLoop",
+            "run_virtual",
+        ),
+        ".cluster": ("LocalCluster",),
+        ".peer": ("AsyncPeer",),
+        ".transport": ("LoopbackHub", "LoopbackTransport", "UdpTransport"),
+    },
+)

@@ -31,7 +31,10 @@ over and over, so each distinct wire record is decoded **once per
 process**: a bounded table keyed by the exact record bytes hands back
 the already-validated, immutable :class:`NodeDescriptor`, and
 :func:`encode_message` writes those bytes back out for a descriptor
-that came from the table.  Only bytes that passed the full validation
+that is in the table.  An encoded descriptor joins the table too (when
+decoding its bytes would give back an equal object of the same field
+types), so a descriptor a peer keeps advertising is packed once, not
+once per frame.  Only bytes that passed the full validation
 are ever stored, and the table is cleared when it reaches
 :data:`INTERN_CAP`, so a flood of distinct records degrades to the
 uncached speed and nothing more.
@@ -218,6 +221,37 @@ def _forget_interned() -> None:
     _records.clear()
 
 
+def _pack_and_intern(desc: NodeDescriptor) -> bytes:
+    """The encode miss path: pack *desc* and, when a cold decode of the
+    bytes would rebuild it exactly, remember it so that later frames
+    reuse the record."""
+    record = _pack_descriptor(desc)
+    address = desc.address
+    if not (
+        type(desc) is NodeDescriptor
+        and type(desc.node_id) is int
+        and type(desc.timestamp) is float
+        and (
+            type(address) is int
+            or (
+                type(address) is tuple
+                and type(address[0]) is str
+                and type(address[1]) is int
+            )
+        )
+    ):
+        return record
+    if len(_interned) >= INTERN_CAP:
+        _forget_interned()
+    # Bytes that already stand for another object keep it: ``id(desc)``
+    # is mapped only while the table itself keeps *desc* alive.
+    # Filled records-first, as in :func:`_decode_and_intern`.
+    if _interned.get(record, desc) is desc:
+        _records[id(desc)] = record
+        _interned[record] = desc
+    return record
+
+
 def _decode_and_intern(
     data: bytes, offset: int
 ) -> tuple[NodeDescriptor, int]:
@@ -250,11 +284,11 @@ def encode_message(
         raise CodecError(
             f"{len(descriptors) + 1} descriptors exceed the frame cap"
         )
-    # A descriptor that came out of the intern table goes back on the
-    # wire as the bytes it was decoded from.
+    # A descriptor in the intern table goes back on the wire as the
+    # bytes it was decoded from or first packed to.
     record_of = _records.get
     records = [
-        record_of(id(desc)) or _pack_descriptor(desc)
+        record_of(id(desc)) or _pack_and_intern(desc)
         for desc in chain((sender,), descriptors)
     ]
     return _HEADER.pack(MAGIC, VERSION, layer, kind, len(records)) + b"".join(

@@ -489,6 +489,8 @@ class ChordBootstrapSimulation:
         seed: int = 1,
         network: NetworkModel = RELIABLE,
     ) -> None:
+        if size < 2:
+            raise ValueError("need size >= 2 or an explicit id list")
         self.config = config
         self.seed = seed
         source = RandomSource(seed)
@@ -561,6 +563,8 @@ class ChordBootstrapSimulation:
         self, max_cycles: int = 60, *, stop_when_perfect: bool = True
     ) -> list[ChordConvergenceSample]:
         """Run to convergence or budget; returns the sample series."""
+        if max_cycles < 1:
+            raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
         for _ in range(max_cycles):
             self.engine.run_cycle()
             sample = self.measure()

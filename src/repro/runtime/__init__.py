@@ -31,32 +31,7 @@ an ordered list for consumers that want per-run values, and
 the batch reference fold the streaming merge is tested against.
 """
 
-from .checkpoint import CheckpointError, CheckpointStore, grid_digest
-from .columns import (
-    TRANSPORT_COUNTERS,
-    RunColumns,
-    RunTiming,
-    execute_run_columns,
-)
-from .merge import (
-    CellAggregate,
-    CellFold,
-    StreamingMerge,
-    SweepAggregate,
-    cell_label,
-    merge_columns,
-    throughput_summary,
-)
-from .runner import ShardError, SweepGrid, SweepRunner, expand_repeats
-from .spec import (
-    SCHEDULE_KINDS,
-    RunResult,
-    RunSpec,
-    ScheduleSpec,
-    execute_run,
-    replica_seed,
-    schedule_key,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "SCHEDULE_KINDS",
@@ -85,3 +60,30 @@ __all__ = [
     "schedule_key",
     "throughput_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".checkpoint": ("CheckpointError", "CheckpointStore", "grid_digest"),
+        ".columns": ("TRANSPORT_COUNTERS", "RunColumns", "RunTiming", "execute_run_columns"),
+        ".merge": (
+            "CellAggregate",
+            "CellFold",
+            "StreamingMerge",
+            "SweepAggregate",
+            "cell_label",
+            "merge_columns",
+            "throughput_summary",
+        ),
+        ".runner": ("ShardError", "SweepGrid", "SweepRunner", "expand_repeats"),
+        ".spec": (
+            "SCHEDULE_KINDS",
+            "RunResult",
+            "RunSpec",
+            "ScheduleSpec",
+            "execute_run",
+            "replica_seed",
+            "schedule_key",
+        ),
+    },
+)

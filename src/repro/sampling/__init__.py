@@ -6,10 +6,7 @@ membership.  Ships NEWSCAST (the paper's instantiation) and an
 idealised oracle sampler for controlled experiments.
 """
 
-from .base import PeerSamplingService
-from .newscast import DEFAULT_VIEW_SIZE, NewscastNode
-from .oracle import MembershipRegistry, OracleSampler
-from .view import PartialView
+from .._lazy import lazy_exports
 
 __all__ = [
     "PeerSamplingService",
@@ -19,3 +16,13 @@ __all__ = [
     "OracleSampler",
     "PartialView",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("PeerSamplingService",),
+        ".newscast": ("DEFAULT_VIEW_SIZE", "NewscastNode"),
+        ".oracle": ("MembershipRegistry", "OracleSampler"),
+        ".view": ("PartialView",),
+    },
+)

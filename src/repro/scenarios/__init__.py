@@ -33,23 +33,7 @@ registry of :class:`ChaosScenarioSpec` fault experiments
 clock by :func:`run_chaos_scenario`.
 """
 
-from .chaos import (
-    ChaosRunReport,
-    ChaosScenarioSpec,
-    all_chaos_scenarios,
-    chaos_scenario_names,
-    get_chaos_scenario,
-    register_chaos,
-    run_chaos_scenario,
-)
-from .registry import all_scenarios, get_scenario, register, scenario_names
-from .run import (
-    ScenarioResult,
-    convergence_rows,
-    render_scenario_report,
-    run_scenario,
-)
-from .spec import ANALYSIS_KINDS, ScenarioSpec
+from .._lazy import lazy_exports
 
 __all__ = [
     "ANALYSIS_KINDS",
@@ -70,3 +54,21 @@ __all__ = [
     "run_scenario",
     "scenario_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".chaos": (
+            "ChaosRunReport",
+            "ChaosScenarioSpec",
+            "all_chaos_scenarios",
+            "chaos_scenario_names",
+            "get_chaos_scenario",
+            "register_chaos",
+            "run_chaos_scenario",
+        ),
+        ".registry": ("all_scenarios", "get_scenario", "register", "scenario_names"),
+        ".run": ("ScenarioResult", "convergence_rows", "render_scenario_report", "run_scenario"),
+        ".spec": ("ANALYSIS_KINDS", "ScenarioSpec"),
+    },
+)

@@ -9,20 +9,18 @@ loss and link delay.  The ``chaos_link_delay`` and
 abstraction does not hide timing artefacts.
 """
 
-from .actors import BootstrapActor, NewscastActor
-from .bootstrap_sim import BootstrapSimulation, SimulationResult
-from .engine import CycleEngine, RequestReplyActor
-from .experiment import (
-    ENGINE_KINDS,
-    ExperimentSpec,
-    build_simulation,
-    paper_repeat_counts,
-    run_experiment,
-    run_repeats,
-)
-from .failures import CatastrophicFailure, Churn, FailureSchedule, MassiveJoin
-from .network import PAPER_LOSSY, RELIABLE, NetworkModel, TransportStats
-from .random_source import RandomSource, derive_seed
+from .._lazy import lazy_exports
+
+#: Selectable cycle-engine implementations.  ``"reference"`` and
+#: ``"fast"`` (the array-backed kernel in :mod:`repro.engine_fast`)
+#: produce bit-identical trajectories for the same spec, pinned by the
+#: differential suite.  ``"vector"`` (:mod:`repro.engine_vector`)
+#: batches whole cycles in numpy under a documented seeded-but-
+#: different RNG stream: deterministic per seed, *statistically*
+#: equivalent to the other two rather than bit-identical.  Defined
+#: here rather than in :mod:`.experiment` so that the CLI parser can
+#: offer the choices without loading an engine.
+ENGINE_KINDS = ("reference", "fast", "vector")
 
 __all__ = [
     "BootstrapActor",
@@ -48,3 +46,22 @@ __all__ = [
     "RandomSource",
     "derive_seed",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".actors": ("BootstrapActor", "NewscastActor"),
+        ".bootstrap_sim": ("BootstrapSimulation", "SimulationResult"),
+        ".engine": ("CycleEngine", "RequestReplyActor"),
+        ".experiment": (
+            "ExperimentSpec",
+            "build_simulation",
+            "paper_repeat_counts",
+            "run_experiment",
+            "run_repeats",
+        ),
+        ".failures": ("CatastrophicFailure", "Churn", "FailureSchedule", "MassiveJoin"),
+        ".network": ("PAPER_LOSSY", "RELIABLE", "NetworkModel", "TransportStats"),
+        ".random_source": ("RandomSource", "derive_seed"),
+    },
+)

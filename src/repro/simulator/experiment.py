@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from collections.abc import Callable, Sequence
 
 from ..core.config import BootstrapConfig, PAPER_CONFIG
+from . import ENGINE_KINDS
 from .bootstrap_sim import BootstrapSimulation, SimulationResult
 from .network import NetworkModel, RELIABLE
 
@@ -25,15 +26,6 @@ __all__ = [
     "run_repeats",
     "paper_repeat_counts",
 ]
-
-#: Selectable cycle-engine implementations.  ``"reference"`` and
-#: ``"fast"`` (the array-backed kernel in :mod:`repro.engine_fast`)
-#: produce bit-identical trajectories for the same spec, pinned by the
-#: differential suite.  ``"vector"`` (:mod:`repro.engine_vector`)
-#: batches whole cycles in numpy under a documented seeded-but-
-#: different RNG stream: deterministic per seed, *statistically*
-#: equivalent to the other two rather than bit-identical.
-ENGINE_KINDS = ("reference", "fast", "vector")
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,18 @@ class TestChordBootstrap:
         fractions = [s.finger_fraction for s in samples]
         assert fractions[0] > fractions[-1]
 
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_rejects_fewer_than_two_nodes(self, size):
+        with pytest.raises(ValueError, match="need size >= 2"):
+            ChordBootstrapSimulation(size, config=FAST)
+
+    @pytest.mark.parametrize("max_cycles", [0, -1])
+    def test_rejects_an_empty_cycle_budget(self, max_cycles):
+        sim = ChordBootstrapSimulation(16, config=FAST, seed=18)
+        with pytest.raises(ValueError, match="max_cycles must be >= 1"):
+            sim.run(max_cycles)
+        assert sim.samples == []
+
     def test_measure_totals_positive(self):
         sim = ChordBootstrapSimulation(16, config=FAST, seed=18)
         sample = sim.measure()

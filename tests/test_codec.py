@@ -354,6 +354,8 @@ class TestInternTable:
     def test_miss_equals_uncached_decode(self):
         header = codec._HEADER.size
         for frame in sweep_frames():
+            # Encoding the frames interned their descriptors.
+            codec._forget_interned()
             uncached, _ = codec._decode_descriptor(frame, header)
             assert not codec._interned
             for sender in (
@@ -366,7 +368,6 @@ class TestInternTable:
                 assert sender.address == uncached.address
                 assert type(sender.address) is type(uncached.address)
                 assert sender.timestamp == uncached.timestamp
-            codec._forget_interned()
 
     @pytest.mark.parametrize("inputs", [truncations, corruptions])
     def test_sweeps_same_outcome_warm_as_cold(self, inputs):
@@ -443,6 +444,48 @@ class TestInternTable:
         codec._forget_interned()
         assert not codec._interned and not codec._records
         assert encode_message(1, 1, wire.sender, wire.descriptors) == frame
+
+    def test_encode_interns_what_it_packs(self, monkeypatch):
+        packed = []
+        pack = codec._pack_descriptor
+        monkeypatch.setattr(
+            codec, "_pack_descriptor", lambda desc: packed.append(desc) or pack(desc)
+        )
+        held = NodeDescriptor(node_id=9, address=("node-a.example", 9000), timestamp=1.0)
+        payload = (make_descriptor(2, address=5, timestamp=3.0),)
+        frame = encode_message(LAYER_NEWSCAST, 0, held, payload)
+        for _ in range(3):
+            assert encode_message(LAYER_NEWSCAST, 0, held, payload) == frame
+        assert packed == [held, *payload]
+        self.assert_tables_paired()
+        # A cold table packs it once more, to the same bytes.
+        codec._forget_interned()
+        assert encode_message(LAYER_NEWSCAST, 0, held, payload) == frame
+        assert encode_message(LAYER_NEWSCAST, 0, held, payload) == frame
+        assert packed == [held, *payload] * 2
+        # An equal object is packed to the same bytes but never mapped:
+        # the table keeps only the object it holds alive.
+        twin = NodeDescriptor(held.node_id, held.address, held.timestamp)
+        assert encode_message(LAYER_NEWSCAST, 0, twin, payload) == frame
+        assert id(twin) not in codec._records
+        assert decode_message(frame).sender is held
+        self.assert_tables_paired()
+
+    def test_encode_interns_only_what_decodes_back_to_itself(self):
+        # An int stamp packs to the bytes of a float one; decoding them
+        # must still give the float, so this object stays out.
+        int_stamped = NodeDescriptor(node_id=4, address=11, timestamp=3)
+        frame = encode_message(LAYER_NEWSCAST, 0, int_stamped, ())
+        assert id(int_stamped) not in codec._records
+        sender = decode_message(frame).sender
+        assert sender == int_stamped and type(sender.timestamp) is float
+        self.assert_tables_paired()
+        # Nor is an instance of a subclass, which decodes to the base.
+        subclassed = type("Tagged", (NodeDescriptor,), {})(5, 12, 2.0)
+        frame = encode_message(LAYER_NEWSCAST, 0, subclassed, ())
+        assert id(subclassed) not in codec._records
+        assert type(decode_message(frame).sender) is NodeDescriptor
+        self.assert_tables_paired()
 
     def test_chaos_report_equal_cold_then_warm(self):
         from repro.scenarios.chaos import run_chaos_scenario

@@ -569,6 +569,30 @@ class TestBatchedConstructionExactness:
         from each rank's leaf row and prefix window."""
         assert_arena_invariants(converged_sim(seed=13))
 
+    def test_dense_caches_survive_a_spawn(self):
+        """A spawn grows the id universe; the next sync remaps every
+        valid dense-index cache instead of dropping it."""
+        sim = converged_sim(seed=19)
+        arena = sim._ops.arena
+        sim._ops._sync_dense_universe(sim._wave_universe())
+        prefix_valid = arena.p_dense_valid.copy()
+        leaf_valid = arena.leaf_dense_valid.copy()
+        assert prefix_valid.any() and leaf_valid.any()
+        sim.spawn_node()
+        grown = sim._wave_universe()
+        assert grown is not arena.dense_universe
+        sim._ops._sync_dense_universe(grown)
+        assert arena.dense_universe is grown
+        # No flag moves; ranks the spawn added (capacity may grow) are
+        # invalid.
+        for valid, before in (
+            (arena.p_dense_valid, prefix_valid),
+            (arena.leaf_dense_valid, leaf_valid),
+        ):
+            assert np.array_equal(valid[: before.size], before)
+            assert not valid[before.size :].any()
+        assert_arena_invariants(sim)
+
     def test_array_state_invariants_after_churn(self):
         """The same recomputation after kills, joins, drops and rank
         recycling on the NEWSCAST leg, and after a killed id is
